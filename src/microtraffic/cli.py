@@ -512,7 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(args) -> None:
     if args.config is None:
         return
-    config = json.loads(Path(args.config).read_text())
+    try:
+        config = json.loads(Path(args.config).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{args.config}: not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigurationError(f"{args.config}: config must be a JSON object")
     for key, value in config.items():

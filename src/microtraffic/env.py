@@ -12,6 +12,13 @@ state. A BV's gap to an unchanged leader is updated incrementally with
 the same arithmetic as the model-core rollout, so a lone BV behind a
 steady leader reproduces ``rollout_follower`` exactly, float for float.
 
+"Who is near whom" comes from one lane index: each lane's live BVs sorted
+by ``(s, id)``, rebuilt once per step after the commit and extended by
+spawns. Leader lookups, spawn checks, BV contacts, the observation and
+the ego collision test all bisect into it, so a step costs O(N log N)
+rather than O(N^2 / lanes). At equal ``s`` the lowest id comes first;
+in leader lookups the ego comes ahead of every BV.
+
 Episodes terminate on ego collision, on the ego leaving the paved network
 (closed boundary: exactly half a lane width away is still on the road),
 or at ``max_steps``. BV-BV contact is logged but does not terminate.
@@ -20,7 +27,10 @@ or at ``max_steps``. BV-BV contact is logged but does not terminate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import pairwise
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +44,12 @@ DEFAULT_EGO_LENGTH = 5.0
 OBS_FEATURES = 5
 _SPAWN_CLEARANCE = 2.0
 _GAP_EPS = 1e-6
+# Widens the bisection windows of the spawn and collision checks so float
+# rounding in the window bounds can never drop a vehicle that the exact
+# test would catch; the exact test still decides.
+_WINDOW_SLACK = 1.0
+_EMPTY_RUN = ((), ())
+_by_position = attrgetter("s", "id")
 
 TRACE_COLUMNS = ("step", "id", "x", "y", "heading", "v")
 
@@ -96,6 +112,8 @@ class TrafficEnv:
         self._trace_path = Path(trace_path) if trace_path is not None else None
         self._trace_fh = None
         self._group_size = len(self.net.lane_group(scenario.ego_lane))
+        self._max_length = max((spec.length for spec in scenario.demand.vehicles),
+                               default=0.0)
         self._backend = _kernels.ACTIVE
         self._live = False
         self._terminated = False
@@ -127,6 +145,7 @@ class TrafficEnv:
         self.collisions_logged = []
         self._overlapping = set()
         self._alive: list[_Vehicle] = []
+        self._lanes = {}
         self._pending = sorted(sc.demand.vehicles, key=lambda v: (v.depart, v.id))
         self._spawn_due()
         if self._trace_path is not None:
@@ -153,21 +172,13 @@ class TrafficEnv:
         dt = self.scenario.dt
 
         # Snapshot of the step-start state; every update below reads it.
-        mem_lane, mem_s, mem_d = self._ego_membership()
-        occupancy = self._occupancy(mem_lane, mem_s)
+        mem_lane, mem_s, _ = self._ego_membership()
 
         updates = []
-        for bv in self._alive:
-            key, v_lead, gap_pos = self._resolve_leader(bv, occupancy)
-            if key is None:
-                v_lead = bv.v
-                gap = math.inf
-            elif key == bv.leader_key:
-                gap = bv.gap
-            else:
-                gap = gap_pos
+        follower_step = self._backend.follower_step
+        for bv, key, v_lead, gap in self._leaders(mem_lane, mem_s):
             t = bv.theta
-            a, v_next, gap_next = self._backend.follower_step(
+            a, v_next, gap_next = follower_step(
                 t[0], t[1], t[2], t[3], t[4], t[5], bv.v, v_lead, gap, dt)
             updates.append((bv, bv.s + bv.v * dt, v_next, gap_next, key))
 
@@ -180,15 +191,13 @@ class TrafficEnv:
         self._ego_s, self._ego_d = ego_s, ego_d
         self._ego_vlong, self._ego_vlat = ego_vlong, ego_vlat
         self._roll_ego_lane()
-        survivors = []
         for bv, s_next, v_next, gap_next, key in updates:
             bv.v = v_next
             bv.gap = gap_next if gap_next > 0.0 else _GAP_EPS
             bv.leader_key = key
             bv.s = s_next
-            if self._advance_route(bv):
-                survivors.append(bv)
-        self._alive = survivors
+        self._alive = [bv for bv in self._alive if self._advance_route(bv)]
+        self._index_lanes()
 
         self._step_idx += 1
         self._time += dt
@@ -249,43 +258,63 @@ class TrafficEnv:
         s, _, _ = self.net.lanes[lane_id].project(x, y)
         return lane_id, s, d
 
-    def _occupancy(self, mem_lane, mem_s):
-        """lane_id -> [(s, tiebreak, kind, payload)] for leader lookups."""
-        occ: dict[str, list] = {}
-        for bv in self._alive:
-            occ.setdefault(bv.lane, []).append((bv.s, bv.id, "bv", bv))
-        occ.setdefault(mem_lane, []).append((mem_s, "", "ego", mem_lane))
-        for entries in occ.values():
-            entries.sort(key=lambda e: (e[0], e[1]))
-        return occ
+    def _index_lanes(self):
+        """Rebuild the lane index from ``_alive``.
 
-    def _resolve_leader(self, bv, occupancy):
-        """Nearest same-lane vehicle ahead (ego included): (key, speed, gap).
-
-        Leader lookups do not cross lane boundaries, so a vehicle sees an
-        empty road until its leader-to-be is on the same lane.
+        Maps each lane id to ``(run, ss)``: its live BVs sorted by
+        ``(s, id)`` and their ``s`` values alongside for bisection. Lanes
+        keep the order of their first vehicle in ``_alive``, which fixes
+        the order of ``collisions_logged`` entries within a step.
         """
-        best = None
-        for s, _, kind, payload in occupancy.get(bv.lane, ()):
-            if s <= bv.s:
-                continue
-            if kind == "bv" and payload is bv:
-                continue
-            if best is None or s < best[0]:
-                best = (s, kind, payload)
-        if best is None:
-            return None, 0.0, math.inf
-        s_lead, kind, payload = best
-        if kind == "ego":
-            key = ("ego", payload)
-            v_lead = self._ego_vlong
-            lead_len = self.ego_length
-        else:
-            key = ("bv", payload.id)
-            v_lead = payload.v
-            lead_len = payload.length
-        gap = (s_lead - bv.s) - (lead_len + bv.length) / 2.0
-        return key, v_lead, max(gap, _GAP_EPS)
+        runs: dict[str, list] = {}
+        for bv in self._alive:
+            runs.setdefault(bv.lane, []).append(bv)
+        self._lanes = {}
+        for lane_id, run in runs.items():
+            run.sort(key=_by_position)
+            self._lanes[lane_id] = (run, [bv.s for bv in run])
+
+    def _insert(self, bv):
+        """Add a freshly spawned BV to ``_alive`` and to its lane's run."""
+        self._alive.append(bv)
+        run, ss = self._lanes.setdefault(bv.lane, ([], []))
+        i = bisect_left(run, _by_position(bv), key=_by_position)
+        run.insert(i, bv)
+        ss.insert(i, bv.s)
+
+    def _near(self, lane_id, s, reach):
+        """BVs on ``lane_id`` whose s lies within ``reach`` of ``s``."""
+        run, ss = self._lanes.get(lane_id, _EMPTY_RUN)
+        return run[bisect_left(ss, s - reach):bisect_right(ss, s + reach)]
+
+    def _leaders(self, mem_lane, mem_s):
+        """Yield ``(bv, leader key, leader speed, gap)`` for every live BV.
+
+        The leader is the nearest same-lane vehicle strictly ahead, the ego
+        (at ``mem_s`` on ``mem_lane``) included. Leader lookups do not cross
+        lane boundaries, so a vehicle sees an empty road until its
+        leader-to-be is on the same lane. The gap is the car-following
+        input: the incrementally updated one while the leader is unchanged,
+        the bumper gap to a new leader, +inf without one.
+        """
+        for lane_id, (run, ss) in self._lanes.items():
+            ego_here = lane_id == mem_lane
+            n = len(run)
+            for i, bv in enumerate(run):
+                s = bv.s
+                j = bisect_right(ss, s, i + 1)
+                if ego_here and s < mem_s and (j == n or mem_s <= ss[j]):
+                    key, v_lead = ("ego", mem_lane), self._ego_vlong
+                    gap = (mem_s - s) - (self.ego_length + bv.length) / 2.0
+                elif j < n:
+                    lead = run[j]
+                    key, v_lead = ("bv", lead.id), lead.v
+                    gap = (lead.s - s) - (lead.length + bv.length) / 2.0
+                else:
+                    yield bv, None, bv.v, math.inf
+                    continue
+                gap = bv.gap if key == bv.leader_key else max(gap, _GAP_EPS)
+                yield bv, key, v_lead, gap
 
     def _roll_ego_lane(self):
         lane = self.net.lanes[self._ego_lane]
@@ -324,22 +353,26 @@ class TrafficEnv:
             v_lead, gap = self._spawn_leader(lane_id, spec.depart_s, mem_lane, mem_s)
             v_des = spec.params.v_des
             v0 = v_des if v_lead is None else min(v_des, v_lead)
-            self._alive.append(_Vehicle(spec, route.lanes, v0))
+            self._insert(_Vehicle(spec, route.lanes, v0))
         self._pending = still_pending
 
     def _spawn_blocked(self, lane_id, s, length, mem_lane, mem_s) -> bool:
-        for bv in self._alive:
-            if bv.lane == lane_id and abs(bv.s - s) < (bv.length + length) / 2.0 + _SPAWN_CLEARANCE:
+        reach = (self._max_length + length) / 2.0 + _SPAWN_CLEARANCE + _WINDOW_SLACK
+        for bv in self._near(lane_id, s, reach):
+            if abs(bv.s - s) < (bv.length + length) / 2.0 + _SPAWN_CLEARANCE:
                 return True
         if mem_lane == lane_id and abs(mem_s - s) < (self.ego_length + length) / 2.0 + _SPAWN_CLEARANCE:
             return True
         return False
 
     def _spawn_leader(self, lane_id, s, mem_lane, mem_s):
+        """(speed, centre distance) of the nearest vehicle ahead of a spawn
+        point, or (None, inf); a BV wins a tie with the ego."""
         best = None
-        for bv in self._alive:
-            if bv.lane == lane_id and bv.s > s and (best is None or bv.s < best[0]):
-                best = (bv.s, bv.v)
+        run, ss = self._lanes.get(lane_id, _EMPTY_RUN)
+        j = bisect_right(ss, s)
+        if j < len(run):
+            best = (ss[j], run[j].v)
         if mem_lane == lane_id and mem_s > s and (best is None or mem_s < best[0]):
             best = (mem_s, self._ego_vlong)
         if best is None:
@@ -347,13 +380,9 @@ class TrafficEnv:
         return best[1], best[0] - s
 
     def _log_bv_contacts(self):
-        by_lane: dict[str, list] = {}
-        for bv in self._alive:
-            by_lane.setdefault(bv.lane, []).append(bv)
         current = set()
-        for lane_id, group in by_lane.items():
-            group.sort(key=lambda b: (b.s, b.id))
-            for rear, front in zip(group, group[1:]):
+        for run, _ in self._lanes.values():
+            for rear, front in pairwise(run):
                 gap = (front.s - rear.s) - (front.length + rear.length) / 2.0
                 if gap <= 0.0:
                     pair = (rear.id, front.id)
@@ -372,14 +401,17 @@ class TrafficEnv:
         mem_lane, mem_s, mem_d = self._ego_membership()
         ex, ey, _ = self._ego_pose()
         lat_limit = self.vehicle_width  # (w_ego + w_bv) / 2 with equal widths
-        for bv in self._alive:
-            if bv.lane == mem_lane:
+        reach = (self.ego_length + self._max_length) / 2.0 + _WINDOW_SLACK
+        for lane_id in self._lanes:
+            if lane_id == mem_lane:
                 s_ego, lat = mem_s, mem_d
             else:
-                s_ego, lat, _ = self.net.lanes[bv.lane].project(ex, ey)
-            long_gap = abs(s_ego - bv.s) - (self.ego_length + bv.length) / 2.0
-            if long_gap <= 0.0 and abs(lat) < lat_limit:
-                return True
+                s_ego, lat, _ = self.net.lanes[lane_id].project(ex, ey)
+            if not abs(lat) < lat_limit:
+                continue
+            for bv in self._near(lane_id, s_ego, reach):
+                if abs(s_ego - bv.s) - (self.ego_length + bv.length) / 2.0 <= 0.0:
+                    return True
         return False
 
     def build_observation(self) -> np.ndarray:
@@ -392,19 +424,20 @@ class TrafficEnv:
         evy = self._ego_vlong * ty + self._ego_vlat * ny
         group = self.net.lane_group(mem_lane)[: self._group_size]
         for j, lane_id in enumerate(group):
+            run, ss = self._lanes.get(lane_id, _EMPTY_RUN)
+            if not run:
+                continue
             lane = self.net.lanes[lane_id]
             if lane_id == mem_lane:
                 s_ref = mem_s
             else:
                 s_ref, _, _ = lane.project(ex, ey)
-            leader = follower = None
-            for bv in self._alive:
-                if bv.lane != lane_id:
-                    continue
-                if bv.s > s_ref and (leader is None or bv.s < leader.s):
-                    leader = bv
-                elif bv.s < s_ref and (follower is None or bv.s > follower.s):
-                    follower = bv
+            # Nearest BV strictly ahead and strictly behind s_ref; the
+            # lowest id wins a tie in s.
+            hi = bisect_right(ss, s_ref)
+            leader = run[hi] if hi < len(run) else None
+            lo = bisect_left(ss, s_ref)
+            follower = run[bisect_left(ss, ss[lo - 1], 0, lo)] if lo else None
             for slot, bv in ((2 * j, leader), (2 * j + 1, follower)):
                 if bv is None:
                     continue

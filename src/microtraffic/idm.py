@@ -197,8 +197,11 @@ class Trajectory:
                     raise SchemaError(f"{path}: row {lineno}: {exc}") from None
                 for col, value in zip(columns, values):
                     col.append(value)
-        t = np.asarray(columns[0], dtype=np.float64)
-        dt = float(t[1] - t[0]) if t.size >= 2 else 1.0
+        if len(columns[0]) < 2:
+            raise SchemaError(
+                f"{path}: needs at least 2 data rows to fix dt, got {len(columns[0])}"
+            )
+        dt = columns[0][1] - columns[0][0]
         return cls(dt, *[np.asarray(c, dtype=np.float64) for c in columns])
 
 

@@ -446,6 +446,25 @@ def test_config_must_be_an_object(tmp_path, capsys):
     assert "config must be a JSON object" in capsys.readouterr().err
 
 
+def test_malformed_config_reports_cleanly(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text('{"seed": 1,')
+    rc = run_cli("simulate", "--config", config, "--out", tmp_path / "run")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: not valid JSON: ")
+    assert "Traceback" not in err
+
+
+def test_calibrate_one_row_csv_reports_cleanly(tmp_path, capsys):
+    data = tmp_path / "one.csv"
+    data.write_text("t,v_ego,v_leader,gap,a_obs\n0.0,20,20,30,0\n")
+    rc = run_cli("calibrate", "--data", data, "--n-iter", 10,
+                 "--out", tmp_path / "calib")
+    assert rc == 2
+    assert "at least 2 data rows" in capsys.readouterr().err
+
+
 def test_missing_input_file_reports_cleanly(tmp_path, capsys):
     rc = run_cli("simulate", "--scenario", tmp_path / "no_such.scenario.json",
                  "--out", tmp_path / "run")

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import THETA_STAR, straight_scenario
+from microtraffic import _kernels
 from microtraffic import (Action, DemandSpec, EnvUsageError, InputDomainError,
                           Lane, ParamSet, RoadNetwork, Route, Scenario,
                           TrafficEnv, VehicleSpec)
@@ -316,3 +319,197 @@ def test_episode_summary_and_info_keys():
     assert summary["steps"] == 3
     assert summary["collisions_logged"] == 0
     assert set(summary["ego_final"]) == {"x", "y", "v"}
+
+
+# -- lane index against brute-force linear scans ---------------------------
+#
+# The references below scan every live BV for each query. Ties in s go to
+# the lowest id, and the ego sorts ahead of every BV at equal s in leader
+# lookups.
+
+GAP_EPS = 1e-6
+SPAWN_CLEARANCE = 2.0
+
+
+def ref_leader(env, me, mem_lane, mem_s):
+    """(key, speed, bumper gap) of the nearest same-lane vehicle ahead."""
+    cands = [(b.s, b.id, ("bv", b.id), b.v, b.length) for b in env._alive
+             if b.lane == me.lane and b is not me and b.s > me.s]
+    if mem_lane == me.lane and mem_s > me.s:
+        cands.append((mem_s, "", ("ego", mem_lane), env._ego_vlong, env.ego_length))
+    if not cands:
+        return None, me.v, math.inf
+    s, _, key, v, length = min(cands, key=lambda c: (c[0], c[1]))
+    return key, v, max((s - me.s) - (length + me.length) / 2.0, GAP_EPS)
+
+
+def ref_spawn_blocked(env, lane_id, s, length, mem_lane, mem_s):
+    if any(b.lane == lane_id
+           and abs(b.s - s) < (b.length + length) / 2.0 + SPAWN_CLEARANCE
+           for b in env._alive):
+        return True
+    return (mem_lane == lane_id
+            and abs(mem_s - s) < (env.ego_length + length) / 2.0 + SPAWN_CLEARANCE)
+
+
+def ref_spawn_leader(env, lane_id, s, mem_lane, mem_s):
+    ahead = [(b.s, b.id, b.v) for b in env._alive if b.lane == lane_id and b.s > s]
+    best = min(ahead, default=None)
+    if mem_lane == lane_id and mem_s > s and (best is None or mem_s < best[0]):
+        return env._ego_vlong, mem_s - s
+    if best is None:
+        return None, math.inf
+    return best[2], best[0] - s
+
+
+def ref_contacts(env, step):
+    by_lane = {}
+    for b in env._alive:
+        by_lane.setdefault(b.lane, []).append(b)
+    logged = []
+    for group in by_lane.values():
+        group.sort(key=lambda b: (b.s, b.id))
+        for rear, front in zip(group, group[1:]):
+            if (front.s - rear.s) - (front.length + rear.length) / 2.0 <= 0.0:
+                logged.append({"step": step, "rear": rear.id, "front": front.id})
+    return logged
+
+
+def ref_collision(env):
+    mem_lane, mem_s, mem_d = env._ego_membership()
+    ex, ey, _ = env._ego_pose()
+    for b in env._alive:
+        if b.lane == mem_lane:
+            s_ego, lat = mem_s, mem_d
+        else:
+            s_ego, lat, _ = env.net.lanes[b.lane].project(ex, ey)
+        if (abs(s_ego - b.s) - (env.ego_length + b.length) / 2.0 <= 0.0
+                and abs(lat) < env.vehicle_width):
+            return True
+    return False
+
+
+def ref_observation(env):
+    obs = np.zeros(env.observation_shape)
+    mem_lane, mem_s, _ = env._ego_membership()
+    ex, ey, eh = env._ego_pose()
+    tx, ty = math.cos(eh), math.sin(eh)
+    nx, ny = -ty, tx
+    evx = env._ego_vlong * tx + env._ego_vlat * nx
+    evy = env._ego_vlong * ty + env._ego_vlat * ny
+    for j, lane_id in enumerate(env.net.lane_group(mem_lane)[: env.n_slots // 2]):
+        lane = env.net.lanes[lane_id]
+        s_ref = mem_s if lane_id == mem_lane else lane.project(ex, ey)[0]
+        on_lane = [b for b in env._alive if b.lane == lane_id]
+        leader = min((b for b in on_lane if b.s > s_ref),
+                     key=lambda b: (b.s, b.id), default=None)
+        follower = min((b for b in on_lane if b.s < s_ref),
+                       key=lambda b: (-b.s, b.id), default=None)
+        for slot, b in ((2 * j, leader), (2 * j + 1, follower)):
+            if b is None:
+                continue
+            bx, by, bh = lane.pose_at(b.s, 0.0)
+            bvx, bvy = b.v * math.cos(bh), b.v * math.sin(bh)
+            dx, dy = bx - ex, by - ey
+            obs[slot] = (1.0, dx * tx + dy * ty, dx * nx + dy * ny,
+                         (bvx - evx) * tx + (bvy - evy) * ty,
+                         (bvx - evx) * nx + (bvy - evy) * ny)
+    return obs
+
+
+# s on a coarse grid, so equal-s ties (BV-BV and BV-ego) are common.
+GRID_S = st.integers(0, 40).map(lambda k: 2.5 * k)
+PLACED_BV = st.tuples(st.integers(0, 2), GRID_S, st.floats(0.0, 30.0),
+                      st.sampled_from([4.0, 5.0, 12.0]),
+                      st.sampled_from(["none", "same", "other"]),
+                      st.floats(1e-9, 50.0))
+
+
+@st.composite
+def placements(draw):
+    bvs = draw(st.lists(PLACED_BV, max_size=14))
+    ids = draw(st.permutations([f"v{k:02d}" for k in range(len(bvs))]))
+    return {
+        "bvs": list(zip(ids, bvs)),
+        "ego_lane": draw(st.integers(0, 2)),
+        "ego_s": draw(GRID_S),
+        # |d| > 1.75 puts the ego's membership on a neighbour lane
+        "ego_d": draw(st.sampled_from([0.0, 1.75, -1.75, 2.0, -2.0, 3.6, -3.6])
+                      | st.floats(-5.5, 5.5)),
+        "ego_v": draw(st.floats(0.0, 30.0)),
+        "queries": draw(st.lists(st.tuples(st.integers(0, 2), GRID_S,
+                                           st.sampled_from([4.0, 5.0, 12.0])),
+                                 max_size=6)),
+    }
+
+
+def placed_env(case):
+    """A 3-lane env whose BVs and ego sit exactly where ``case`` says."""
+    specs = tuple(bv(vid, "r0", 200.0 + 20.0 * k, length=length)
+                  for k, (vid, (_, _, _, length, _, _)) in enumerate(case["bvs"]))
+    env = TrafficEnv(straight_scenario(specs, n_lanes=3))
+    env.reset()
+    assert len(env._alive) == len(specs)
+    ids = [vid for vid, _ in case["bvs"]]
+    # spawn order (the order of _alive) is the drawn order, not id order
+    by_id = {vehicle.id: vehicle for vehicle in env._alive}
+    env._alive = [by_id[vid] for vid in ids]
+    for vehicle, (_, (lane, s, v, _, prior, gap)) in zip(env._alive, case["bvs"]):
+        vehicle.lane = f"lane_{lane}"
+        vehicle.route_lanes = (vehicle.lane,)
+        vehicle.s, vehicle.v, vehicle.gap = s, v, gap
+        vehicle.leader_key = {"none": None, "other": ("bv", ids[0]),
+                              "same": "same"}[prior]
+    env._ego_lane = f"lane_{case['ego_lane']}"
+    env._ego_s, env._ego_d = case["ego_s"], case["ego_d"]
+    env._ego_vlong = case["ego_v"]
+    env._index_lanes()
+    mem_lane, mem_s, _ = env._ego_membership()
+    for vehicle in env._alive:
+        if vehicle.leader_key == "same":
+            # keep the prior leader so the incremental gap is reused
+            vehicle.leader_key = ref_leader(env, vehicle, mem_lane, mem_s)[0]
+    return env
+
+
+@settings(max_examples=300, deadline=None)
+@given(placements())
+# lateral offset exactly at the collision limit (the vehicle width)
+@example({"bvs": [("v00", (0, 10.0, 5.0, 5.0, "none", 1.0))], "ego_lane": 0,
+          "ego_s": 10.0, "ego_d": 2.0, "ego_v": 5.0, "queries": []})
+def test_lane_index_matches_linear_scans(case):
+    env = placed_env(case)
+    mem_lane, mem_s, _ = env._ego_membership()
+
+    assert np.array_equal(env.build_observation(), ref_observation(env))
+    assert env.check_collision() == ref_collision(env)
+    for lane, s, length in case["queries"]:
+        lane_id = f"lane_{lane}"
+        assert (env._spawn_blocked(lane_id, s, length, mem_lane, mem_s)
+                == ref_spawn_blocked(env, lane_id, s, length, mem_lane, mem_s))
+        assert (env._spawn_leader(lane_id, s, mem_lane, mem_s)
+                == ref_spawn_leader(env, lane_id, s, mem_lane, mem_s))
+
+    expected_contacts = ref_contacts(env, env._step_idx)
+    env._log_bv_contacts()
+    assert env.collisions_logged == expected_contacts
+
+    # One step: every BV's leader key and car-following update.
+    dt = env.scenario.dt
+    expected = {}
+    for vehicle in env._alive:
+        key, v_lead, gap = ref_leader(env, vehicle, mem_lane, mem_s)
+        if key is not None and key == vehicle.leader_key:
+            gap = vehicle.gap
+        t = vehicle.theta
+        _, v_next, gap_next = _kernels.ACTIVE.follower_step(
+            *t, vehicle.v, v_lead, gap, dt)
+        expected[vehicle.id] = (key, vehicle.s + vehicle.v * dt, v_next,
+                                gap_next if gap_next > 0.0 else GAP_EPS)
+    env.step(ZERO)
+    states = env.vehicle_states()
+    assert set(states) == set(expected)
+    for vehicle in env._alive:
+        key, s, v, gap = expected[vehicle.id]
+        assert vehicle.leader_key == key
+        assert states[vehicle.id][1:] == (s, v, gap)

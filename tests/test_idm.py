@@ -314,3 +314,11 @@ def test_trajectory_csv_schema_errors(tmp_path):
     bad_value.write_text("t,v_ego,v_leader,gap,a_obs\n0.0,1,1,ten,0\n")
     with pytest.raises(SchemaError, match="row 2"):
         Trajectory.from_csv(bad_value)
+
+
+@pytest.mark.parametrize("rows", ["", "0.0,1,1,10,0\n"])
+def test_trajectory_csv_needs_two_rows_for_dt(tmp_path, rows):
+    path = tmp_path / "few.csv"
+    path.write_text("t,v_ego,v_leader,gap,a_obs\n" + rows)
+    with pytest.raises(SchemaError, match="at least 2 data rows"):
+        Trajectory.from_csv(path)

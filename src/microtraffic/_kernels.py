@@ -13,18 +13,25 @@ given input produces the same trajectory on either path. The batch
 kernels (``accel_series``, ``rmse_one_step``) are vectorised in the
 numpy twin.
 
-The scalar law ``_idm_accel`` (rollouts, follower steps, the
-environment) and the numpy batch law ``_accel_series_np`` (the one-step
-RMSE) use the same floating-point operation for each term: the
-``(v/v_des)**delta`` term is libm ``pow`` (scalar ``**``, and
-``np.float_power`` for arrays, which is never dispatched to a SIMD
-``pow``), and the squared gap ratio is a single multiply. Every other
-operation is a correctly rounded IEEE add, multiply, divide or square
-root. The two therefore agree bit for bit on every CPU target numpy's
-SIMD dispatch can select, and a trajectory rolled out at theta scores a
-one-step RMSE of exactly zero at theta. The numba ``rmse_one_step`` loop
-and the numpy pairwise sum (the one ``np.mean`` uses) differ only in
-summation order.
+The scalar law ``_idm_accel`` (rollouts, ``follower_step``) and the
+numpy batch law ``_accel_series_np`` (the one-step RMSE, and through
+``_follower_step_np`` the environment's background traffic) use the same
+floating-point operation for each term: the ``(v/v_des)**delta`` term is
+libm ``pow`` (scalar ``**``, and ``np.float_power`` for arrays, which is
+never dispatched to a SIMD ``pow``), and the squared gap ratio is a
+single multiply. Every other operation is a correctly rounded IEEE add,
+multiply, divide or square root. The two therefore agree bit for bit on
+every CPU target numpy's SIMD dispatch can select, with one parameter
+vector for all samples or one per sample: a trajectory rolled out at
+theta scores a one-step RMSE of exactly zero at theta, and a BV in the
+environment moves exactly as a numpy-backend rollout of it would. The
+numba ``rmse_one_step`` loop and the numpy pairwise sum (the one
+``np.mean`` uses) differ only in summation order.
+
+The environment always uses the numpy batch step, whichever backend is
+active. Where numba is active, rollouts run the compiled scalar kernels,
+so "environment equals rollout" rests there on the numba-only test that
+the compiled and plain-Python scalar kernels agree bit for bit.
 """
 
 import math
@@ -128,14 +135,36 @@ def _rmse_one_step_loop(theta, v, dv, gap, a_obs):
 def _accel_series_np(theta, v, dv, gap, out):
     """Numpy twin of the acceleration batch kernel.
 
+    ``theta`` is one parameter vector (shape ``(6,)``) shared by every
+    sample, or one column of parameters per sample (shape ``(6, n)``).
     Same operation per term as ``_idm_accel``: ``np.float_power``, not
     ``np.power``, so the delta term is libm ``pow`` on every CPU.
     """
-    a_max, a_comf, v_des, d_min, T, delta = theta.tolist()
-    d_des = d_min + v * T + v * dv / (2.0 * math.sqrt(a_max * a_comf))
+    if theta.ndim == 1:
+        a_max, a_comf, v_des, d_min, T, delta = theta.tolist()
+        root = math.sqrt(a_max * a_comf)
+    else:
+        a_max, a_comf, v_des, d_min, T, delta = theta
+        root = np.sqrt(a_max * a_comf)
+    d_des = d_min + v * T + v * dv / (2.0 * root)
     np.maximum(d_des, 0.0, out=d_des)
     q = d_des / gap
     np.multiply(a_max, 1.0 - np.float_power(v / v_des, delta) - q * q, out=out)
+
+
+def _follower_step_np(theta, v, v_lead, gap, dt):
+    """Batch twin of ``_follower_step``: one forward-Euler step per row.
+
+    ``theta`` is as in ``_accel_series_np``. Same arithmetic as the scalar
+    step, so every row equals ``_follower_step`` on that row bit for bit.
+    Returns arrays (accel at the pre-step state, next speed, next gap).
+    """
+    a = np.empty_like(v)
+    _accel_series_np(theta, v, v - v_lead, gap, a)
+    v_next = v + a * dt
+    v_next[v_next < 0.0] = 0.0
+    gap_next = gap + (v_lead - v) * dt
+    return a, v_next, gap_next
 
 
 def _rmse_one_step_np(theta, v, dv, gap, a_obs):

@@ -21,9 +21,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import selectors
 import shlex
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -45,6 +48,8 @@ from .population import build_demand, default_histograms, sample_param_set, save
 
 DEFAULT_PARAMS = "3,5,35,10,2,4"
 POLICY_NAMES = ("zero-action", "builtin-idm-ego", "external-stdio")
+#: Seconds an external policy gets to answer one observation.
+POLICY_REPLY_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -163,23 +168,25 @@ class BuiltinIdmEgoPolicy:
 
 class ExternalStdioPolicy:
     """Line protocol to a child process: one flattened observation out
-    (comma-separated decimals, LF), one ``a_long,a_lat`` line back."""
+    (comma-separated decimals, LF), one ``a_long,a_lat`` line back within
+    ``POLICY_REPLY_TIMEOUT_S`` seconds."""
 
     def __init__(self, command: str):
         if not command:
             raise ConfigurationError("external-stdio policy needs --policy-cmd")
         self._proc = subprocess.Popen(
-            shlex.split(command), stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE, text=True, bufsize=1)
+            shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self._pending = b""
+        self._stalled = False
 
     def act(self, obs) -> Action:
         line = ",".join(repr(float(x)) for x in np.asarray(obs).ravel())
         try:
-            self._proc.stdin.write(line + "\n")
+            self._proc.stdin.write(line.encode() + b"\n")
             self._proc.stdin.flush()
-            reply = self._proc.stdout.readline()
         except (OSError, ValueError) as exc:
             raise PolicyProtocolError(f"pipe to policy process broke: {exc}") from None
+        reply = self._read_reply()
         if reply == "":
             raise PolicyProtocolError("policy process closed its output")
         parts = reply.strip().split(",")
@@ -193,17 +200,48 @@ class ExternalStdioPolicy:
             raise PolicyProtocolError(f"non-finite action {reply.strip()!r}")
         return Action(a_long, a_lat)
 
+    def _read_reply(self) -> str:
+        """The next reply line, or what is left ("" if nothing) once the
+        policy closed its output."""
+        deadline = time.monotonic() + POLICY_REPLY_TIMEOUT_S
+        fd = self._proc.stdout.fileno()
+        with selectors.DefaultSelector() as selector:
+            selector.register(fd, selectors.EVENT_READ)
+            while b"\n" not in self._pending:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0 or not selector.select(remaining):
+                    self._stalled = True
+                    raise PolicyProtocolError(
+                        f"no reply from policy process within {POLICY_REPLY_TIMEOUT_S:g} s")
+                try:
+                    chunk = os.read(fd, 65536)
+                except OSError as exc:
+                    raise PolicyProtocolError(f"pipe to policy process broke: {exc}") from None
+                if not chunk:
+                    break
+                self._pending += chunk
+        line, newline, self._pending = self._pending.partition(b"\n")
+        try:
+            return (line + newline).decode()
+        except UnicodeDecodeError:
+            raise PolicyProtocolError(f"reply is not UTF-8 text: {line[:40]!r}") from None
+
     def close(self) -> None:
+        """Close the pipes and reap the child; one that stopped answering
+        is killed at once, any other gets 5 s to exit after EOF."""
         if self._proc.stdin is not None:
             try:
                 self._proc.stdin.close()
             except OSError:
                 pass
+        if self._stalled:
+            self._proc.kill()
         try:
             self._proc.wait(timeout=5)
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
+        self._proc.stdout.close()
 
 
 # -- subcommands ------------------------------------------------------------

@@ -12,12 +12,17 @@ state. A BV's gap to an unchanged leader is updated incrementally with
 the same arithmetic as the model-core rollout, so a lone BV behind a
 steady leader reproduces ``rollout_follower`` exactly, float for float.
 
-"Who is near whom" comes from one lane index: each lane's live BVs sorted
-by ``(s, id)``, rebuilt once per step after the commit and extended by
-spawns. Leader lookups, spawn checks, BV contacts, the observation and
-the ego collision test all bisect into it, so a step costs O(N log N)
-rather than O(N^2 / lanes). At equal ``s`` the lowest id comes first;
-in leader lookups the ego comes ahead of every BV.
+BV state is a structure of arrays: one 2-D float array with a column per
+live BV (position, speed, gap, leader, length, lane, parameters, ...),
+kept sorted by ``(lane, s, id)`` with one ``np.lexsort`` per step. Each
+lane's BVs are therefore one contiguous slice, and "who is near whom"
+is a neighbouring column or a ``searchsorted`` into that slice. Leaders
+are resolved for all BVs at once (the next larger ``s`` on the lane, the
+ego merged in and winning ties) and the car-following update is one
+batched evaluation of the acceleration law, bit-identical to the scalar
+``follower_step`` on every row. Python loops run only over the few BVs
+that cross a lane end and the BV contacts that get logged. At equal
+``s`` the lowest id comes first.
 
 Episodes terminate on ego collision, on the ego leaving the paved network
 (closed boundary: exactly half a lane width away is still on the road),
@@ -29,8 +34,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import pairwise
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -44,14 +47,26 @@ DEFAULT_EGO_LENGTH = 5.0
 OBS_FEATURES = 5
 _SPAWN_CLEARANCE = 2.0
 _GAP_EPS = 1e-6
-# Widens the bisection windows of the spawn and collision checks so float
+# Widens the search windows of the spawn and collision checks so float
 # rounding in the window bounds can never drop a vehicle that the exact
 # test would catch; the exact test still decides.
 _WINDOW_SLACK = 1.0
-_EMPTY_RUN = ((), ())
-_by_position = attrgetter("s", "id")
+
+# Rows of the BV state array, one column per live BV. Lane, id rank,
+# leader key and spawn sequence are small integers held exactly as floats,
+# so a re-sort is a single gather. Leader keys: the leader's id rank,
+# ``_ego_key(lane code)`` behind the ego, NaN without a leader (NaN equals
+# no key, so a leaderless BV never keeps its previous gap).
+_S, _V, _LEN, _RANK, _GAP, _KEY, _LANE, _END, _SEQ = range(9)
+_THETA = slice(9, 15)
+_N_ROWS = 15
+_NO_LEADER = math.nan
 
 TRACE_COLUMNS = ("step", "id", "x", "y", "heading", "v")
+
+
+def _ego_key(lane_code):
+    return -2.0 - lane_code
 
 
 @dataclass(frozen=True)
@@ -68,23 +83,6 @@ class StepResult:
     reward: float
     terminated: bool
     info: dict
-
-
-class _Vehicle:
-    __slots__ = ("id", "theta", "length", "route_lanes", "route_pos",
-                 "lane", "s", "v", "gap", "leader_key")
-
-    def __init__(self, spec, route_lanes, v0):
-        self.id = spec.id
-        self.theta = spec.params.to_array()
-        self.length = spec.length
-        self.route_lanes = route_lanes
-        self.route_pos = 0
-        self.lane = route_lanes[0]
-        self.s = spec.depart_s
-        self.v = v0
-        self.gap = math.inf
-        self.leader_key = None
 
 
 class TrafficEnv:
@@ -114,7 +112,11 @@ class TrafficEnv:
         self._group_size = len(self.net.lane_group(scenario.ego_lane))
         self._max_length = max((spec.length for spec in scenario.demand.vehicles),
                                default=0.0)
-        self._backend = _kernels.ACTIVE
+        self._ids = sorted(spec.id for spec in scenario.demand.vehicles)
+        self._rank = {vid: r for r, vid in enumerate(self._ids)}
+        self._lane_ids = sorted(self.net.lanes)
+        self._code = {lane_id: c for c, lane_id in enumerate(self._lane_ids)}
+        self._codes = np.arange(len(self._lane_ids) + 1, dtype=np.float64)
         self._live = False
         self._terminated = False
         self.collisions_logged = []
@@ -144,9 +146,13 @@ class TrafficEnv:
         self._live = True
         self.collisions_logged = []
         self._overlapping = set()
-        self._alive: list[_Vehicle] = []
-        self._lanes = {}
+        self._F = np.empty((_N_ROWS, 0))
+        self._routes = {}  # id rank -> [route lanes, position on the route]
+        self._n_spawned = 0
+        self._staged = {}
         self._pending = sorted(sc.demand.vehicles, key=lambda v: (v.depart, v.id))
+        self._sort()
+        self._locate_ego()
         self._spawn_due()
         if self._trace_path is not None:
             if self._trace_fh is not None:
@@ -171,33 +177,17 @@ class TrafficEnv:
             raise InputDomainError(f"action must be finite, got ({a_long!r}, {a_lat!r})")
         dt = self.scenario.dt
 
-        # Snapshot of the step-start state; every update below reads it.
-        mem_lane, mem_s, _ = self._ego_membership()
+        # The BV update reads only the step-start state (the ego's
+        # membership and speed included), so it can commit first.
+        if self._F.shape[1]:
+            self._move_bvs(dt)
 
-        updates = []
-        follower_step = self._backend.follower_step
-        for bv, key, v_lead, gap in self._leaders(mem_lane, mem_s):
-            t = bv.theta
-            a, v_next, gap_next = follower_step(
-                t[0], t[1], t[2], t[3], t[4], t[5], bv.v, v_lead, gap, dt)
-            updates.append((bv, bv.s + bv.v * dt, v_next, gap_next, key))
-
-        ego_s = self._ego_s + self._ego_vlong * dt
-        ego_d = self._ego_d + self._ego_vlat * dt
-        ego_vlong = self._ego_vlong + a_long * dt
-        ego_vlat = self._ego_vlat + a_lat * dt
-
-        # Commit.
-        self._ego_s, self._ego_d = ego_s, ego_d
-        self._ego_vlong, self._ego_vlat = ego_vlong, ego_vlat
+        self._ego_s += self._ego_vlong * dt
+        self._ego_d += self._ego_vlat * dt
+        self._ego_vlong += a_long * dt
+        self._ego_vlat += a_lat * dt
         self._roll_ego_lane()
-        for bv, s_next, v_next, gap_next, key in updates:
-            bv.v = v_next
-            bv.gap = gap_next if gap_next > 0.0 else _GAP_EPS
-            bv.leader_key = key
-            bv.s = s_next
-        self._alive = [bv for bv in self._alive if self._advance_route(bv)]
-        self._index_lanes()
+        self._locate_ego()
 
         self._step_idx += 1
         self._time += dt
@@ -206,7 +196,7 @@ class TrafficEnv:
 
         if self.check_collision():
             self._cause = "collision"
-        elif is_off_road(self.net, *self._ego_xy()):
+        elif is_off_road(self.net, *self._pose[:2]):
             self._cause = "off_road"
         elif self._step_idx >= self.scenario.max_steps:
             self._cause = "max_steps"
@@ -221,23 +211,20 @@ class TrafficEnv:
             reward = float(self.reward_fn(obs, action, info))
         return StepResult(obs, reward, self._terminated, info)
 
-    # -- state helpers ----------------------------------------------------
+    # -- ego helpers --------------------------------------------------------
 
     def _ego_pose(self):
         lane = self.net.lanes[self._ego_lane]
         return lane.pose_at(self._ego_s, self._ego_d, extrapolate=True)
 
-    def _ego_xy(self):
-        x, y, _ = self._ego_pose()
-        return x, y
-
-    def _ego_membership(self):
+    def _ego_membership(self, pose=None):
         """(lane_id, s, d) of the lane the ego currently counts as being on.
 
         Walks left/right neighbour links from the tracked lane until the
         lateral offset falls inside a lane's width. While the membership
         lane equals the tracked lane, s is the tracked value exactly; on a
-        neighbour it comes from projecting the global position.
+        neighbour it comes from projecting the global position (``pose``,
+        when the caller already has it).
         """
         lane_id = self._ego_lane
         d = self._ego_d
@@ -254,67 +241,24 @@ class TrafficEnv:
                 break
         if lane_id == self._ego_lane:
             return lane_id, self._ego_s, d
-        x, y, _ = self._ego_pose()
+        x, y, _ = pose if pose is not None else self._ego_pose()
         s, _, _ = self.net.lanes[lane_id].project(x, y)
         return lane_id, s, d
 
-    def _index_lanes(self):
-        """Rebuild the lane index from ``_alive``.
+    def _locate_ego(self):
+        """Cache the ego's pose and membership for the current state; the
+        predicates, the observation and the next step's BV update read it."""
+        self._pose = self._ego_pose()
+        self._mem = self._ego_membership(self._pose)
+        self._projections = {}
 
-        Maps each lane id to ``(run, ss)``: its live BVs sorted by
-        ``(s, id)`` and their ``s`` values alongside for bisection. Lanes
-        keep the order of their first vehicle in ``_alive``, which fixes
-        the order of ``collisions_logged`` entries within a step.
-        """
-        runs: dict[str, list] = {}
-        for bv in self._alive:
-            runs.setdefault(bv.lane, []).append(bv)
-        self._lanes = {}
-        for lane_id, run in runs.items():
-            run.sort(key=_by_position)
-            self._lanes[lane_id] = (run, [bv.s for bv in run])
-
-    def _insert(self, bv):
-        """Add a freshly spawned BV to ``_alive`` and to its lane's run."""
-        self._alive.append(bv)
-        run, ss = self._lanes.setdefault(bv.lane, ([], []))
-        i = bisect_left(run, _by_position(bv), key=_by_position)
-        run.insert(i, bv)
-        ss.insert(i, bv.s)
-
-    def _near(self, lane_id, s, reach):
-        """BVs on ``lane_id`` whose s lies within ``reach`` of ``s``."""
-        run, ss = self._lanes.get(lane_id, _EMPTY_RUN)
-        return run[bisect_left(ss, s - reach):bisect_right(ss, s + reach)]
-
-    def _leaders(self, mem_lane, mem_s):
-        """Yield ``(bv, leader key, leader speed, gap)`` for every live BV.
-
-        The leader is the nearest same-lane vehicle strictly ahead, the ego
-        (at ``mem_s`` on ``mem_lane``) included. Leader lookups do not cross
-        lane boundaries, so a vehicle sees an empty road until its
-        leader-to-be is on the same lane. The gap is the car-following
-        input: the incrementally updated one while the leader is unchanged,
-        the bumper gap to a new leader, +inf without one.
-        """
-        for lane_id, (run, ss) in self._lanes.items():
-            ego_here = lane_id == mem_lane
-            n = len(run)
-            for i, bv in enumerate(run):
-                s = bv.s
-                j = bisect_right(ss, s, i + 1)
-                if ego_here and s < mem_s and (j == n or mem_s <= ss[j]):
-                    key, v_lead = ("ego", mem_lane), self._ego_vlong
-                    gap = (mem_s - s) - (self.ego_length + bv.length) / 2.0
-                elif j < n:
-                    lead = run[j]
-                    key, v_lead = ("bv", lead.id), lead.v
-                    gap = (lead.s - s) - (lead.length + bv.length) / 2.0
-                else:
-                    yield bv, None, bv.v, math.inf
-                    continue
-                gap = bv.gap if key == bv.leader_key else max(gap, _GAP_EPS)
-                yield bv, key, v_lead, gap
+    def _project_ego(self, lane_id):
+        """(s, d, dist) of the ego on ``lane_id``, projected once per state."""
+        found = self._projections.get(lane_id)
+        if found is None:
+            x, y, _ = self._pose
+            found = self._projections[lane_id] = self.net.lanes[lane_id].project(x, y)
+        return found
 
     def _roll_ego_lane(self):
         lane = self.net.lanes[self._ego_lane]
@@ -323,43 +267,207 @@ class TrafficEnv:
             self._ego_lane = lane.successors[0]
             lane = self.net.lanes[self._ego_lane]
 
-    def _advance_route(self, bv) -> bool:
-        """Move a BV across lane boundaries; False once it leaves its route."""
-        lane = self.net.lanes[bv.lane]
-        while bv.s > lane.length:
-            if bv.route_pos + 1 >= len(bv.route_lanes):
-                return False
-            bv.s -= lane.length
-            bv.route_pos += 1
-            bv.lane = bv.route_lanes[bv.route_pos]
-            lane = self.net.lanes[bv.lane]
+    # -- BV state -----------------------------------------------------------
+
+    def _sort(self):
+        """Sort the BV columns by ``(lane, s, id)`` and refresh what the
+        order decides: lane slices, lane boundaries and neighbour gaps."""
+        F = self._F
+        F = self._F = F[:, np.lexsort((F[_RANK], F[_S], F[_LANE]))]
+        length, lane = F[_LEN], F[_LANE]
+        # Lane code c occupies columns bounds[c]:bounds[c + 1].
+        bounds = self._bounds = lane.searchsorted(self._codes).tolist()
+        self._occupied = [(lane_id, lo, hi) for lane_id, lo, hi
+                          in zip(self._lane_ids, bounds, bounds[1:]) if lo < hi]
+        # tail[k]: no column after k on k's lane.
+        tail = self._tail = np.ones(F.shape[1], bool)
+        np.not_equal(lane[1:], lane[:-1], out=tail[:-1])
+        self._boundary = np.where(tail[:-1], math.inf, 0.0)
+        self._mean_len = (length[1:] + length[:-1]) / 2.0
+        self._refresh_gaps()
+        self._tied = bool(np.count_nonzero(self._ds == 0.0))
+
+    def _refresh_gaps(self):
+        """Recompute, from the current s, each column's distance ``_ds``
+        and bumper gap ``_pair_gap`` to the next column: +inf across a lane
+        boundary. The gaps are the contact test and, without ties in s,
+        every column's gap to its BV leader."""
+        s = self._F[_S]
+        ds = s[1:] - s[:-1]
+        ds += self._boundary
+        self._ds = ds
+        self._pair_gap = ds - self._mean_len
+
+    def _run(self, lane_id):
+        """Column range ``(lo, hi)`` of the BVs on ``lane_id``."""
+        c = self._code[lane_id]
+        return self._bounds[c], self._bounds[c + 1]
+
+    def _leaders(self, mem_lane, mem_s):
+        """Leader key, leader speed and car-following gap of every column.
+
+        The leader is the nearest same-lane vehicle strictly ahead, the ego
+        (at ``mem_s`` on ``mem_lane``) included: the first column of the
+        next equal-s group on the lane, unless the ego sits at or before
+        it. Leader lookups do not cross lane boundaries, so a vehicle sees
+        an empty road until its leader-to-be is on the same lane. The gap
+        is the incrementally updated one while the leader is unchanged, the
+        bumper gap to a new leader, +inf without one.
+        """
+        F = self._F
+        n = F.shape[1]
+        s, v = F[_S], F[_V]
+        lead = np.empty((3, n))
+        v_lead, key, gap = lead
+        if not self._tied:
+            # Column k + 1 leads column k unless k is its lane's tail.
+            v_lead[:-1] = v[1:]
+            key[:-1] = F[_RANK, 1:]
+            np.maximum(self._pair_gap, _GAP_EPS, out=gap[:-1])
+            gap[-1] = math.inf
+            free = self._tail
+        else:
+            # Equal s: the leader is the first column of the next group,
+            # and a lane's whole last group has none.
+            starts = np.ones(n + 1, bool)
+            np.logical_or(self._ds != 0.0, self._tail[:-1], out=starts[1:n])
+            starts = starts.nonzero()[0]
+            nxt = starts[starts.searchsorted(np.arange(n), side="right")]
+            free = self._tail[nxt - 1]
+            nxt[free] = 0
+            L = F[:, nxt]
+            v_lead[:], key[:] = L[_V], L[_RANK]
+            np.maximum((L[_S] - s) - (L[_LEN] + F[_LEN]) / 2.0, _GAP_EPS, out=gap)
+            gap[free] = math.inf
+        v_lead[free] = v[free]
+        key[free] = _NO_LEADER
+
+        lo, hi = self._run(mem_lane)
+        k = lo + int(s[lo:hi].searchsorted(mem_s)) if lo < hi else lo
+        if k > lo:
+            # The last group behind the ego follows the ego.
+            g = lo + int(s[lo:k].searchsorted(s[k - 1]))
+            v_lead[g:k] = self._ego_vlong
+            key[g:k] = _ego_key(self._code[mem_lane])
+            for i, (bs, blen) in enumerate(zip(s[g:k].tolist(), F[_LEN, g:k].tolist()), g):
+                gap[i] = max((mem_s - bs) - (self.ego_length + blen) / 2.0, _GAP_EPS)
+
+        np.copyto(gap, F[_GAP], where=key == F[_KEY])
+        return key, v_lead, gap
+
+    def _move_bvs(self, dt):
+        """One car-following step for every BV, then lane ends and re-sort."""
+        mem_lane, mem_s, _ = self._mem
+        key, v_lead, gap = self._leaders(mem_lane, mem_s)
+        F = self._F
+        v = F[_V]
+        _, v_next, gap_next = _kernels._follower_step_np(
+            F[_THETA], v, v_lead, gap, dt)
+        F[_S] += v * dt
+        F[_V] = v_next
+        gap_next[~(gap_next > 0.0)] = _GAP_EPS
+        F[_GAP] = gap_next
+        F[_KEY] = key
+        if self._advance_routes():
+            self._sort()
+            return
+        # Lanes are unchanged: while every same-lane neighbour is still
+        # strictly ahead, the order and everything derived from it hold.
+        self._refresh_gaps()
+        if np.count_nonzero(self._ds <= 0.0):
+            self._sort()
+        else:
+            self._tied = False
+
+    def _advance_routes(self) -> bool:
+        """Move BVs across lane ends and drop those that run off their
+        route; True if any BV changed lane or left."""
+        F = self._F
+        crossing = (F[_S] > F[_END]).nonzero()[0]
+        if not crossing.size:
+            return False
+        gone = []
+        for i in crossing.tolist():
+            rank = int(F[_RANK, i])
+            route = self._routes[rank]
+            lanes, pos = route
+            s, end = float(F[_S, i]), float(F[_END, i])
+            while s > end:
+                if pos + 1 >= len(lanes):
+                    gone.append(i)
+                    del self._routes[rank]
+                    break
+                s -= end
+                pos += 1
+                end = self.net.lanes[lanes[pos]].length
+            else:
+                route[1] = pos
+                F[_S, i], F[_END, i] = s, end
+                F[_LANE, i] = self._code[lanes[pos]]
+        if gone:
+            self._F = np.delete(F, gone, axis=1)
         return True
 
+    # -- spawning -----------------------------------------------------------
+
     def _spawn_due(self):
+        """Spawn every pending BV whose departure is due and whose slot is
+        free. Spawns of one call see each other through ``_staged`` and
+        join the state array together, with one re-sort."""
         if not self._pending:
             return
-        mem_lane, mem_s, _ = self._ego_membership()
+        mem_lane, mem_s, _ = self._mem
         still_pending = []
+        columns = []
         for spec in self._pending:
             if spec.depart > self._time:
                 still_pending.append(spec)
                 continue
             route = self.scenario.demand.route_by_id(spec.route)
             lane_id = route.lanes[0]
-            if self._spawn_blocked(lane_id, spec.depart_s, spec.length,
-                                   mem_lane, mem_s):
+            s = spec.depart_s
+            if self._spawn_blocked(lane_id, s, spec.length, mem_lane, mem_s):
                 still_pending.append(spec)
                 continue
-            v_lead, gap = self._spawn_leader(lane_id, spec.depart_s, mem_lane, mem_s)
+            v_lead, _ = self._spawn_leader(lane_id, s, mem_lane, mem_s)
             v_des = spec.params.v_des
             v0 = v_des if v_lead is None else min(v_des, v_lead)
-            self._insert(_Vehicle(spec, route.lanes, v0))
+            rank = self._rank[spec.id]
+            p = spec.params
+            columns.append((s, v0, spec.length, rank, math.inf, _NO_LEADER,
+                            self._code[lane_id], self.net.lanes[lane_id].length,
+                            self._n_spawned,
+                            p.a_max, p.a_comf, p.v_des, p.d_min, p.T, p.delta))
+            self._n_spawned += 1
+            self._routes[rank] = [route.lanes, 0]
+            ss, rows = self._staged.setdefault(lane_id, ([], []))
+            i = bisect_left(rows, (s, rank))
+            ss.insert(i, s)
+            rows.insert(i, (s, rank, v0, spec.length))
         self._pending = still_pending
+        self._staged = {}
+        if columns:
+            self._F = np.concatenate((self._F, np.array(columns).T), axis=1)
+            self._sort()
+
+    def _near(self, lane_id, s, reach):
+        """(s, length) of the BVs on ``lane_id`` within ``reach`` of ``s``."""
+        lo, hi = self._run(lane_id)
+        near = []
+        if hi > lo:
+            ss = self._F[_S, lo:hi]
+            i = lo + int(ss.searchsorted(s - reach, side="left"))
+            j = lo + int(ss.searchsorted(s + reach, side="right"))
+            near = list(zip(self._F[_S, i:j].tolist(), self._F[_LEN, i:j].tolist()))
+        ss, rows = self._staged.get(lane_id, ((), ()))
+        near += [(bs, blen) for bs, _, _, blen in
+                 rows[bisect_left(ss, s - reach):bisect_right(ss, s + reach)]]
+        return near
 
     def _spawn_blocked(self, lane_id, s, length, mem_lane, mem_s) -> bool:
         reach = (self._max_length + length) / 2.0 + _SPAWN_CLEARANCE + _WINDOW_SLACK
-        for bv in self._near(lane_id, s, reach):
-            if abs(bv.s - s) < (bv.length + length) / 2.0 + _SPAWN_CLEARANCE:
+        for bs, blen in self._near(lane_id, s, reach):
+            if abs(bs - s) < (blen + length) / 2.0 + _SPAWN_CLEARANCE:
                 return True
         if mem_lane == lane_id and abs(mem_s - s) < (self.ego_length + length) / 2.0 + _SPAWN_CLEARANCE:
             return True
@@ -367,30 +475,47 @@ class TrafficEnv:
 
     def _spawn_leader(self, lane_id, s, mem_lane, mem_s):
         """(speed, centre distance) of the nearest vehicle ahead of a spawn
-        point, or (None, inf); a BV wins a tie with the ego."""
+        point, or (None, inf); a BV wins a tie with the ego, the lowest id
+        a tie between BVs."""
         best = None
-        run, ss = self._lanes.get(lane_id, _EMPTY_RUN)
+        lo, hi = self._run(lane_id)
+        j = lo + int(self._F[_S, lo:hi].searchsorted(s, side="right")) if lo < hi else hi
+        if j < hi:
+            best = tuple(self._F[[_S, _RANK, _V], j].tolist())
+        ss, rows = self._staged.get(lane_id, ((), ()))
         j = bisect_right(ss, s)
-        if j < len(run):
-            best = (ss[j], run[j].v)
+        if j < len(rows) and (best is None or rows[j][:2] < best[:2]):
+            best = rows[j][:3]
         if mem_lane == lane_id and mem_s > s and (best is None or mem_s < best[0]):
-            best = (mem_s, self._ego_vlong)
+            return self._ego_vlong, mem_s - s
         if best is None:
             return None, math.inf
-        return best[1], best[0] - s
+        return best[2], best[0] - s
 
     def _log_bv_contacts(self):
+        """Log each newly touching BV pair (rear, front) once per contact.
+
+        Lanes are visited in the order of their earliest-spawned live BV,
+        pairs within a lane from the back."""
+        contact = self._pair_gap <= 0.0
         current = set()
-        for run, _ in self._lanes.values():
-            for rear, front in pairwise(run):
-                gap = (front.s - rear.s) - (front.length + rear.length) / 2.0
-                if gap <= 0.0:
-                    pair = (rear.id, front.id)
-                    current.add(pair)
-                    if pair not in self._overlapping:
-                        self.collisions_logged.append(
-                            {"step": self._step_idx, "rear": rear.id, "front": front.id}
-                        )
+        if np.count_nonzero(contact):
+            F = self._F
+            rears = contact.nonzero()[0].tolist()
+            first_spawn = {}
+            for k in rears:
+                c = int(F[_LANE, k])
+                if c not in first_spawn:
+                    lo, hi = self._bounds[c], self._bounds[c + 1]
+                    first_spawn[c] = F[_SEQ, lo:hi].min()
+            rears.sort(key=lambda k: first_spawn[int(F[_LANE, k])])
+            for k in rears:
+                rear, front = (self._ids[int(r)] for r in F[_RANK, k:k + 2])
+                pair = (rear, front)
+                current.add(pair)
+                if pair not in self._overlapping:
+                    self.collisions_logged.append(
+                        {"step": self._step_idx, "rear": rear, "front": front})
         self._overlapping = current
 
     # -- observation / termination predicates -----------------------------
@@ -398,52 +523,55 @@ class TrafficEnv:
     def check_collision(self) -> bool:
         """Ego overlap test: bumper gap <= 0 with lateral centres closer
         than the mean vehicle width."""
-        mem_lane, mem_s, mem_d = self._ego_membership()
-        ex, ey, _ = self._ego_pose()
+        mem_lane, mem_s, mem_d = self._mem
+        ex, ey, _ = self._pose
         lat_limit = self.vehicle_width  # (w_ego + w_bv) / 2 with equal widths
         reach = (self.ego_length + self._max_length) / 2.0 + _WINDOW_SLACK
-        for lane_id in self._lanes:
+        for lane_id, lo, hi in self._occupied:
             if lane_id == mem_lane:
                 s_ego, lat = mem_s, mem_d
             else:
-                s_ego, lat, _ = self.net.lanes[lane_id].project(ex, ey)
+                s_ego, lat, _ = self._project_ego(lane_id)
             if not abs(lat) < lat_limit:
                 continue
-            for bv in self._near(lane_id, s_ego, reach):
-                if abs(s_ego - bv.s) - (self.ego_length + bv.length) / 2.0 <= 0.0:
+            for bs, blen in self._near(lane_id, s_ego, reach):
+                if abs(s_ego - bs) - (self.ego_length + blen) / 2.0 <= 0.0:
                     return True
         return False
 
     def build_observation(self) -> np.ndarray:
         obs = np.zeros(self.observation_shape)
-        mem_lane, mem_s, _ = self._ego_membership()
-        ex, ey, eh = self._ego_pose()
+        mem_lane, mem_s, _ = self._mem
+        ex, ey, eh = self._pose
         tx, ty = math.cos(eh), math.sin(eh)
         nx, ny = -ty, tx
         evx = self._ego_vlong * tx + self._ego_vlat * nx
         evy = self._ego_vlong * ty + self._ego_vlat * ny
         group = self.net.lane_group(mem_lane)[: self._group_size]
         for j, lane_id in enumerate(group):
-            run, ss = self._lanes.get(lane_id, _EMPTY_RUN)
-            if not run:
+            lo, hi = self._run(lane_id)
+            if lo == hi:
                 continue
             lane = self.net.lanes[lane_id]
             if lane_id == mem_lane:
                 s_ref = mem_s
             else:
-                s_ref, _, _ = lane.project(ex, ey)
+                s_ref, _, _ = self._project_ego(lane_id)
             # Nearest BV strictly ahead and strictly behind s_ref; the
             # lowest id wins a tie in s.
-            hi = bisect_right(ss, s_ref)
-            leader = run[hi] if hi < len(run) else None
-            lo = bisect_left(ss, s_ref)
-            follower = run[bisect_left(ss, ss[lo - 1], 0, lo)] if lo else None
-            for slot, bv in ((2 * j, leader), (2 * j + 1, follower)):
-                if bv is None:
-                    continue
-                bx, by, bh = lane.pose_at(bv.s, 0.0)
-                bvx = bv.v * math.cos(bh)
-                bvy = bv.v * math.sin(bh)
+            ss = self._F[_S, lo:hi]
+            ahead = int(ss.searchsorted(s_ref, side="right"))
+            behind = int(ss.searchsorted(s_ref, side="left"))
+            slots = []
+            if ahead < hi - lo:
+                slots.append((2 * j, lo + ahead))
+            if behind:
+                slots.append((2 * j + 1, lo + int(ss[:behind].searchsorted(ss[behind - 1]))))
+            for slot, col in slots:
+                bs, bv_v = float(self._F[_S, col]), float(self._F[_V, col])
+                bx, by, bh = lane.pose_at(bs, 0.0)
+                bvx = bv_v * math.cos(bh)
+                bvy = bv_v * math.sin(bh)
                 dx, dy = bx - ex, by - ey
                 obs[slot] = (1.0,
                              dx * tx + dy * ty,
@@ -453,7 +581,7 @@ class TrafficEnv:
         return obs
 
     def current_info(self) -> dict:
-        x, y, heading = self._ego_pose()
+        x, y, heading = self._pose
         return {
             "cause": self._cause,
             "step": self._step_idx,
@@ -465,6 +593,11 @@ class TrafficEnv:
 
     # -- output ------------------------------------------------------------
 
+    def _columns(self, order_row, *rows):
+        """Python lists of ``rows``, columns ordered by ``order_row``."""
+        F = self._F
+        return F[list(rows)][:, np.argsort(F[order_row])].tolist()
+
     def render_frame(self):
         """One row per vehicle (ego first): (step, id, x, y, heading, v).
 
@@ -473,12 +606,12 @@ class TrafficEnv:
         """
         if not self._live:
             raise EnvUsageError("render_frame() before reset()")
-        x, y, heading = self._ego_pose()
+        x, y, heading = self._pose
         rows = [(self._step_idx, "ego", x, y, heading,
                  math.hypot(self._ego_vlong, self._ego_vlat))]
-        for bv in sorted(self._alive, key=lambda b: b.id):
-            bx, by, bh = self.net.lanes[bv.lane].pose_at(bv.s, 0.0)
-            rows.append((self._step_idx, bv.id, bx, by, bh, bv.v))
+        for rank, code, s, v in zip(*self._columns(_RANK, _RANK, _LANE, _S, _V)):
+            bx, by, bh = self.net.lanes[self._lane_ids[int(code)]].pose_at(s, 0.0)
+            rows.append((self._step_idx, self._ids[int(rank)], bx, by, bh, v))
         if self._trace_fh is not None:
             for step, vid, rx, ry, rh, rv in rows:
                 self._trace_fh.write(
@@ -488,7 +621,7 @@ class TrafficEnv:
         return rows
 
     def episode_summary(self) -> dict:
-        x, y, _ = self._ego_pose()
+        x, y, _ = self._pose
         return {
             "cause": self._cause,
             "steps": self._step_idx,
@@ -500,9 +633,12 @@ class TrafficEnv:
         }
 
     def vehicle_states(self) -> dict:
-        """id -> (lane, s, v, gap) of the live background vehicles.
+        """id -> (lane, s, v, gap) of the live background vehicles, in
+        spawn order.
 
         ``gap`` is the bumper gap to the current leader as used by the
         car-following update (+inf when leaderless).
         """
-        return {bv.id: (bv.lane, bv.s, bv.v, bv.gap) for bv in self._alive}
+        ranks, codes, s, v, gap = self._columns(_SEQ, _RANK, _LANE, _S, _V, _GAP)
+        return {self._ids[int(r)]: (self._lane_ids[int(c)], si, vi, gi)
+                for r, c, si, vi, gi in zip(ranks, codes, s, v, gap)}

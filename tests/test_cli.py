@@ -3,11 +3,12 @@
 import json
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from microtraffic import ParamSet, Trajectory
+from microtraffic import ParamSet, Trajectory, cli
 from microtraffic.cli import (DEFAULT_PARAMS, POLICY_NAMES, BuiltinIdmEgoPolicy,
                               ExternalStdioPolicy, RunManifest, ZeroActionPolicy,
                               _parse_params, _parse_pin, main)
@@ -374,6 +375,22 @@ def test_simulate_external_stdio_protocol_violation(tmp_path, capsys):
     assert (out / "trace.csv").read_text() == "step,id,x,y,heading,v\n"
 
 
+def test_simulate_external_stdio_silent_policy(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "POLICY_REPLY_TIMEOUT_S", 0.2)
+    scenario = write_scenario_files(tmp_path, max_steps=10)
+    out = tmp_path / "run"
+    start = time.monotonic()
+    rc = run_cli("simulate", "--scenario", scenario, "--policy",
+                 "external-stdio", "--policy-cmd", "sleep 1000", "--out", out)
+    # close() kills the silent child instead of waiting out its 5 s grace
+    assert time.monotonic() - start < 4.0
+    assert rc == 0
+    assert "no reply from policy process within 0.2 s" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["cause"] == "policy_error"
+    assert summary["steps"] == 0
+
+
 def test_simulate_external_stdio_needs_command(tmp_path):
     scenario = write_scenario_files(tmp_path, max_steps=5)
     rc = run_cli("simulate", "--scenario", scenario, "--policy",
@@ -566,6 +583,30 @@ def test_external_policy_detects_closed_output(tmp_path):
             policy.act(np.zeros((2, 5)))
     finally:
         policy.close()
+
+
+def test_external_policy_times_out_and_close_kills_it(monkeypatch):
+    monkeypatch.setattr(cli, "POLICY_REPLY_TIMEOUT_S", 0.2)
+    policy = ExternalStdioPolicy("sleep 1000")
+    try:
+        with pytest.raises(PolicyProtocolError, match="no reply"):
+            policy.act(np.zeros((2, 5)))
+    finally:
+        policy.close()
+    assert policy._proc.returncode is not None
+
+
+def test_external_policy_reply_split_across_writes(tmp_path):
+    body = ("import sys, time\n"
+            "sys.stdin.readline()\n"
+            "sys.stdout.write('0.25,'); sys.stdout.flush(); time.sleep(0.05)\n"
+            "print('-0.5', flush=True)\n")
+    policy = ExternalStdioPolicy(_policy_script(tmp_path, body))
+    try:
+        action = policy.act(np.zeros((2, 5)))
+    finally:
+        policy.close()
+    assert (action.a_long, action.a_lat) == (0.25, -0.5)
 
 
 def test_external_policy_requires_command():

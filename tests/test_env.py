@@ -1,6 +1,7 @@
 """Environment behaviour: observations, dynamics, termination, logging."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from microtraffic import _kernels
 from microtraffic import (Action, DemandSpec, EnvUsageError, InputDomainError,
                           Lane, ParamSet, RoadNetwork, Route, Scenario,
                           TrafficEnv, VehicleSpec)
+from microtraffic.env import (_END, _GAP, _KEY, _LANE, _LEN, _RANK, _S, _SEQ,
+                              _THETA, _V, _ego_key)
 
 PARKED = ParamSet(a_max=1e-9, a_comf=5.0, v_des=1e-9, d_min=10.0, T=2.0,
                   delta=4.0)
@@ -325,16 +328,49 @@ def test_episode_summary_and_info_keys():
 #
 # The references below scan every live BV for each query. Ties in s go to
 # the lowest id, and the ego sorts ahead of every BV at equal s in leader
-# lookups.
+# lookups. They read the BVs as plain records decoded from the env's state
+# arrays (``live_bvs``), so they share no lookup code with the env.
 
 GAP_EPS = 1e-6
 SPAWN_CLEARANCE = 2.0
 
 
-def ref_leader(env, me, mem_lane, mem_s):
+def decode_key(env, code):
+    """Leader key of a state-array code: ("bv", id), ("ego", lane) or None."""
+    if math.isnan(code):
+        return None
+    if code >= 0:
+        return ("bv", env._ids[int(code)])
+    return ("ego", env._lane_ids[int(-2 - code)])
+
+
+def encode_key(env, key):
+    if key is None:
+        return math.nan
+    kind, ref = key
+    return float(env._rank[ref]) if kind == "bv" else _ego_key(env._code[ref])
+
+
+def live_bvs(env):
+    """The live BVs as plain records, in spawn order."""
+    F = env._F
+    return [SimpleNamespace(id=env._ids[int(F[_RANK, j])],
+                            lane=env._lane_ids[int(F[_LANE, j])],
+                            s=float(F[_S, j]), v=float(F[_V, j]),
+                            length=float(F[_LEN, j]), gap=float(F[_GAP, j]),
+                            leader_key=decode_key(env, F[_KEY, j]),
+                            theta=F[_THETA, j].copy())
+            for j in np.argsort(F[_SEQ])]
+
+
+def column_of(env, vid):
+    return int(np.flatnonzero(env._F[_RANK] == env._rank[vid])[0])
+
+
+def ref_leader(env, bvs, me, mem_lane, mem_s):
     """(key, speed, bumper gap) of the nearest same-lane vehicle ahead."""
-    cands = [(b.s, b.id, ("bv", b.id), b.v, b.length) for b in env._alive
-             if b.lane == me.lane and b is not me and b.s > me.s]
+    cands = [(b.s, b.id, ("bv", b.id), b.v, b.length) for b in bvs
+             if b.lane == me.lane and b.id != me.id and b.s > me.s]
     if mem_lane == me.lane and mem_s > me.s:
         cands.append((mem_s, "", ("ego", mem_lane), env._ego_vlong, env.ego_length))
     if not cands:
@@ -343,17 +379,17 @@ def ref_leader(env, me, mem_lane, mem_s):
     return key, v, max((s - me.s) - (length + me.length) / 2.0, GAP_EPS)
 
 
-def ref_spawn_blocked(env, lane_id, s, length, mem_lane, mem_s):
+def ref_spawn_blocked(env, bvs, lane_id, s, length, mem_lane, mem_s):
     if any(b.lane == lane_id
            and abs(b.s - s) < (b.length + length) / 2.0 + SPAWN_CLEARANCE
-           for b in env._alive):
+           for b in bvs):
         return True
     return (mem_lane == lane_id
             and abs(mem_s - s) < (env.ego_length + length) / 2.0 + SPAWN_CLEARANCE)
 
 
-def ref_spawn_leader(env, lane_id, s, mem_lane, mem_s):
-    ahead = [(b.s, b.id, b.v) for b in env._alive if b.lane == lane_id and b.s > s]
+def ref_spawn_leader(env, bvs, lane_id, s, mem_lane, mem_s):
+    ahead = [(b.s, b.id, b.v) for b in bvs if b.lane == lane_id and b.s > s]
     best = min(ahead, default=None)
     if mem_lane == lane_id and mem_s > s and (best is None or mem_s < best[0]):
         return env._ego_vlong, mem_s - s
@@ -362,9 +398,9 @@ def ref_spawn_leader(env, lane_id, s, mem_lane, mem_s):
     return best[2], best[0] - s
 
 
-def ref_contacts(env, step):
+def ref_contacts(bvs, step):
     by_lane = {}
-    for b in env._alive:
+    for b in bvs:
         by_lane.setdefault(b.lane, []).append(b)
     logged = []
     for group in by_lane.values():
@@ -375,10 +411,10 @@ def ref_contacts(env, step):
     return logged
 
 
-def ref_collision(env):
+def ref_collision(env, bvs):
     mem_lane, mem_s, mem_d = env._ego_membership()
     ex, ey, _ = env._ego_pose()
-    for b in env._alive:
+    for b in bvs:
         if b.lane == mem_lane:
             s_ego, lat = mem_s, mem_d
         else:
@@ -389,7 +425,7 @@ def ref_collision(env):
     return False
 
 
-def ref_observation(env):
+def ref_observation(env, bvs):
     obs = np.zeros(env.observation_shape)
     mem_lane, mem_s, _ = env._ego_membership()
     ex, ey, eh = env._ego_pose()
@@ -400,7 +436,7 @@ def ref_observation(env):
     for j, lane_id in enumerate(env.net.lane_group(mem_lane)[: env.n_slots // 2]):
         lane = env.net.lanes[lane_id]
         s_ref = mem_s if lane_id == mem_lane else lane.project(ex, ey)[0]
-        on_lane = [b for b in env._alive if b.lane == lane_id]
+        on_lane = [b for b in bvs if b.lane == lane_id]
         leader = min((b for b in on_lane if b.s > s_ref),
                      key=lambda b: (b.s, b.id), default=None)
         follower = min((b for b in on_lane if b.s < s_ref),
@@ -449,26 +485,31 @@ def placed_env(case):
                   for k, (vid, (_, _, _, length, _, _)) in enumerate(case["bvs"]))
     env = TrafficEnv(straight_scenario(specs, n_lanes=3))
     env.reset()
-    assert len(env._alive) == len(specs)
+    assert env._F.shape[1] == len(specs)
     ids = [vid for vid, _ in case["bvs"]]
-    # spawn order (the order of _alive) is the drawn order, not id order
-    by_id = {vehicle.id: vehicle for vehicle in env._alive}
-    env._alive = [by_id[vid] for vid in ids]
-    for vehicle, (_, (lane, s, v, _, prior, gap)) in zip(env._alive, case["bvs"]):
-        vehicle.lane = f"lane_{lane}"
-        vehicle.route_lanes = (vehicle.lane,)
-        vehicle.s, vehicle.v, vehicle.gap = s, v, gap
-        vehicle.leader_key = {"none": None, "other": ("bv", ids[0]),
-                              "same": "same"}[prior]
+    F = env._F
+    for seq, (vid, (lane, s, v, _, prior, gap)) in enumerate(case["bvs"]):
+        j = column_of(env, vid)
+        lane_id = f"lane_{lane}"
+        env._routes[env._rank[vid]] = [(lane_id,), 0]
+        F[_LANE, j], F[_END, j] = env._code[lane_id], env.net.lanes[lane_id].length
+        F[_S, j], F[_V, j], F[_GAP, j] = s, v, gap
+        F[_KEY, j] = encode_key(env, ("bv", ids[0]) if prior == "other" else None)
+        # spawn order (the order of vehicle_states) is the drawn order, not id order
+        F[_SEQ, j] = seq
     env._ego_lane = f"lane_{case['ego_lane']}"
     env._ego_s, env._ego_d = case["ego_s"], case["ego_d"]
     env._ego_vlong = case["ego_v"]
-    env._index_lanes()
+    env._sort()
+    env._locate_ego()
     mem_lane, mem_s, _ = env._ego_membership()
-    for vehicle in env._alive:
-        if vehicle.leader_key == "same":
+    bvs = live_bvs(env)
+    for b, (_, (_, _, _, _, prior, _)) in zip(bvs, case["bvs"]):
+        if prior == "same":
             # keep the prior leader so the incremental gap is reused
-            vehicle.leader_key = ref_leader(env, vehicle, mem_lane, mem_s)[0]
+            key = ref_leader(env, bvs, b, mem_lane, mem_s)[0]
+            env._F[_KEY, column_of(env, b.id)] = encode_key(env, key)
+    assert list(env.vehicle_states()) == ids
     return env
 
 
@@ -477,39 +518,62 @@ def placed_env(case):
 # lateral offset exactly at the collision limit (the vehicle width)
 @example({"bvs": [("v00", (0, 10.0, 5.0, 5.0, "none", 1.0))], "ego_lane": 0,
           "ego_s": 10.0, "ego_d": 2.0, "ego_v": 5.0, "queries": []})
+# a BV level with the ego: the BV behind both follows the ego
+@example({"bvs": [("v00", (0, 20.0, 5.0, 12.0, "none", 1.0)),
+                  ("v01", (0, 0.0, 5.0, 4.0, "none", 1.0))], "ego_lane": 0,
+          "ego_s": 20.0, "ego_d": 0.0, "ego_v": 7.0, "queries": []})
+# a BV overlapping the faster ego ahead: its gap is floored, then reopens
+@example({"bvs": [("v00", (0, 17.5, 10.0, 5.0, "none", 1.0))], "ego_lane": 0,
+          "ego_s": 20.0, "ego_d": 0.0, "ego_v": 20.0, "queries": []})
+# a kept gap that closes to exactly 0.0 in one step: 1.0 + (0 - 10) * 0.1
+@example({"bvs": [("v00", (0, 0.0, 10.0, 5.0, "same", 1.0)),
+                  ("v01", (0, 50.0, 0.0, 5.0, "none", 1.0))], "ego_lane": 2,
+          "ego_s": 100.0, "ego_d": 0.0, "ego_v": 0.0, "queries": []})
 def test_lane_index_matches_linear_scans(case):
     env = placed_env(case)
     mem_lane, mem_s, _ = env._ego_membership()
+    bvs = live_bvs(env)
 
-    assert np.array_equal(env.build_observation(), ref_observation(env))
-    assert env.check_collision() == ref_collision(env)
+    assert np.array_equal(env.build_observation(), ref_observation(env, bvs))
+    assert env.check_collision() == ref_collision(env, bvs)
     for lane, s, length in case["queries"]:
         lane_id = f"lane_{lane}"
         assert (env._spawn_blocked(lane_id, s, length, mem_lane, mem_s)
-                == ref_spawn_blocked(env, lane_id, s, length, mem_lane, mem_s))
+                == ref_spawn_blocked(env, bvs, lane_id, s, length, mem_lane, mem_s))
         assert (env._spawn_leader(lane_id, s, mem_lane, mem_s)
-                == ref_spawn_leader(env, lane_id, s, mem_lane, mem_s))
+                == ref_spawn_leader(env, bvs, lane_id, s, mem_lane, mem_s))
 
-    expected_contacts = ref_contacts(env, env._step_idx)
+    logged = ref_contacts(bvs, env._step_idx)
     env._log_bv_contacts()
-    assert env.collisions_logged == expected_contacts
+    assert env.collisions_logged == logged
 
-    # One step: every BV's leader key and car-following update.
+    # Two steps: every BV's leader key and car-following update, then the
+    # queries again on the lane index each step leaves behind.
     dt = env.scenario.dt
-    expected = {}
-    for vehicle in env._alive:
-        key, v_lead, gap = ref_leader(env, vehicle, mem_lane, mem_s)
-        if key is not None and key == vehicle.leader_key:
-            gap = vehicle.gap
-        t = vehicle.theta
-        _, v_next, gap_next = _kernels.ACTIVE.follower_step(
-            *t, vehicle.v, v_lead, gap, dt)
-        expected[vehicle.id] = (key, vehicle.s + vehicle.v * dt, v_next,
-                                gap_next if gap_next > 0.0 else GAP_EPS)
-    env.step(ZERO)
-    states = env.vehicle_states()
-    assert set(states) == set(expected)
-    for vehicle in env._alive:
-        key, s, v, gap = expected[vehicle.id]
-        assert vehicle.leader_key == key
-        assert states[vehicle.id][1:] == (s, v, gap)
+    for _ in range(2):
+        mem_lane, mem_s, _ = env._ego_membership()
+        expected = {}
+        for b in bvs:
+            key, v_lead, gap = ref_leader(env, bvs, b, mem_lane, mem_s)
+            if key is not None and key == b.leader_key:
+                gap = b.gap
+            _, v_next, gap_next = _kernels.ACTIVE.follower_step(
+                *b.theta, b.v, v_lead, gap, dt)
+            expected[b.id] = (key, b.s + b.v * dt, v_next,
+                              gap_next if gap_next > 0.0 else GAP_EPS)
+        touching = {(c["rear"], c["front"]) for c in ref_contacts(bvs, 0)}
+        result = env.step(ZERO)
+        states = env.vehicle_states()
+        assert list(states) == [b.id for b in bvs]
+        bvs = live_bvs(env)
+        for b in bvs:
+            key, s, v, gap = expected[b.id]
+            assert b.leader_key == key
+            assert states[b.id][1:] == (s, v, gap)
+        assert np.array_equal(result.observation, ref_observation(env, bvs))
+        assert env.check_collision() == ref_collision(env, bvs)
+        logged += [c for c in ref_contacts(bvs, env._step_idx)
+                   if (c["rear"], c["front"]) not in touching]
+        assert env.collisions_logged == logged
+        if result.terminated:
+            break

@@ -140,13 +140,8 @@ def _accel_series_np(theta, v, dv, gap, out):
     Same operation per term as ``_idm_accel``: ``np.float_power``, not
     ``np.power``, so the delta term is libm ``pow`` on every CPU.
     """
-    if theta.ndim == 1:
-        a_max, a_comf, v_des, d_min, T, delta = theta.tolist()
-        root = math.sqrt(a_max * a_comf)
-    else:
-        a_max, a_comf, v_des, d_min, T, delta = theta
-        root = np.sqrt(a_max * a_comf)
-    d_des = d_min + v * T + v * dv / (2.0 * root)
+    a_max, a_comf, v_des, d_min, T, delta = theta
+    d_des = d_min + v * T + v * dv / (2.0 * np.sqrt(a_max * a_comf))
     np.maximum(d_des, 0.0, out=d_des)
     q = d_des / gap
     np.multiply(a_max, 1.0 - np.float_power(v / v_des, delta) - q * q, out=out)

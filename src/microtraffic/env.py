@@ -14,15 +14,17 @@ steady leader reproduces ``rollout_follower`` exactly, float for float.
 
 BV state is a structure of arrays: one 2-D float array with a column per
 live BV (position, speed, gap, leader, length, lane, parameters, ...),
-kept sorted by ``(lane, s, id)`` with one ``np.lexsort`` per step. Each
-lane's BVs are therefore one contiguous slice, and "who is near whom"
-is a neighbouring column or a ``searchsorted`` into that slice. Leaders
-are resolved for all BVs at once (the next larger ``s`` on the lane, the
-ego merged in and winning ties) and the car-following update is one
-batched evaluation of the acceleration law, bit-identical to the scalar
-``follower_step`` on every row. Python loops run only over the few BVs
-that cross a lane end and the BV contacts that get logged. At equal
-``s`` the lowest id comes first.
+kept sorted by ``(lane, s, id)``. One ``np.lexsort`` re-sorts it after a
+step in which a BV changed lane, left, spawned, or drew level with or
+passed the BV ahead. Each lane's BVs are therefore one contiguous slice,
+and "who is near whom" is a neighbouring column or a ``searchsorted``
+into that slice. Leaders are resolved for all BVs at once (the next
+larger ``s`` on the lane, the ego merged in and winning ties) and the
+car-following update is one batched evaluation of the acceleration law,
+bit-identical to the scalar ``follower_step`` on every row. Python loops
+run only over the few BVs that cross a lane end or share an ``s`` and
+the BV contacts that get logged. At equal ``s`` the lowest id comes
+first.
 
 Episodes terminate on ego collision, on the ego leaving the paved network
 (closed boundary: exactly half a lane width away is still on the road),
@@ -271,32 +273,30 @@ class TrafficEnv:
 
     def _sort(self):
         """Sort the BV columns by ``(lane, s, id)`` and refresh what the
-        order decides: lane slices, lane boundaries and neighbour gaps."""
+        order decides: lane slices, lane tails and neighbour gaps."""
         F = self._F
         F = self._F = F[:, np.lexsort((F[_RANK], F[_S], F[_LANE]))]
-        length, lane = F[_LEN], F[_LANE]
         # Lane code c occupies columns bounds[c]:bounds[c + 1].
-        bounds = self._bounds = lane.searchsorted(self._codes).tolist()
+        bounds = self._bounds = F[_LANE].searchsorted(self._codes).tolist()
         self._occupied = [(lane_id, lo, hi) for lane_id, lo, hi
                           in zip(self._lane_ids, bounds, bounds[1:]) if lo < hi]
-        # tail[k]: no column after k on k's lane.
-        tail = self._tail = np.ones(F.shape[1], bool)
-        np.not_equal(lane[1:], lane[:-1], out=tail[:-1])
-        self._boundary = np.where(tail[:-1], math.inf, 0.0)
-        self._mean_len = (length[1:] + length[:-1]) / 2.0
+        self._tails = [hi - 1 for _, _, hi in self._occupied]
+        self._mean_len = (F[_LEN, 1:] + F[_LEN, :-1]) / 2.0
         self._refresh_gaps()
-        self._tied = bool(np.count_nonzero(self._ds == 0.0))
 
     def _refresh_gaps(self):
         """Recompute, from the current s, each column's distance ``_ds``
         and bumper gap ``_pair_gap`` to the next column: +inf across a lane
-        boundary. The gaps are the contact test and, without ties in s,
-        every column's gap to its BV leader."""
+        boundary. The gaps are the contact test and, for a column not level
+        with the next one, its gap to its BV leader. ``_touching`` lists
+        the columns with a gap <= 0: the logged contacts, and the only
+        columns that can be level with or behind the next one."""
         s = self._F[_S]
         ds = s[1:] - s[:-1]
-        ds += self._boundary
+        ds[self._tails[:-1]] = math.inf
         self._ds = ds
         self._pair_gap = ds - self._mean_len
+        self._touching = (self._pair_gap <= 0.0).nonzero()[0].tolist()
 
     def _run(self, lane_id):
         """Column range ``(lo, hi)`` of the BVs on ``lane_id``."""
@@ -319,28 +319,27 @@ class TrafficEnv:
         s, v = F[_S], F[_V]
         lead = np.empty((3, n))
         v_lead, key, gap = lead
-        if not self._tied:
-            # Column k + 1 leads column k unless k is its lane's tail.
-            v_lead[:-1] = v[1:]
-            key[:-1] = F[_RANK, 1:]
-            np.maximum(self._pair_gap, _GAP_EPS, out=gap[:-1])
-            gap[-1] = math.inf
-            free = self._tail
-        else:
-            # Equal s: the leader is the first column of the next group,
-            # and a lane's whole last group has none.
-            starts = np.ones(n + 1, bool)
-            np.logical_or(self._ds != 0.0, self._tail[:-1], out=starts[1:n])
-            starts = starts.nonzero()[0]
-            nxt = starts[starts.searchsorted(np.arange(n), side="right")]
-            free = self._tail[nxt - 1]
-            nxt[free] = 0
-            L = F[:, nxt]
-            v_lead[:], key[:] = L[_V], L[_RANK]
-            np.maximum((L[_S] - s) - (L[_LEN] + F[_LEN]) / 2.0, _GAP_EPS, out=gap)
-            gap[free] = math.inf
-        v_lead[free] = v[free]
-        key[free] = _NO_LEADER
+        # Column k + 1 leads column k unless k is its lane's tail (whose
+        # pair gap is +inf).
+        v_lead[:-1] = v[1:]
+        key[:-1] = F[_RANK, 1:]
+        np.maximum(self._pair_gap, _GAP_EPS, out=gap[:-1])
+        gap[-1] = math.inf
+        tails = self._tails
+        v_lead[tails] = v[tails]
+        key[tails] = _NO_LEADER
+        # A column level with the next one has that one's leader, the first
+        # column of the next equal-s group, at its own gap.
+        group_leader = {}
+        for k in reversed(self._touching):
+            if self._ds[k] != 0.0:
+                continue
+            j = group_leader[k] = group_leader.get(k + 1, k + 2)
+            v_lead[k], key[k] = v_lead[k + 1], key[k + 1]
+            if math.isnan(key[k]):
+                v_lead[k], gap[k] = v[k], math.inf
+            else:
+                gap[k] = max((s[j] - s[k]) - (F[_LEN, j] + F[_LEN, k]) / 2.0, _GAP_EPS)
 
         lo, hi = self._run(mem_lane)
         k = lo + int(s[lo:hi].searchsorted(mem_s)) if lo < hi else lo
@@ -365,19 +364,17 @@ class TrafficEnv:
             F[_THETA], v, v_lead, gap, dt)
         F[_S] += v * dt
         F[_V] = v_next
-        gap_next[~(gap_next > 0.0)] = _GAP_EPS
-        F[_GAP] = gap_next
+        F[_GAP] = np.where(gap_next > 0.0, gap_next, _GAP_EPS)
         F[_KEY] = key
         if self._advance_routes():
             self._sort()
             return
         # Lanes are unchanged: while every same-lane neighbour is still
-        # strictly ahead, the order and everything derived from it hold.
+        # strictly ahead, the order and everything derived from it hold,
+        # so the lexsort and the gather of every row are skipped.
         self._refresh_gaps()
-        if np.count_nonzero(self._ds <= 0.0):
+        if any(self._ds[k] <= 0.0 for k in self._touching):
             self._sort()
-        else:
-            self._tied = False
 
     def _advance_routes(self) -> bool:
         """Move BVs across lane ends and drop those that run off their
@@ -497,19 +494,16 @@ class TrafficEnv:
 
         Lanes are visited in the order of their earliest-spawned live BV,
         pairs within a lane from the back."""
-        contact = self._pair_gap <= 0.0
         current = set()
-        if np.count_nonzero(contact):
+        if self._touching:
             F = self._F
-            rears = contact.nonzero()[0].tolist()
             first_spawn = {}
-            for k in rears:
+            for k in self._touching:
                 c = int(F[_LANE, k])
                 if c not in first_spawn:
                     lo, hi = self._bounds[c], self._bounds[c + 1]
                     first_spawn[c] = F[_SEQ, lo:hi].min()
-            rears.sort(key=lambda k: first_spawn[int(F[_LANE, k])])
-            for k in rears:
+            for k in sorted(self._touching, key=lambda k: first_spawn[int(F[_LANE, k])]):
                 rear, front = (self._ids[int(r)] for r in F[_RANK, k:k + 2])
                 pair = (rear, front)
                 current.add(pair)
@@ -594,9 +588,9 @@ class TrafficEnv:
     # -- output ------------------------------------------------------------
 
     def _columns(self, order_row, *rows):
-        """Python lists of ``rows``, columns ordered by ``order_row``."""
-        F = self._F
-        return F[list(rows)][:, np.argsort(F[order_row])].tolist()
+        """One tuple ``(order, *rows)`` of Python values per BV, sorted by
+        ``order_row`` (whose values are distinct)."""
+        return sorted(zip(*self._F[[order_row, *rows]].tolist()))
 
     def render_frame(self):
         """One row per vehicle (ego first): (step, id, x, y, heading, v).
@@ -609,7 +603,7 @@ class TrafficEnv:
         x, y, heading = self._pose
         rows = [(self._step_idx, "ego", x, y, heading,
                  math.hypot(self._ego_vlong, self._ego_vlat))]
-        for rank, code, s, v in zip(*self._columns(_RANK, _RANK, _LANE, _S, _V)):
+        for rank, code, s, v in self._columns(_RANK, _LANE, _S, _V):
             bx, by, bh = self.net.lanes[self._lane_ids[int(code)]].pose_at(s, 0.0)
             rows.append((self._step_idx, self._ids[int(rank)], bx, by, bh, v))
         if self._trace_fh is not None:
@@ -639,6 +633,5 @@ class TrafficEnv:
         ``gap`` is the bumper gap to the current leader as used by the
         car-following update (+inf when leaderless).
         """
-        ranks, codes, s, v, gap = self._columns(_SEQ, _RANK, _LANE, _S, _V, _GAP)
-        return {self._ids[int(r)]: (self._lane_ids[int(c)], si, vi, gi)
-                for r, c, si, vi, gi in zip(ranks, codes, s, v, gap)}
+        return {self._ids[int(r)]: (self._lane_ids[int(c)], s, v, gap)
+                for _, r, c, s, v, gap in self._columns(_SEQ, _RANK, _LANE, _S, _V, _GAP)}

@@ -529,6 +529,10 @@ def placed_env(case):
 @example({"bvs": [("v00", (0, 0.0, 10.0, 5.0, "same", 1.0)),
                   ("v01", (0, 50.0, 0.0, 5.0, "none", 1.0))], "ego_lane": 2,
           "ego_s": 100.0, "ego_d": 0.0, "ego_v": 0.0, "queries": []})
+# two BVs drawn level in one step, the higher id behind: 0.0 + 10 * 0.1 == 0.5 + 5 * 0.1
+@example({"bvs": [("v00", (0, 0.5, 5.0, 5.0, "none", 1.0)),
+                  ("v01", (0, 0.0, 10.0, 5.0, "none", 1.0))], "ego_lane": 0,
+          "ego_s": 100.0, "ego_d": 0.0, "ego_v": 5.0, "queries": []})
 def test_lane_index_matches_linear_scans(case):
     env = placed_env(case)
     mem_lane, mem_s, _ = env._ego_membership()

@@ -28,6 +28,13 @@ environment moves exactly as a numpy-backend rollout of it would. The
 numba ``rmse_one_step`` loop and the numpy pairwise sum (the one
 ``np.mean`` uses) differ only in summation order.
 
+On the numpy backend a rollout runs the scalar law on Python floats, not
+on the slower numpy scalars: ``**`` on Python floats is the same libm
+``pow`` as on ``np.float64``, and the rest is correctly rounded IEEE
+arithmetic either way. Where Python floats raise ``ArithmeticError`` and
+numpy scalars carry inf or nan on, the rollout is rerun on the arrays,
+so its results stay bit-identical.
+
 The environment always uses the numpy batch step, whichever backend is
 active. Where numba is active, rollouts run the compiled scalar kernels,
 so "environment equals rollout" rests there on the numba-only test that
@@ -66,7 +73,7 @@ def numba_disabled_by_env(value=None):
 def _idm_accel(a_max, a_comf, v_des, d_min, T, delta, v, dv, gap):
     # Desired gap is clamped at zero before squaring so a fast-opening gap
     # (large negative dv) cannot turn the interaction term into a push.
-    d_des = d_min + v * T + v * dv / (2.0 * np.sqrt(a_max * a_comf))
+    d_des = d_min + v * T + v * dv / (2.0 * math.sqrt(a_max * a_comf))
     if d_des < 0.0:
         d_des = 0.0
     q = d_des / gap
@@ -96,7 +103,7 @@ def _rollout_loop(theta, lead_v, v0, gap0, dt, v_out, gap_out, a_out):
     evaluated at that state. Stops early when the gap collapses to zero
     or below; returns (samples recorded, collapsed flag).
     """
-    n = lead_v.shape[0]
+    n = len(lead_v)
     v = v0
     gap = gap0
     for k in range(n):
@@ -110,6 +117,16 @@ def _rollout_loop(theta, lead_v, v0, gap0, dt, v_out, gap_out, a_out):
         if gap <= 0.0 and k + 1 < n:
             return k + 1, True
     return n, False
+
+
+def _rollout_floats(theta, lead_v, v0, gap0, dt, v_out, gap_out, a_out):
+    """Numpy-backend rollout: ``_rollout_loop`` on Python floats, rerun on
+    the arrays where Python floats raise (see the module docstring)."""
+    try:
+        return _rollout_loop(theta.tolist(), lead_v.tolist(), v0, gap0, dt,
+                             v_out, gap_out, a_out)
+    except ArithmeticError:
+        return _rollout_loop(theta, lead_v, v0, gap0, dt, v_out, gap_out, a_out)
 
 
 def _accel_series_loop(theta, v, dv, gap, out):
@@ -184,7 +201,7 @@ NUMPY_BACKEND = KernelBackend(
     name="numpy",
     idm_accel=_idm_accel,
     follower_step=_follower_step,
-    rollout=_rollout_loop,
+    rollout=_rollout_floats,
     accel_series=_accel_series_np,
     rmse_one_step=_rmse_one_step_np,
 )

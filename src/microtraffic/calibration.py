@@ -24,7 +24,7 @@ from . import _kernels
 from .errors import DegenerateSeriesError, GenerationError, InputDomainError
 from .histogram import Histogram
 from .idm import (PARAM_NAMES, FollowingState, ParamSet, Trajectory,
-                  desired_gap, rollout_follower, rollout_rmse_objective)
+                  desired_gap, rollout_follower, rollout_rmse, rollout_start)
 
 DEFAULT_NOISE_SIGMA = 0.3
 #: Flat prior box, open at zero: a_max, a_comf, v_des, d_min, T, delta.
@@ -135,11 +135,11 @@ class TargetDensity:
         self.prior_hi = hi
         self.objective = objective
         self.dim = 6
-        v, dv, gap = obs.states()
-        self._v = np.ascontiguousarray(v)
-        self._dv = np.ascontiguousarray(dv)
-        self._gap = np.ascontiguousarray(gap)
-        self._a_obs = np.ascontiguousarray(obs.a_obs)
+        # Trajectory columns are contiguous float64 already.
+        self._v, self._dv, self._gap = obs.states()
+        self._a_obs = obs.a_obs
+        if objective == "rollout":
+            self._rollout = (*rollout_start(obs), obs.dt, self._a_obs)
         self._scale = len(obs) / (2.0 * noise_sigma ** 2)
 
     def in_support(self, theta) -> bool:
@@ -151,11 +151,12 @@ class TargetDensity:
         )
 
     def rmse(self, theta) -> float:
+        """Objective RMSE at ``theta``; ``log_density`` checks the support."""
         theta = np.ascontiguousarray(theta, dtype=np.float64)
         if self.objective == "one-step":
             return float(_kernels.ACTIVE.rmse_one_step(
                 theta, self._v, self._dv, self._gap, self._a_obs))
-        return rollout_rmse_objective(self.obs, ParamSet.from_array(theta))
+        return rollout_rmse(theta, *self._rollout)
 
     def log_density(self, theta) -> float:
         theta = np.asarray(theta, dtype=np.float64)

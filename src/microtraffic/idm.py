@@ -212,9 +212,15 @@ def idm_acceleration(p: ParamSet, s: FollowingState) -> float:
     zero. The result is never silently non-finite: inputs extreme enough
     to overflow raise instead.
     """
-    k = _kernels.ACTIVE
-    a = float(k.idm_accel(p.a_max, p.a_comf, p.v_des, p.d_min, p.T, p.delta,
-                          s.v, s.delta_v, s.d_front))
+    args = (p.a_max, p.a_comf, p.v_des, p.d_min, p.T, p.delta,
+            s.v, s.delta_v, s.d_front)
+    try:
+        a = _kernels.ACTIVE.idm_accel(*args)
+    except ArithmeticError:
+        # Python floats raise where numpy scalars give inf or nan (which
+        # the law may still clamp to a finite result).
+        a = _kernels.ACTIVE.idm_accel(*map(np.float64, args))
+    a = float(a)
     if not math.isfinite(a):
         raise InputDomainError(
             f"acceleration overflowed for v={s.v}, delta_v={s.delta_v}, gap={s.d_front}"
@@ -290,17 +296,38 @@ def rmse_objective(obs: Trajectory, p: ParamSet) -> float:
     return float(_kernels.ACTIVE.rmse_one_step(p.to_array(), v, dv, gap, obs.a_obs))
 
 
+def rollout_start(obs: Trajectory):
+    """Leader speeds, initial speed and initial gap for ``rollout_rmse``,
+    validated once as ``rollout_follower`` would validate them."""
+    if len(obs) == 0:
+        raise InputDomainError("cannot evaluate objective on an empty trajectory")
+    init = FollowingState(obs.v_ego[0], obs.v_ego[0] - obs.v_leader[0], obs.gap[0])
+    if np.any(obs.v_leader < 0.0):
+        raise InputDomainError("leader speeds must be finite and >= 0")
+    return obs.v_leader, init.v, init.d_front
+
+
+def rollout_rmse(theta, lead, v0: float, gap0: float, dt: float, a_obs) -> float:
+    """RMSE between ``a_obs`` and a rollout at ``theta``; +inf when the gap
+    collapses before the horizon or an acceleration is not finite."""
+    n = a_obs.shape[0]
+    v_out, gap_out, a_out = np.empty((3, n))
+    if _kernels.ACTIVE.rollout(theta, lead, v0, gap0, dt, v_out, gap_out, a_out)[1]:
+        return math.inf
+    a_out -= a_obs
+    a_out *= a_out
+    # np.mean's own pairwise sum and divide; a nan (inf - inf) maps to +inf.
+    mean_sq = np.add.reduce(a_out) / n
+    return math.sqrt(mean_sq) if mean_sq <= math.inf else math.inf
+
+
 def rollout_rmse_objective(obs: Trajectory, p: ParamSet) -> float:
     """RMSE between observed accelerations and a full re-rollout.
 
     The rollout starts from the first observed state and is driven by the
     observed leader speeds. Returns +inf when the candidate parameters make
-    the simulated gap collapse before the horizon.
+    the simulated gap collapse before the horizon, or overflow the law so
+    that a simulated acceleration is not finite; a calibration target
+    rejects such a candidate, as it does a non-finite one-step RMSE.
     """
-    if len(obs) == 0:
-        raise InputDomainError("cannot evaluate objective on an empty trajectory")
-    init = FollowingState(obs.v_ego[0], obs.v_ego[0] - obs.v_leader[0], obs.gap[0])
-    sim = rollout_follower(p, obs.v_leader, init, obs.dt, len(obs))
-    if sim.gap_collapsed:
-        return math.inf
-    return float(np.sqrt(np.mean((obs.a_obs - sim.a_obs) ** 2)))
+    return rollout_rmse(p.to_array(), *rollout_start(obs), obs.dt, obs.a_obs)

@@ -124,6 +124,18 @@ def test_target_density_rollout_objective_rejects_collapse():
     assert td.log_density(reckless) == -math.inf
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_target_density_rejects_overflowing_parameters_for_both_objectives():
+    # Inside the prior box, but (v / v_des) ** delta overflows: the one-step
+    # RMSE is not finite, and so is the re-rollout's first acceleration.
+    tr = synthetic_trajectory(THETA_STAR, np.random.default_rng(3), n_obs=60)
+    theta = np.array([1.0, 1.0, 1e-35, 2.0, 1.0, 10.0])
+    for objective in ("one-step", "rollout"):
+        td = TargetDensity(tr, objective=objective)
+        assert td.in_support(theta)
+        assert td.log_density(theta) == -math.inf
+
+
 def test_target_density_validation():
     tr = short_trajectory()
     empty = Trajectory(0.1, np.array([]), np.array([]), np.array([]),

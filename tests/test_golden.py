@@ -1,12 +1,13 @@
-"""Golden digests of whole episodes, so a refactor of the environment can be
-checked to leave every trace, summary and vehicle state byte-identical.
+"""Golden digests of whole episodes and calibration runs, so a refactor of
+the environment or of the objectives can be checked to leave every trace,
+summary, vehicle state and chain byte-identical.
 
 The digests are SHA-256 of output bytes and of ``float.hex`` renderings,
 so they hold for the numpy and libm builds they were recorded with
 (numpy 2.4 on x86-64 glibc); another math library may legitimately
 differ in the last bit and then needs the digests re-recorded from an
-unchanged tree. Regenerate by printing ``_cli_digests`` and
-``_dense_digest`` with the assertions removed.
+unchanged tree. Regenerate by printing ``_cli_digests``, ``_dense_digest``
+and ``_calib_digests`` with the assertions removed.
 """
 
 import dataclasses
@@ -47,6 +48,32 @@ GOLDEN_DENSE = "26f649307d0c677224119dcab4de593a952b23611204382e7db489d16ad21da5
 DENSE_PER_LANE = 40
 DENSE_STEPS = 60
 
+#: Digests of ``gen-synthetic --seed 5 --n-vehicles 3 --n-obs 120`` and of
+#: ``calibrate --seed 4 --n-iter 300`` on its output, once per objective.
+GOLDEN_CALIB = {
+    "data": {
+        "veh_0000.csv": "c752ce02af32f35a35a46ea959e0d65e254b4f9da6773b34f252569999f25ac4",
+        "veh_0001.csv": "e165f4c5481ea171ec2c34f59b41870d5cf44963ebe4c7fe15e512e005029a75",
+        "veh_0002.csv": "d9764a478c2bdcb39eea0a0e5ce877ce91e69bb0d63f3b8396ae0962e55e396a",
+    },
+    "one-step": {
+        "veh_0000.chain.csv": "2f660424508f46dfb6b3c0210a3728ea5116bec8445509ecc692851f6831e9ca",
+        "veh_0001.chain.csv": "89a7f3bcf98cb2a8485b7ca406adc08a3b445241997e6282318eabb81e45ac32",
+        "veh_0002.chain.csv": "8f3c4bb577e166f735726ac6f83162497c96120ed6817d6ea62f34609c157813",
+        "posterior.json": "c56c0b8b92ab87a4dc69f23cd2365e682f71b663af0e5b68e6b806901ef77da4",
+        "summary.json": "b86861441955433df2238101c7caa0634eac43df9d2be7b6381a03d486fb2048",
+        "diagnostics.csv": "14d77fd94ce52b40916f594d908f4abd2b7a32c21400c87cff2b06d5faa4cbc6",
+    },
+    "rollout": {
+        "veh_0000.chain.csv": "6d4d06d3786fa87035f74dc08fcb50b9f0c110ed63ceb9cd0bf653490333690a",
+        "veh_0001.chain.csv": "ce53a60c0da4b5c976c773bbd854dd0dc46c19aec36bacbd6c6d9eac162a8364",
+        "veh_0002.chain.csv": "9aa80d9af507e077a8119e70c9a137c899ef838ab1a1242f86173016b1a7e932",
+        "posterior.json": "7f52c4f76de7f07ebd08de867567ea81828bc9190f9b32300247fb114f00e758",
+        "summary.json": "d2a9d8d98ebabc0ac748f5efb30cf0b9708d47bff718db9b00ad227a61fdfaf1",
+        "diagnostics.csv": "cc5e1a27042e2f64b6c3cb313ed20612dae1e0bc40beda64b892a1cac68ec42b",
+    },
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -66,6 +93,26 @@ def _cli_digests(name, tmp_path):
                  "--out", str(out)]) == 0
     return (_sha256((out / "trace.csv").read_bytes()),
             _sha256((out / "summary.json").read_bytes()))
+
+
+def _file_digests(directory, names):
+    return {name: _sha256((directory / name).read_bytes()) for name in names}
+
+
+def _calib_digests(tmp_path):
+    data = tmp_path / "data"
+    assert main(["gen-synthetic", "--seed", "5", "--n-vehicles", "3",
+                 "--n-obs", "120", "--out", str(data)]) == 0
+    out = {"data": _file_digests(data, sorted(p.name for p in data.glob("*.csv")))}
+    for objective in ("one-step", "rollout"):
+        run = tmp_path / objective
+        assert main(["calibrate", "--data", str(data), "--objective", objective,
+                     "--n-iter", "300", "--seed", "4", "--max-lag", "10",
+                     "--n-bins", "8", "--out", str(run)]) == 0
+        names = sorted(p.name for p in run.glob("*.chain.csv"))
+        out[objective] = _file_digests(
+            run, names + ["posterior.json", "summary.json", "diagnostics.csv"])
+    return out
 
 
 def dense_scenario(per_lane=DENSE_PER_LANE, seed=0):
@@ -118,3 +165,7 @@ def test_bundled_episode_outputs_match_golden(name, tmp_path):
 
 def test_dense_highway_state_matches_golden():
     assert _dense_digest() == GOLDEN_DENSE
+
+
+def test_calibration_outputs_match_golden(tmp_path):
+    assert _calib_digests(tmp_path) == GOLDEN_CALIB

@@ -265,6 +265,35 @@ def test_rollout_rmse_is_inf_when_candidate_collapses():
     assert rollout_rmse_objective(tr, reckless) == math.inf
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rollout_rmse_is_inf_when_acceleration_is_not_finite():
+    init = FollowingState(v=20.0, delta_v=0.0, d_front=35.0)
+    tr = rollout_follower(THETA_STAR, 25.0, init, 0.1, 60)
+    overflowing = ParamSet(a_max=1.0, a_comf=1.0, v_des=1e-35, d_min=2.0,
+                           T=1.0, delta=10.0)
+    assert rollout_rmse_objective(tr, overflowing) == math.inf
+    # A rollout of its own still refuses the non-finite trajectory.
+    with pytest.raises(InputDomainError):
+        rollout_follower(overflowing, tr.v_leader, init, 0.1, 60)
+    # a_max * a_comf underflows to 0 and the first speed difference is 0,
+    # so the desired gap is 0/0: a nan acceleration, scored as +inf too.
+    level = rollout_follower(THETA_STAR, 20.0, init, 0.1, 60)
+    tiny = ParamSet(1e-170, 1e-170, 30.0, 2.0, 1.0, 4.0)
+    assert rollout_rmse_objective(level, tiny) == math.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_accel_at_extreme_parameters_keeps_numpy_scalar_results():
+    overflowing = ParamSet(1.0, 1.0, 1e-35, 2.0, 1.0, 10.0)
+    with pytest.raises(InputDomainError):
+        idm_acceleration(overflowing, FollowingState(20.0, 0.0, 30.0))
+    # a_max * a_comf underflows to 0, so an opening gap's desired-gap term
+    # is -inf; the law clamps it and keeps the finite free-road term.
+    tiny = ParamSet(1e-170, 1e-170, 30.0, 2.0, 1.0, 4.0)
+    got = idm_acceleration(tiny, FollowingState(20.0, -5.0, 30.0))
+    assert got == tiny.a_max * (1.0 - (20.0 / 30.0) ** 4.0)
+
+
 def test_rmse_rejects_empty_trajectory():
     empty = Trajectory(0.1, np.array([]), np.array([]), np.array([]),
                        np.array([]), np.array([]))

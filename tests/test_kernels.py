@@ -157,6 +157,43 @@ def test_batched_follower_step_bit_identical_to_scalar():
     assert floored and collapsed and leaderless
 
 
+#: Parameters a rollout on Python floats cannot finish: the free-road term
+#: overflows, and ``a_max * a_comf`` underflows to 0, so the desired-gap
+#: term divides by zero. Both are inside the default prior box.
+EXTREME_THETAS = (np.array([1.0, 1.0, 1e-35, 2.0, 1.0, 10.0]),
+                  np.array([1e-170, 1e-170, 30.0, 2.0, 1.0, 4.0]))
+
+
+def _rollout(rollout, theta, lead, gap0):
+    """(samples, collapsed, rows v/gap/a) of one 25 m/s start behind ``lead``."""
+    out = np.empty((3, len(lead)))
+    n, collapsed = rollout(theta, lead, 25.0, gap0, 0.1, *out)
+    return int(n), bool(collapsed), out[:, :int(n)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_float_rollout_bit_identical_to_numpy_scalar_rollout():
+    lead = np.repeat([22.0, 9.0, 27.0, 0.0], 50)
+    thetas = [p.to_array() for p in PARAM_GRID] + list(_prior_batch()[0])
+    collapsed = completed = 0
+    for theta in thetas + list(EXTREME_THETAS):
+        for gap0 in (0.25, 8.0, 300.0, math.inf):
+            n, c, rows = _rollout(_kernels.NUMPY_BACKEND.rollout, theta, lead, gap0)
+            want_n, want_c, want_rows = _rollout(_kernels._rollout_loop, theta, lead, gap0)
+            assert (n, c) == (want_n, want_c)
+            _assert_bits_equal(rows, want_rows)
+            collapsed += c
+            completed += not c
+    # The cases reach a collapsing gap and complete horizons.
+    assert collapsed and completed
+    for theta in EXTREME_THETAS:
+        # Python floats raise here, so these cases ran the array rerun...
+        with pytest.raises(ArithmeticError):
+            _rollout(_kernels._rollout_loop, theta.tolist(), lead.tolist(), 40.0)
+        # ...which carries numpy's non-finite values on, as before.
+        assert not np.isfinite(_rollout(_kernels._rollout_loop, theta, lead, 40.0)[2]).all()
+
+
 def _avx512_dispatch_targets():
     """AVX-512 targets that numpy dispatches to and this CPU enables."""
     try:

@@ -154,8 +154,8 @@ class TargetDensity:
         """Objective RMSE at ``theta``; ``log_density`` checks the support."""
         theta = np.ascontiguousarray(theta, dtype=np.float64)
         if self.objective == "one-step":
-            return float(_kernels.ACTIVE.rmse_one_step(
-                theta, self._v, self._dv, self._gap, self._a_obs))
+            return _kernels._rmse_one_step_np(
+                theta, self._v, self._dv, self._gap, self._a_obs)
         return rollout_rmse(theta, *self._rollout)
 
     def log_density(self, theta) -> float:
@@ -410,8 +410,8 @@ def synthetic_trajectory(params: ParamSet, rng, n_obs: int = 200,
     only the recorded acceleration column carries Gaussian noise, which
     matches the likelihood used by :class:`TargetDensity`.
     """
-    if n_obs < 2 or dt <= 0:
-        raise InputDomainError("need n_obs >= 2 and dt > 0")
+    if n_obs < 2 or not (math.isfinite(dt) and dt > 0):
+        raise InputDomainError(f"need n_obs >= 2 and finite dt > 0, got {n_obs}, {dt!r}")
     if noise_sigma < 0:
         raise InputDomainError(f"noise_sigma must be >= 0, got {noise_sigma}")
     n = int(n_obs)

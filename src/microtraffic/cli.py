@@ -39,7 +39,7 @@ from .calibration import (DEFAULT_NOISE_SIGMA, DEFAULT_PRIOR_HI,
                           default_proposal_sigma, pooled_histograms,
                           run_chain, synthetic_trajectory)
 from .env import Action, TrafficEnv
-from .errors import (ConfigurationError, DegenerateSeriesError,
+from .errors import (ConfigurationError, DegenerateSeriesError, InputDomainError,
                      MicrotrafficError, PolicyProtocolError)
 from .histogram import load_histograms, save_histograms
 from .idm import PARAM_NAMES, FollowingState, ParamSet, Trajectory, idm_acceleration
@@ -249,8 +249,10 @@ class ExternalStdioPolicy:
 
 def cmd_gen_synthetic(args) -> int:
     out = _out_dir(args)
-    seed = int(_opt(args.seed, 0))
+    seed = args.seed
     n_vehicles = int(_opt(args.n_vehicles, 50))
+    if n_vehicles < 0:
+        raise InputDomainError(f"n_vehicles must be >= 0, got {n_vehicles}")
     n_obs = int(_opt(args.n_obs, 200))
     dt = float(_opt(args.dt, 0.1))
     noise_sigma = float(_opt(args.noise_sigma, DEFAULT_NOISE_SIGMA))
@@ -289,7 +291,7 @@ def _expand_data_args(paths) -> list:
 
 def cmd_calibrate(args) -> int:
     out = _out_dir(args)
-    seed = int(_opt(args.seed, 0))
+    seed = args.seed
     n_iter = int(_opt(args.n_iter, 20000))
     burn_in = args.burn_in if args.burn_in is None else int(args.burn_in)
     thin = int(_opt(args.thin, 1))
@@ -365,7 +367,7 @@ def _write_acf_table(path: Path, chains: dict, max_lag: int) -> None:
 
 def cmd_sample_params(args) -> int:
     out = _out_dir(args)
-    seed = int(_opt(args.seed, 0))
+    seed = args.seed
     n = int(_opt(args.n, 100))
     source = _opt(args.histograms, "highway")
     hists = _load_histogram_arg(source)
@@ -384,7 +386,7 @@ def cmd_sample_params(args) -> int:
 
 def cmd_build_demand(args) -> int:
     out = _out_dir(args)
-    seed = int(_opt(args.seed, 0))
+    seed = args.seed
     if args.network is None:
         raise ConfigurationError("build-demand needs --network")
     n_vehicles = int(_opt(args.n_vehicles, 50))
@@ -422,7 +424,7 @@ def _make_policy(name: str, args, scenario):
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
-    seed = int(_opt(args.seed, 0))
+    seed = args.seed
     if args.scenario is None:
         raise ConfigurationError("simulate needs --scenario (a file or a kind)")
     policy_name = _opt(args.policy, "zero-action")
@@ -562,11 +564,23 @@ def _apply_config(args) -> None:
             setattr(args, dest, value)
 
 
+def _check_seed(value) -> int:
+    """The master seed (0 when omitted) as a non-negative integer."""
+    try:
+        seed = int(_opt(value, 0))
+        if seed >= 0:
+            return seed
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigurationError(f"seed must be an integer >= 0, got {value!r}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
+        args.seed = _check_seed(args.seed)
         return args.func(args)
     except MicrotrafficError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -215,11 +215,11 @@ def idm_acceleration(p: ParamSet, s: FollowingState) -> float:
     args = (p.a_max, p.a_comf, p.v_des, p.d_min, p.T, p.delta,
             s.v, s.delta_v, s.d_front)
     try:
-        a = _kernels.ACTIVE.idm_accel(*args)
+        a = _kernels._idm_accel(*args)
     except ArithmeticError:
         # Python floats raise where numpy scalars give inf or nan (which
         # the law may still clamp to a finite result).
-        a = _kernels.ACTIVE.idm_accel(*map(np.float64, args))
+        a = _kernels._idm_accel(*map(np.float64, args))
     a = float(a)
     if not math.isfinite(a):
         raise InputDomainError(
@@ -232,7 +232,8 @@ def desired_gap(p: ParamSet, v: float, delta_v: float) -> float:
     """Desired (unclamped) gap at speed ``v`` and closing speed ``delta_v``.
 
     May be negative for strongly opening gaps; the acceleration law clamps
-    it at zero internally, this helper reports the raw value.
+    it at zero internally, this helper reports the raw value. Raises when
+    the value is not finite, e.g. when ``a_max * a_comf`` underflows to 0.
     """
     v = float(v)
     delta_v = float(delta_v)
@@ -240,7 +241,16 @@ def desired_gap(p: ParamSet, v: float, delta_v: float) -> float:
         raise InputDomainError(f"speed must be finite and >= 0, got {v!r}")
     if not math.isfinite(delta_v):
         raise InputDomainError(f"delta_v must be finite, got {delta_v!r}")
-    return p.d_min + v * p.T + v * delta_v / (2.0 * math.sqrt(p.a_max * p.a_comf))
+    try:
+        gap = p.d_min + v * p.T + v * delta_v / (2.0 * math.sqrt(p.a_max * p.a_comf))
+    except ZeroDivisionError:
+        gap = math.nan
+    if not math.isfinite(gap):
+        raise InputDomainError(
+            f"desired gap is not finite for v={v}, delta_v={delta_v} "
+            f"(a_max * a_comf = {p.a_max * p.a_comf!r})"
+        )
+    return gap
 
 
 def rollout_follower(p: ParamSet, leader_speeds, init: FollowingState,
@@ -277,7 +287,7 @@ def rollout_follower(p: ParamSet, leader_speeds, init: FollowingState,
     v_out = np.empty(n_steps)
     gap_out = np.empty(n_steps)
     a_out = np.empty(n_steps)
-    n, collapsed = _kernels.ACTIVE.rollout(
+    n, collapsed = _kernels._rollout_floats(
         p.to_array(), lead, float(init.v), float(init.d_front), dt,
         v_out, gap_out, a_out,
     )
@@ -293,7 +303,7 @@ def rmse_objective(obs: Trajectory, p: ParamSet) -> float:
     if len(obs) == 0:
         raise InputDomainError("cannot evaluate objective on an empty trajectory")
     v, dv, gap = obs.states()
-    return float(_kernels.ACTIVE.rmse_one_step(p.to_array(), v, dv, gap, obs.a_obs))
+    return _kernels._rmse_one_step_np(p.to_array(), v, dv, gap, obs.a_obs)
 
 
 def rollout_start(obs: Trajectory):
@@ -312,7 +322,7 @@ def rollout_rmse(theta, lead, v0: float, gap0: float, dt: float, a_obs) -> float
     collapses before the horizon or an acceleration is not finite."""
     n = a_obs.shape[0]
     v_out, gap_out, a_out = np.empty((3, n))
-    if _kernels.ACTIVE.rollout(theta, lead, v0, gap0, dt, v_out, gap_out, a_out)[1]:
+    if _kernels._rollout_floats(theta, lead, v0, gap0, dt, v_out, gap_out, a_out)[1]:
         return math.inf
     a_out -= a_obs
     a_out *= a_out

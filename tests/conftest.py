@@ -3,12 +3,10 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from microtraffic import (DemandSpec, Lane, ParamSet, RoadNetwork, Route,
                           Scenario)
-from microtraffic import _kernels
 
 #: Ground-truth driver parameters used across recovery and rollout tests.
 THETA_STAR = ParamSet(a_max=3.0, a_comf=5.0, v_des=35.0, d_min=10.0,
@@ -30,22 +28,6 @@ ACCEPTANCE_LABELS = {
 @pytest.fixture
 def theta_star():
     return THETA_STAR
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger kernel compilation once so timing-sensitive tests stay stable."""
-    theta = THETA_STAR.to_array()
-    for be in _kernels.available_backends():
-        be.idm_accel(*theta, 20.0, 0.0, 30.0)
-        be.follower_step(*theta, 20.0, 20.0, 30.0, 0.1)
-        n = 4
-        v = np.full(n, 20.0)
-        out = np.empty(n)
-        be.accel_series(theta, v, np.zeros(n), np.full(n, 30.0), out)
-        be.rmse_one_step(theta, v, np.zeros(n), np.full(n, 30.0), out)
-        be.rollout(theta, v, 20.0, 30.0, 0.1,
-                   np.empty(n), np.empty(n), np.empty(n))
 
 
 def straight_network(n_lanes=1, length=3000.0, width=3.5):

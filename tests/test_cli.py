@@ -113,6 +113,18 @@ def test_gen_synthetic_seed_changes_output(tmp_path):
     assert a != b
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--params", "1e-170,1e-170,30,2,1,4"), "desired gap is not finite"),
+    (("--n-vehicles", -1), "n_vehicles must be >= 0"),
+    (("--dt", "nan"), "finite dt > 0"),
+])
+def test_gen_synthetic_bad_input_reports_cleanly(tmp_path, capsys, flags, message):
+    rc = run_cli("gen-synthetic", "--n-vehicles", 1, *flags, "--out", tmp_path / "d")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
 # -- calibrate ---------------------------------------------------------------
 
 
@@ -471,6 +483,23 @@ def test_malformed_config_reports_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config}: not valid JSON: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-synthetic", "--seed", -1),
+    ("calibrate", "--data", "veh.csv", "--seed", -1),
+    ("sample-params", "--seed", -1),
+    ("build-demand", "--seed", -1),
+    ("simulate", "--scenario", "highway", "--seed", -1),
+    ("simulate", "--scenario", "highway", "--config", "seed.json"),
+])
+def test_negative_seed_reports_cleanly(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seed.json").write_text(json.dumps({"seed": -1}))
+    rc = run_cli(*argv, "--out", tmp_path / "out")
+    assert rc == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_calibrate_one_row_csv_reports_cleanly(tmp_path, capsys):

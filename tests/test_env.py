@@ -561,7 +561,7 @@ def test_lane_index_matches_linear_scans(case):
             key, v_lead, gap = ref_leader(env, bvs, b, mem_lane, mem_s)
             if key is not None and key == b.leader_key:
                 gap = b.gap
-            _, v_next, gap_next = _kernels.ACTIVE.follower_step(
+            _, v_next, gap_next = _kernels._follower_step(
                 *b.theta, b.v, v_lead, gap, dt)
             expected[b.id] = (key, b.s + b.v * dt, v_next,
                               gap_next if gap_next > 0.0 else GAP_EPS)

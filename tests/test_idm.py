@@ -86,6 +86,13 @@ def test_desired_gap_rejects_bad_inputs():
         desired_gap(THETA_STAR, 1.0, math.inf)
 
 
+def test_desired_gap_rejects_underflowing_comfort_product():
+    # a_max * a_comf underflows to 0, so the dynamic term has no finite value.
+    tiny = ParamSet(a_max=1e-170, a_comf=1e-170, v_des=30.0, d_min=2.0, T=1.0, delta=4.0)
+    with pytest.raises(InputDomainError, match="desired gap is not finite"):
+        desired_gap(tiny, 20.0, 1.0)
+
+
 def test_accel_zero_at_desired_speed_free_road():
     s = FollowingState(v=35.0, delta_v=0.0, d_front=math.inf)
     assert idm_acceleration(THETA_STAR, s) == 0.0

@@ -13,7 +13,7 @@ from .calibration import (DEFAULT_NOISE_SIGMA, Chain, GaussianTarget,
                           ProposalConfig, TargetDensity, autocorrelation,
                           default_proposal_sigma, log_target, mh_step,
                           pooled_histograms, posterior_histogram, propose,
-                          run_chain, synthetic_trajectory,
+                          run_chain, run_chains, synthetic_trajectory,
                           transition_log_density)
 from .env import Action, StepResult, TrafficEnv
 from .errors import (ConfigurationError, DegenerateSeriesError, EnvUsageError,

@@ -283,14 +283,150 @@ class Chain:
 
     def to_csv(self, path) -> None:
         path = Path(path)
+        # Samples go to Python floats one row at a time: converting the
+        # whole block keeps all its float objects alive at once.
+        rows = zip(self.iterations.tolist(), self.samples,
+                   self.log_targets.tolist(), self.accepted.tolist())
         with path.open("w", newline="") as fh:
             fh.write("iter," + ",".join(self.param_names) + ",log_target,accepted\n")
-            for i in range(len(self)):
-                fields = [str(int(self.iterations[i]))]
-                fields += [repr(float(x)) for x in self.samples[i]]
-                fields.append(repr(float(self.log_targets[i])))
-                fields.append(str(int(self.accepted[i])))
-                fh.write(",".join(fields) + "\n")
+            for it, theta, logp, accepted in rows:
+                fh.write(f"{it},{','.join(map(repr, theta.tolist()))},{logp!r},"
+                         f"{int(accepted)}\n")
+
+
+class _OneStepBatch:
+    """One-step trajectory targets of one length, scored in one kernel call.
+
+    The observations are stacked as C-contiguous ``(K, n)`` rows and theta
+    goes to ``_accel_series_np`` as ``(6, K, 1)`` columns, so each row gets
+    exactly the operations ``TargetDensity.log_density`` does on its own
+    trajectory; the row sums of a C-contiguous block equal the 1-D
+    pairwise sums.
+    """
+
+    def __init__(self, rows, targets):
+        # A run of consecutive chains is sliced, not fancy-indexed.
+        contiguous = rows[-1] - rows[0] == len(rows) - 1
+        self.rows = slice(rows[0], rows[-1] + 1) if contiguous else np.array(rows)
+        self.v = np.stack([t._v for t in targets])
+        self.dv = np.stack([t._dv for t in targets])
+        self.gap = np.stack([t._gap for t in targets])
+        self.a_obs = np.stack([t._a_obs for t in targets])
+        # ``theta > 0 and theta >= lo`` is ``theta >= max(lo, 5e-324)``.
+        self.lo = np.maximum(np.stack([t.prior_lo for t in targets]),
+                             np.nextafter(0.0, 1.0))
+        self.hi = np.stack([t.prior_hi for t in targets])
+        self.neg_scale = -np.array([t._scale for t in targets])
+        self.pred = np.empty_like(self.v)
+
+    def log_densities(self, theta) -> np.ndarray:
+        """``log_density`` of each row of ``theta`` under its own target."""
+        ok = ((theta >= self.lo) & (theta <= self.hi)).all(axis=1)
+        pred = self.pred
+        # Rows outside the support are scored too and then discarded.
+        with np.errstate(all="ignore"):
+            _kernels._accel_series_np(theta.T[:, :, None], self.v, self.dv,
+                                      self.gap, pred)
+            pred -= self.a_obs
+            pred *= pred
+            rmse = np.sqrt(np.add.reduce(pred, axis=1) / pred.shape[1])
+            logp = self.neg_scale * rmse * rmse
+        return np.where(ok & np.isfinite(rmse), logp, -math.inf)
+
+
+def run_chains(targets, cfgs, theta_init) -> list[Chain]:
+    """Run one chain per (target, config) pair, all advancing together.
+
+    Every chain starts at ``theta_init`` and is bit for bit the chain it
+    would be on its own: it draws from its own ``Generator`` in the same
+    order (``standard_normal(dim)``, then one ``random()`` per iteration,
+    in or out of support), its target values come from the same
+    floating-point operations, and its accept test is ``math.log`` on
+    Python floats. Lockstep changes only the cost: each iteration proposes
+    a K x dim block, and one-step ``TargetDensity`` chains over
+    trajectories of equal length are scored in one batched call
+    (``_OneStepBatch``). Any other target (the rollout objective, a
+    trajectory of a length no other chain has, toy targets) is scored by
+    its own ``log_density(theta) -> float``.
+
+    The configs must share ``n_iter``; seeds, burn-in, thinning and
+    ``pin_delta`` may differ. The initial point must have non-zero target
+    density for every chain.
+    """
+    targets = list(targets)
+    cfgs = list(cfgs)
+    if len(targets) != len(cfgs):
+        raise InputDomainError(f"got {len(targets)} targets but {len(cfgs)} configs")
+    if not cfgs:
+        return []
+    n_iter = cfgs[0].n_iter
+    if any(cfg.n_iter != n_iter for cfg in cfgs):
+        raise InputDomainError("chains run together need the same n_iter")
+    theta0 = _theta_of(theta_init)
+    dim = theta0.size
+    for cfg in cfgs:
+        if cfg.sigma_prop.size != dim:
+            raise InputDomainError(
+                f"init point has dim {dim}, proposal config has {cfg.sigma_prop.size}")
+    theta = np.tile(theta0, (len(cfgs), 1))
+    for row, cfg in zip(theta, cfgs):
+        if cfg.pin_delta is not None:
+            row[PARAM_NAMES.index("delta")] = cfg.pin_delta
+    logp = [float(t.log_density(row)) for t, row in zip(targets, theta)]
+    if -math.inf in logp:
+        raise InputDomainError("initial point has zero target density")
+
+    rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
+    sigma = np.array([cfg.effective_sigma for cfg in cfgs])
+    groups: dict[int, list] = {}
+    alone = []
+    for c, t in enumerate(targets):
+        if isinstance(t, TargetDensity) and t.objective == "one-step":
+            groups.setdefault(len(t.obs), []).append(c)
+        else:
+            alone.append(c)
+    batches = []
+    for rows in groups.values():
+        # A batch of one costs more than the target's own log_density.
+        if len(rows) > 1:
+            batches.append(_OneStepBatch(rows, [targets[c] for c in rows]))
+        else:
+            alone += rows
+    iterations = [np.arange(cfg.burn_in, n_iter, cfg.thin, dtype=np.int64)
+                  for cfg in cfgs]
+    samples = [np.empty((it.size, dim)) for it in iterations]
+    log_targets = [np.empty(it.size) for it in iterations]
+    accepted_at = [np.empty(it.size, dtype=bool) for it in iterations]
+    next_rec = [cfg.burn_in for cfg in cfgs]
+    accept_count = [0] * len(cfgs)
+    z = np.empty_like(theta)
+    z_rows = list(z)
+    logp_prop = np.empty(len(cfgs))
+    for i in range(n_iter):
+        for rng, row in zip(rngs, z_rows):
+            rng.standard_normal(out=row)
+        prop = theta + sigma * z
+        for batch in batches:
+            logp_prop[batch.rows] = batch.log_densities(prop[batch.rows])
+        lp = logp_prop.tolist()
+        for c in alone:
+            lp[c] = float(targets[c].log_density(prop[c]))
+        for c, rng in enumerate(rngs):
+            u = rng.random()
+            accepted = lp[c] > -math.inf and math.log(u) < lp[c] - logp[c]
+            if accepted:
+                theta[c] = prop[c]
+                logp[c] = lp[c]
+                accept_count[c] += 1
+            if i == next_rec[c]:
+                j = (i - cfgs[c].burn_in) // cfgs[c].thin
+                samples[c][j] = theta[c]
+                log_targets[c][j] = logp[c]
+                accepted_at[c][j] = accepted
+                next_rec[c] = i + cfgs[c].thin
+    names = PARAM_NAMES if dim == len(PARAM_NAMES) else tuple(f"p{k}" for k in range(dim))
+    return [Chain(*rec, names) for rec in zip(samples, log_targets, iterations,
+                                              accepted_at, accept_count, cfgs)]
 
 
 def run_chain(target, cfg: ProposalConfig, theta_init) -> Chain:
@@ -300,41 +436,7 @@ def run_chain(target, cfg: ProposalConfig, theta_init) -> Chain:
     point must have non-zero target density. With ``cfg.pin_delta`` set
     the exponent coordinate is forced to the pinned value and never moves.
     """
-    theta = _theta_of(theta_init).copy()
-    if theta.size != cfg.sigma_prop.size:
-        raise InputDomainError(
-            f"init point has dim {theta.size}, proposal config has {cfg.sigma_prop.size}"
-        )
-    if cfg.pin_delta is not None:
-        theta[PARAM_NAMES.index("delta")] = cfg.pin_delta
-    logp = float(target.log_density(theta))
-    if logp == -math.inf:
-        raise InputDomainError("initial point has zero target density")
-
-    rng = np.random.default_rng(cfg.seed)
-    sigma = cfg.effective_sigma
-    dim = theta.size
-    n_kept = cfg.n_kept
-    samples = np.empty((n_kept, dim))
-    log_targets = np.empty(n_kept)
-    iterations = np.empty(n_kept, dtype=np.int64)
-    accepted = np.empty(n_kept, dtype=bool)
-    accept_count = 0
-    j = 0
-    for i in range(cfg.n_iter):
-        step = mh_step(theta, target, sigma, rng, logp_curr=logp)
-        theta = step.theta
-        logp = step.log_target
-        accept_count += step.accepted
-        if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.thin == 0:
-            samples[j] = theta
-            log_targets[j] = logp
-            iterations[j] = i
-            accepted[j] = step.accepted
-            j += 1
-    names = PARAM_NAMES if dim == len(PARAM_NAMES) else tuple(f"p{k}" for k in range(dim))
-    return Chain(samples, log_targets, iterations, accepted,
-                 accept_count, cfg, names)
+    return run_chains([target], [cfg], theta_init)[0]
 
 
 def autocorrelation(series, max_lag: int) -> np.ndarray:

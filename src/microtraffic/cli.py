@@ -37,7 +37,7 @@ from .calibration import (DEFAULT_NOISE_SIGMA, DEFAULT_PRIOR_HI,
                           DEFAULT_PRIOR_LO, Chain, ProposalConfig,
                           TargetDensity, autocorrelation,
                           default_proposal_sigma, pooled_histograms,
-                          run_chain, synthetic_trajectory)
+                          run_chains, synthetic_trajectory)
 from .env import Action, TrafficEnv
 from .errors import (ConfigurationError, DegenerateSeriesError, InputDomainError,
                      MicrotrafficError, PolicyProtocolError)
@@ -87,6 +87,18 @@ def _opt(value, default):
     return default if value is None else value
 
 
+def _num(kind, name: str, value, default=None):
+    """``value`` (``default`` when None) converted by ``kind`` (``int`` or
+    ``float``). A value that does not convert, such as a string from a
+    ``--config`` file, is a configuration error."""
+    value = _opt(value, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}") from None
+
+
 def _parse_params(text: str) -> ParamSet:
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != len(PARAM_NAMES):
@@ -94,13 +106,13 @@ def _parse_params(text: str) -> ParamSet:
             f"--params wants {len(PARAM_NAMES)} comma-separated values "
             f"({','.join(PARAM_NAMES)}), got {text!r}"
         )
-    return ParamSet.from_array([float(p) for p in parts])
+    return ParamSet.from_array([_num(float, "--params value", p) for p in parts])
 
 
 def _parse_pin(text) -> float | None:
     if text is None or str(text).lower() == "none":
         return None
-    return float(text)
+    return _num(float, "pin_delta", text)
 
 
 def _out_dir(args) -> Path:
@@ -250,12 +262,12 @@ class ExternalStdioPolicy:
 def cmd_gen_synthetic(args) -> int:
     out = _out_dir(args)
     seed = args.seed
-    n_vehicles = int(_opt(args.n_vehicles, 50))
+    n_vehicles = _num(int, "n_vehicles", args.n_vehicles, 50)
     if n_vehicles < 0:
         raise InputDomainError(f"n_vehicles must be >= 0, got {n_vehicles}")
-    n_obs = int(_opt(args.n_obs, 200))
-    dt = float(_opt(args.dt, 0.1))
-    noise_sigma = float(_opt(args.noise_sigma, DEFAULT_NOISE_SIGMA))
+    n_obs = _num(int, "n_obs", args.n_obs, 200)
+    dt = _num(float, "dt", args.dt, 0.1)
+    noise_sigma = _num(float, "noise_sigma", args.noise_sigma, DEFAULT_NOISE_SIGMA)
     params = _parse_params(_opt(args.params, DEFAULT_PARAMS))
 
     children = np.random.SeedSequence(seed).spawn(n_vehicles)
@@ -290,16 +302,19 @@ def _expand_data_args(paths) -> list:
 
 
 def cmd_calibrate(args) -> int:
-    out = _out_dir(args)
     seed = args.seed
-    n_iter = int(_opt(args.n_iter, 20000))
-    burn_in = args.burn_in if args.burn_in is None else int(args.burn_in)
-    thin = int(_opt(args.thin, 1))
-    noise_sigma = float(_opt(args.noise_sigma, DEFAULT_NOISE_SIGMA))
+    n_iter = _num(int, "n_iter", args.n_iter, 20000)
+    burn_in = None if args.burn_in is None else _num(int, "burn_in", args.burn_in)
+    thin = _num(int, "thin", args.thin, 1)
+    noise_sigma = _num(float, "noise_sigma", args.noise_sigma, DEFAULT_NOISE_SIGMA)
     objective = _opt(args.objective, "one-step")
     pin_delta = _parse_pin(_opt(args.pin_delta, "none"))
-    max_lag = int(_opt(args.max_lag, 50))
-    n_bins = int(_opt(args.n_bins, 20))
+    max_lag = _num(int, "max_lag", args.max_lag, 50)
+    if max_lag < 0:
+        raise InputDomainError(f"max_lag must be >= 0, got {max_lag}")
+    n_bins = _num(int, "n_bins", args.n_bins, 20)
+    if n_bins < 1:
+        raise InputDomainError(f"n_bins must be >= 1, got {n_bins}")
 
     files = _expand_data_args(args.data)
     if not files:
@@ -308,15 +323,17 @@ def cmd_calibrate(args) -> int:
     sigma = default_proposal_sigma()
     theta_init = 0.5 * (DEFAULT_PRIOR_LO + DEFAULT_PRIOR_HI)
 
-    chains: dict[str, Chain] = {}
-    summary: dict[str, dict] = {}
+    targets, cfgs = [], []
     for path in files:
         traj = Trajectory.from_csv(path)
-        target = TargetDensity(traj, noise_sigma=noise_sigma, objective=objective)
-        cfg = ProposalConfig(sigma_prop=sigma, n_iter=n_iter,
-                             seed=int(master.integers(2 ** 63)),
-                             burn_in=burn_in, thin=thin, pin_delta=pin_delta)
-        chain = run_chain(target, cfg, theta_init)
+        targets.append(TargetDensity(traj, noise_sigma=noise_sigma, objective=objective))
+        cfgs.append(ProposalConfig(sigma_prop=sigma, n_iter=n_iter,
+                                   seed=int(master.integers(2 ** 63)),
+                                   burn_in=burn_in, thin=thin, pin_delta=pin_delta))
+    out = _out_dir(args)
+    chains: dict[str, Chain] = {}
+    summary: dict[str, dict] = {}
+    for path, chain in zip(files, run_chains(targets, cfgs, theta_init)):
         stem = Path(path).stem
         chain.to_csv(out / f"{stem}.chain.csv")
         chains[stem] = chain
@@ -366,11 +383,13 @@ def _write_acf_table(path: Path, chains: dict, max_lag: int) -> None:
 
 
 def cmd_sample_params(args) -> int:
-    out = _out_dir(args)
     seed = args.seed
-    n = int(_opt(args.n, 100))
+    n = _num(int, "n", args.n, 100)
+    if n < 0:
+        raise InputDomainError(f"n must be >= 0, got {n}")
     source = _opt(args.histograms, "highway")
     hists = _load_histogram_arg(source)
+    out = _out_dir(args)
     rng = np.random.default_rng(seed)
     path = out / "params.csv"
     with path.open("w", newline="") as fh:
@@ -389,9 +408,9 @@ def cmd_build_demand(args) -> int:
     seed = args.seed
     if args.network is None:
         raise ConfigurationError("build-demand needs --network")
-    n_vehicles = int(_opt(args.n_vehicles, 50))
-    mean_headway = float(_opt(args.mean_headway, 4.0))
-    n_routes = int(_opt(args.n_routes, 4))
+    n_vehicles = _num(int, "n_vehicles", args.n_vehicles, 50)
+    mean_headway = _num(float, "mean_headway", args.mean_headway, 4.0)
+    n_routes = _num(int, "n_routes", args.n_routes, 4)
     source = _opt(args.histograms, "highway")
 
     net = load_network(args.network)
@@ -432,7 +451,7 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(seed)
     scenario = load_scenario(args.scenario, rng=rng)
     if args.max_steps is not None:
-        scenario = replace(scenario, max_steps=int(args.max_steps))
+        scenario = replace(scenario, max_steps=_num(int, "max_steps", args.max_steps))
 
     env = TrafficEnv(scenario, trace_path=out / "trace.csv")
     policy = _make_policy(policy_name, args, scenario)
@@ -566,13 +585,10 @@ def _apply_config(args) -> None:
 
 def _check_seed(value) -> int:
     """The master seed (0 when omitted) as a non-negative integer."""
-    try:
-        seed = int(_opt(value, 0))
-        if seed >= 0:
-            return seed
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigurationError(f"seed must be an integer >= 0, got {value!r}")
+    seed = _num(int, "seed", value, 0)
+    if seed < 0:
+        raise ConfigurationError(f"seed must be an integer >= 0, got {value!r}")
+    return seed
 
 
 def main(argv=None) -> int:

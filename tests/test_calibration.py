@@ -12,10 +12,10 @@ from microtraffic import (DegenerateSeriesError, FollowingState,
                           autocorrelation, default_proposal_sigma, log_target,
                           mh_step, pooled_histograms, posterior_histogram,
                           propose, rmse_objective, rollout_follower,
-                          run_chain, synthetic_trajectory,
+                          run_chain, run_chains, synthetic_trajectory,
                           transition_log_density)
 from microtraffic.calibration import (DEFAULT_PRIOR_HI, DEFAULT_PRIOR_LO,
-                                      Chain)
+                                      Chain, _OneStepBatch)
 
 
 class FlatTarget:
@@ -336,6 +336,147 @@ def test_run_chain_rejects_bad_init():
         run_chain(td, cfg, np.array([-1.0, 5, 35, 10, 2, 4]))
     with pytest.raises(InputDomainError):
         run_chain(td, ProposalConfig(np.ones(2), 10), THETA_STAR.to_array())
+
+
+def mh_step_chain(target, cfg, theta_init):
+    """Single-chain reference: the plain loop of ``mh_step`` calls."""
+    theta = np.array(theta_init, dtype=np.float64)
+    if cfg.pin_delta is not None:
+        theta[5] = cfg.pin_delta
+    logp = target.log_density(theta)
+    rng = np.random.default_rng(cfg.seed)
+    rows = []
+    count = 0
+    for i in range(cfg.n_iter):
+        theta, logp, accepted = mh_step(theta, target, cfg.effective_sigma, rng,
+                                        logp_curr=logp)
+        count += accepted
+        if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.thin == 0:
+            rows.append((i, theta, logp, accepted))
+    return rows, count
+
+
+def assert_lockstep_matches_alone(targets, cfgs, theta_init):
+    chains = run_chains(targets, cfgs, theta_init)
+    assert len(chains) == len(targets)
+    for chain, target, cfg in zip(chains, targets, cfgs):
+        alone = run_chain(target, cfg, theta_init)
+        for field in ("samples", "log_targets", "iterations", "accepted"):
+            a, b = getattr(chain, field), getattr(alone, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        assert chain.accept_count == alone.accept_count
+        assert chain.config is cfg
+        rows, count = mh_step_chain(target, cfg, theta_init)
+        assert count == chain.accept_count
+        assert chain.iterations.tolist() == [r[0] for r in rows]
+        assert np.array([r[1] for r in rows]).tobytes() == chain.samples.tobytes()
+        assert [r[2] for r in rows] == chain.log_targets.tolist()
+        assert [r[3] for r in rows] == chain.accepted.tolist()
+    return chains
+
+
+def one_step_targets(lengths, **kwargs):
+    return [TargetDensity(synthetic_trajectory(THETA_STAR, np.random.default_rng(k),
+                                               n_obs=n), **kwargs)
+            for k, n in enumerate(lengths)]
+
+
+def lockstep_configs(n, n_iter, **kwargs):
+    return [ProposalConfig(default_proposal_sigma(), n_iter, seed=100 + k, **kwargs)
+            for k in range(n)]
+
+
+CENTRE = 0.5 * (DEFAULT_PRIOR_LO + DEFAULT_PRIOR_HI)
+
+
+def test_run_chains_ragged_lengths_match_single_chains():
+    # Two equal-length pairs scored in batches, one length scored alone.
+    targets = one_step_targets([60, 45, 60, 80, 45])
+    chains = assert_lockstep_matches_alone(targets, lockstep_configs(5, 400), CENTRE)
+    assert all(c.accept_count > 0 for c in chains)
+
+
+def test_run_chains_pinned_exponent_matches_single_chains():
+    targets = one_step_targets([50, 50, 50])
+    cfgs = [ProposalConfig(default_proposal_sigma(), 300, seed=7, pin_delta=4.0),
+            ProposalConfig(default_proposal_sigma(), 300, seed=8),
+            ProposalConfig(default_proposal_sigma(), 300, seed=9, pin_delta=2.5)]
+    chains = assert_lockstep_matches_alone(targets, cfgs, CENTRE)
+    assert np.all(chains[0].samples[:, 5] == 4.0)
+    assert np.all(chains[2].samples[:, 5] == 2.5)
+    assert chains[1].samples[:, 5].std() > 0.0
+
+
+def test_run_chains_thinning_and_burn_in_match_single_chains():
+    targets = one_step_targets([40, 40, 40])
+    cfgs = [ProposalConfig(default_proposal_sigma(), 301, seed=1, burn_in=37, thin=3),
+            ProposalConfig(default_proposal_sigma(), 301, seed=2, burn_in=0, thin=7),
+            ProposalConfig(default_proposal_sigma(), 301, seed=3, burn_in=300)]
+    chains = assert_lockstep_matches_alone(targets, cfgs, CENTRE)
+    assert chains[0].iterations.tolist() == list(range(37, 301, 3))
+    assert len(chains[2]) == 1
+
+
+def test_run_chains_tight_prior_box_matches_single_chains():
+    # Proposal scales of 2% of the default box against a box of +-10%
+    # around the start: most proposals fall outside the support.
+    theta = THETA_STAR.to_array()
+    targets = one_step_targets([50, 50, 50, 50], prior_lo=0.9 * theta,
+                               prior_hi=1.1 * theta)
+    chains = assert_lockstep_matches_alone(targets, lockstep_configs(4, 300), theta)
+    assert all(0 < c.acceptance_rate < 0.2 for c in chains)
+
+
+def test_run_chains_mixed_objectives_match_single_chains():
+    targets = (one_step_targets([40, 40])
+               + [TargetDensity(short_trajectory(), objective="rollout")]
+               + one_step_targets([40]))
+    assert_lockstep_matches_alone(targets, lockstep_configs(4, 120), CENTRE)
+
+
+def test_run_chains_gaussian_targets_match_single_chains():
+    targets = [GaussianTarget(0.0, 1.0), GaussianTarget(3.0, 0.5), FlatTarget()]
+    cfgs = [ProposalConfig(np.array([s]), 500, seed=k)
+            for k, s in enumerate((1.2, 0.3, 2.0))]
+    chains = run_chains(targets, cfgs, np.array([0.5]))
+    for chain, target, cfg in zip(chains, targets, cfgs):
+        alone = run_chain(target, cfg, np.array([0.5]))
+        assert chain.samples.tobytes() == alone.samples.tobytes()
+        assert chain.log_targets.tobytes() == alone.log_targets.tobytes()
+        assert chain.iterations.tobytes() == alone.iterations.tobytes()
+        assert chain.accepted.tobytes() == alone.accepted.tobytes()
+        assert chain.accept_count == alone.accept_count
+
+
+def test_run_chains_validation():
+    targets = [GaussianTarget(0.0, 1.0)] * 2
+    assert run_chains([], [], np.array([0.0])) == []
+    with pytest.raises(InputDomainError, match="targets"):
+        run_chains(targets, [ProposalConfig(np.ones(1), 10)], np.array([0.0]))
+    with pytest.raises(InputDomainError, match="n_iter"):
+        run_chains(targets, [ProposalConfig(np.ones(1), 10),
+                             ProposalConfig(np.ones(1), 11)], np.array([0.0]))
+    with pytest.raises(InputDomainError, match="dim"):
+        run_chains(targets, [ProposalConfig(np.ones(1), 10),
+                             ProposalConfig(np.ones(2), 10)], np.array([0.0]))
+    with pytest.raises(InputDomainError, match="zero target density"):
+        run_chains(one_step_targets([30, 30]), lockstep_configs(2, 10),
+                   np.array([3.0, 5.0, 35.0, 10.0, 2.0, 11.0]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_step_batch_equals_log_density_row_by_row():
+    targets = one_step_targets([70, 70, 70], noise_sigma=0.4)
+    rng = np.random.default_rng(11)
+    # Draws inside the box, beyond both of its faces, and non-finite ones.
+    theta = rng.uniform(-0.2, 1.2, (400, 3, 6)) * DEFAULT_PRIOR_HI
+    theta[::7, 1, 2] = np.nan
+    theta[::11, 2, 5] = np.inf
+    theta[::13, 0] = THETA_STAR.to_array()
+    batch = _OneStepBatch([0, 1, 2], targets)
+    for block in theta:
+        got = batch.log_densities(block).tolist()
+        assert got == [t.log_density(row) for t, row in zip(targets, block)]
 
 
 def test_chain_csv_layout(tmp_path):

@@ -117,6 +117,7 @@ def test_gen_synthetic_seed_changes_output(tmp_path):
     (("--params", "1e-170,1e-170,30,2,1,4"), "desired gap is not finite"),
     (("--n-vehicles", -1), "n_vehicles must be >= 0"),
     (("--dt", "nan"), "finite dt > 0"),
+    (("--params", "1,2,x,4,5,6"), "--params value must be a number, got 'x'"),
 ])
 def test_gen_synthetic_bad_input_reports_cleanly(tmp_path, capsys, flags, message):
     rc = run_cli("gen-synthetic", "--n-vehicles", 1, *flags, "--out", tmp_path / "d")
@@ -218,6 +219,24 @@ def test_calibrate_malformed_csv_names_row(tmp_path, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--max-lag", -1), "max_lag must be >= 0, got -1"),
+    (("--n-bins", 0), "n_bins must be >= 1, got 0"),
+])
+def test_calibrate_checks_diagnostic_options_before_any_chain(
+        tmp_path, synthetic_dir, capsys, monkeypatch, flags, message):
+    def no_chains(*args):
+        raise AssertionError("chains ran before the options were checked")
+
+    monkeypatch.setattr(cli, "run_chains", no_chains)
+    out = tmp_path / "calib"
+    rc = run_cli("calibrate", "--data", synthetic_dir, "--n-iter", 50, *flags,
+                 "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # -- sample-params -----------------------------------------------------------
 
 
@@ -241,6 +260,14 @@ def test_sample_params_zero_rows(tmp_path):
     out = tmp_path / "none"
     assert run_cli("sample-params", "--n", 0, "--out", out) == 0
     assert (out / "params.csv").read_text() == ",".join(PARAM_NAMES) + "\n"
+
+
+def test_sample_params_negative_count_reports_cleanly(tmp_path, capsys):
+    out = tmp_path / "p"
+    rc = run_cli("sample-params", "--n", -1, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: n must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_sample_params_from_histogram_file(tmp_path):
@@ -465,6 +492,32 @@ def test_config_does_not_override_cli_flags(tmp_path):
                  "--out", out)
     assert rc == 0
     assert len((out / "veh_0000.csv").read_text().splitlines()) == 26
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("gen-synthetic",), {"n_vehicles": "abc"}, "n_vehicles must be an integer, got 'abc'"),
+    (("gen-synthetic",), {"dt": "fast"}, "dt must be a number, got 'fast'"),
+    (("calibrate", "--data", "veh.csv"), {"burn-in": "x"},
+     "burn_in must be an integer, got 'x'"),
+    (("calibrate", "--data", "veh.csv"), {"pin_delta": "four"},
+     "pin_delta must be a number, got 'four'"),
+    (("calibrate", "--data", "veh.csv"), {"max_lag": 1e400},
+     "max_lag must be an integer, got inf"),
+    (("sample-params",), {"n": [3]}, "n must be an integer, got [3]"),
+    (("build-demand", "--network", "net.json"), {"mean_headway": "slow"},
+     "mean_headway must be a number, got 'slow'"),
+    (("simulate", "--scenario", "highway"), {"max_steps": "many"},
+     "max_steps must be an integer, got 'many'"),
+    (("simulate", "--scenario", "highway"), {"seed": "abc"},
+     "seed must be an integer, got 'abc'"),
+])
+def test_unconvertible_config_value_reports_cleanly(tmp_path, capsys, monkeypatch,
+                                                    argv, config, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    rc = run_cli(*argv, "--config", "c.json", "--out", tmp_path / "out")
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_config_must_be_an_object(tmp_path, capsys):

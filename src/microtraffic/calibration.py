@@ -276,11 +276,6 @@ class Chain:
     def posterior_mean(self) -> np.ndarray:
         return self.samples.mean(axis=0)
 
-    def param_set(self, i: int) -> ParamSet:
-        if self.dim != len(PARAM_NAMES):
-            raise InputDomainError("chain is not over driver parameters")
-        return ParamSet.from_array(self.samples[i])
-
     def to_csv(self, path) -> None:
         path = Path(path)
         # Samples go to Python floats one row at a time: converting the

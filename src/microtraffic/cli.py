@@ -10,10 +10,13 @@ Verbs:
 
 All verbs share ``--seed``, ``--out`` (an output directory) and
 ``--config`` (a JSON file supplying values for flags not given on the
-command line; keys are flag names with dashes as underscores). Every run
-writes ``manifest.json`` next to its outputs with the resolved options,
-so a run can be reproduced from the manifest alone. Manifests carry no
-timestamps: repeating a command bit-reproduces its output files.
+command line; keys are flag names with dashes as underscores). Each
+option is declared once, in ``VERBS``: its value is converted and
+checked the same way from either source, and every verb checks options
+and inputs before it creates ``--out``. Every run writes
+``manifest.json`` listing every resolved option, so a run can be
+reproduced from it alone. Manifests carry no timestamps: repeating a
+command bit-reproduces its output files.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import shlex
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, replace
+from contextlib import closing
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +48,8 @@ from .errors import (ConfigurationError, DegenerateSeriesError, InputDomainError
 from .histogram import load_histograms, save_histograms
 from .idm import PARAM_NAMES, FollowingState, ParamSet, Trajectory, idm_acceleration
 from .network import SCENARIO_KINDS, load_network, load_scenario
-from .population import build_demand, default_histograms, sample_param_set, save_demand
+from .population import (DEFAULT_MEAN_HEADWAY, build_demand, default_histograms,
+                         sample_param_set, save_demand)
 
 DEFAULT_PARAMS = "3,5,35,10,2,4"
 POLICY_NAMES = ("zero-action", "builtin-idm-ego", "external-stdio")
@@ -64,16 +69,8 @@ class RunManifest:
     parameters: dict
 
     def write(self, out_dir: Path) -> Path:
-        payload = {
-            "command": self.command,
-            "inputs": list(self.inputs),
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "version": self.version,
-            "parameters": self.parameters,
-        }
         path = out_dir / "manifest.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
         return path
 
     @staticmethod
@@ -83,15 +80,9 @@ class RunManifest:
                            d["out_dir"], d["version"], d["parameters"])
 
 
-def _opt(value, default):
-    return default if value is None else value
-
-
-def _num(kind, name: str, value, default=None):
-    """``value`` (``default`` when None) converted by ``kind`` (``int`` or
-    ``float``). A value that does not convert, such as a string from a
-    ``--config`` file, is a configuration error."""
-    value = _opt(value, default)
+def _convert(kind, name: str, value):
+    """``value`` converted by ``kind``; one that does not convert is a
+    configuration error, wherever it came from."""
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -106,13 +97,111 @@ def _parse_params(text: str) -> ParamSet:
             f"--params wants {len(PARAM_NAMES)} comma-separated values "
             f"({','.join(PARAM_NAMES)}), got {text!r}"
         )
-    return ParamSet.from_array([_num(float, "--params value", p) for p in parts])
+    return ParamSet.from_array([_convert(float, "--params value", p) for p in parts])
 
 
 def _parse_pin(text) -> float | None:
     if text is None or str(text).lower() == "none":
         return None
-    return _num(float, "pin_delta", text)
+    return _convert(float, "pin_delta", text)
+
+
+@dataclass(frozen=True)
+class Option:
+    """One verb flag. ``kind`` converts its value (from the command line or
+    ``--config``); ``low`` is its least allowed value."""
+
+    flag: str
+    kind: object = str
+    default: object = None
+    low: int | None = None
+    choices: tuple | None = None
+    help: str = ""
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+SEED = Option("--seed", int, 0, low=0, help="master RNG seed")
+
+#: Per verb: its help line, its input flags (argparse keywords; the manifest
+#: lists their values as ``inputs``) and its options, which the manifest
+#: records as ``parameters``.
+VERBS = {
+    "gen-synthetic": ("generate follower trajectories from known parameters", {}, (
+        Option("--n-vehicles", int, 50, low=0),
+        Option("--n-obs", int, 200),
+        Option("--dt", float, 0.1),
+        Option("--noise-sigma", float, DEFAULT_NOISE_SIGMA),
+        Option("--params", _parse_params, DEFAULT_PARAMS,
+               help="six comma-separated values"),
+    )),
+    "calibrate": ("fit driver parameters to trajectory files", {
+        "--data": dict(nargs="+", required=True,
+                       help="trajectory CSV files or directories of them"),
+    }, (
+        Option("--n-iter", int, 20000),
+        Option("--burn-in", int),
+        Option("--thin", int, 1),
+        Option("--noise-sigma", float, DEFAULT_NOISE_SIGMA),
+        Option("--objective", str, "one-step", choices=("one-step", "rollout")),
+        Option("--pin-delta", _parse_pin,
+               help="freeze the exponent at this value (calibrated by default)"),
+        Option("--max-lag", int, 50, low=0),
+        Option("--n-bins", int, 20, low=1),
+    )),
+    "sample-params": ("draw parameter sets from posterior histograms", {}, (
+        Option("--histograms", str, "highway",
+               help="histogram JSON path, or a scenario kind for the bundled defaults"),
+        Option("--n", int, 100, low=0),
+    )),
+    "build-demand": ("generate a demand file for a road network", {
+        "--network": dict(help="road network JSON"),
+    }, (
+        Option("--histograms", str, "highway"),
+        Option("--n-vehicles", int, 50, low=0),
+        Option("--mean-headway", float, DEFAULT_MEAN_HEADWAY),
+        Option("--n-routes", int, 4, low=1),
+    )),
+    "simulate": ("run one environment episode", {
+        "--scenario": dict(help="scenario file, or a kind name to pick a bundled one"),
+    }, (
+        Option("--policy", str, "zero-action", choices=POLICY_NAMES),
+        Option("--policy-cmd", help="command line for the external-stdio policy"),
+        Option("--max-steps", int, help="override the scenario step budget"),
+        Option("--params", _parse_params, DEFAULT_PARAMS,
+               help="parameters for the builtin-idm-ego policy"),
+    )),
+}
+
+
+def _resolve(args) -> None:
+    """Leave on ``args`` every option of the verb, defaulted, converted and
+    checked, whether it came from the command line or ``--config``."""
+    for opt in (SEED,) + args.options:
+        value = getattr(args, opt.dest)
+        if value is None:
+            value = opt.default
+        if value is not None:
+            value = _convert(opt.kind, opt.dest, value)
+            if opt.choices is not None and value not in opt.choices:
+                raise ConfigurationError(
+                    f"{opt.dest} must be one of {', '.join(opt.choices)}, got {value!r}")
+            if opt.low is not None and value < opt.low:
+                what = "an integer >= " if opt is SEED else ">= "
+                raise InputDomainError(f"{opt.dest} must be {what}{opt.low}, got {value}")
+        setattr(args, opt.dest, value)
+
+
+def _write_manifest(args, out: Path, inputs=()) -> None:
+    """``manifest.json``: the inputs, the seed and every resolved option."""
+    parameters = {}
+    for opt in args.options:
+        value = getattr(args, opt.dest)
+        parameters[opt.dest] = value.as_dict() if isinstance(value, ParamSet) else value
+    RunManifest(args.command, tuple(map(str, inputs)), args.seed, str(args.out),
+                __version__, parameters).write(out)
 
 
 def _out_dir(args) -> Path:
@@ -261,32 +350,17 @@ class ExternalStdioPolicy:
 
 def cmd_gen_synthetic(args) -> int:
     out = _out_dir(args)
-    seed = args.seed
-    n_vehicles = _num(int, "n_vehicles", args.n_vehicles, 50)
-    if n_vehicles < 0:
-        raise InputDomainError(f"n_vehicles must be >= 0, got {n_vehicles}")
-    n_obs = _num(int, "n_obs", args.n_obs, 200)
-    dt = _num(float, "dt", args.dt, 0.1)
-    noise_sigma = _num(float, "noise_sigma", args.noise_sigma, DEFAULT_NOISE_SIGMA)
-    params = _parse_params(_opt(args.params, DEFAULT_PARAMS))
-
-    children = np.random.SeedSequence(seed).spawn(n_vehicles)
-    files = []
+    children = np.random.SeedSequence(args.seed).spawn(args.n_vehicles)
     for i, child in enumerate(children):
         rng = np.random.default_rng(child)
-        traj = synthetic_trajectory(params, rng, n_obs=n_obs, dt=dt,
-                                    noise_sigma=noise_sigma)
-        path = out / f"veh_{i:04d}.csv"
-        traj.to_csv(path)
-        files.append(path.name)
+        traj = synthetic_trajectory(args.params, rng, n_obs=args.n_obs, dt=args.dt,
+                                    noise_sigma=args.noise_sigma)
+        traj.to_csv(out / f"veh_{i:04d}.csv")
     (out / "true_params.json").write_text(json.dumps(
-        {"params": params.as_dict(), "noise_sigma": noise_sigma, "dt": dt},
+        {"params": args.params.as_dict(), "noise_sigma": args.noise_sigma, "dt": args.dt},
         indent=2, sort_keys=True) + "\n")
-    RunManifest("gen-synthetic", (), seed, str(args.out), __version__, {
-        "n_vehicles": n_vehicles, "n_obs": n_obs, "dt": dt,
-        "noise_sigma": noise_sigma, "params": params.as_dict(),
-    }).write(out)
-    print(f"wrote {len(files)} trajectories to {out}")
+    _write_manifest(args, out)
+    print(f"wrote {args.n_vehicles} trajectories to {out}")
     return 0
 
 
@@ -302,34 +376,22 @@ def _expand_data_args(paths) -> list:
 
 
 def cmd_calibrate(args) -> int:
-    seed = args.seed
-    n_iter = _num(int, "n_iter", args.n_iter, 20000)
-    burn_in = None if args.burn_in is None else _num(int, "burn_in", args.burn_in)
-    thin = _num(int, "thin", args.thin, 1)
-    noise_sigma = _num(float, "noise_sigma", args.noise_sigma, DEFAULT_NOISE_SIGMA)
-    objective = _opt(args.objective, "one-step")
-    pin_delta = _parse_pin(_opt(args.pin_delta, "none"))
-    max_lag = _num(int, "max_lag", args.max_lag, 50)
-    if max_lag < 0:
-        raise InputDomainError(f"max_lag must be >= 0, got {max_lag}")
-    n_bins = _num(int, "n_bins", args.n_bins, 20)
-    if n_bins < 1:
-        raise InputDomainError(f"n_bins must be >= 1, got {n_bins}")
-
     files = _expand_data_args(args.data)
     if not files:
         raise ConfigurationError("no trajectory files found under --data")
-    master = np.random.default_rng(seed)
+    master = np.random.default_rng(args.seed)
     sigma = default_proposal_sigma()
     theta_init = 0.5 * (DEFAULT_PRIOR_LO + DEFAULT_PRIOR_HI)
 
     targets, cfgs = [], []
     for path in files:
         traj = Trajectory.from_csv(path)
-        targets.append(TargetDensity(traj, noise_sigma=noise_sigma, objective=objective))
-        cfgs.append(ProposalConfig(sigma_prop=sigma, n_iter=n_iter,
+        targets.append(TargetDensity(traj, noise_sigma=args.noise_sigma,
+                                     objective=args.objective))
+        cfgs.append(ProposalConfig(sigma_prop=sigma, n_iter=args.n_iter,
                                    seed=int(master.integers(2 ** 63)),
-                                   burn_in=burn_in, thin=thin, pin_delta=pin_delta))
+                                   burn_in=args.burn_in, thin=args.thin,
+                                   pin_delta=args.pin_delta))
     out = _out_dir(args)
     chains: dict[str, Chain] = {}
     summary: dict[str, dict] = {}
@@ -343,16 +405,12 @@ def cmd_calibrate(args) -> int:
                                        map(float, chain.posterior_mean()))),
         }
 
-    save_histograms(pooled_histograms(chains.values(), n_bins), out / "posterior.json")
-    _write_acf_table(out / "diagnostics.csv", chains, max_lag)
+    save_histograms(pooled_histograms(chains.values(), args.n_bins),
+                    out / "posterior.json")
+    _write_acf_table(out / "diagnostics.csv", chains, args.max_lag)
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    RunManifest("calibrate", tuple(str(p) for p in files), seed, str(args.out),
-                __version__, {
-        "n_iter": n_iter, "burn_in": burn_in, "thin": thin,
-        "noise_sigma": noise_sigma, "objective": objective,
-        "pin_delta": pin_delta, "max_lag": max_lag, "n_bins": n_bins,
-    }).write(out)
+    _write_manifest(args, out, files)
     for stem, entry in summary.items():
         print(f"{stem}: acceptance_rate={entry['acceptance_rate']:.3f}")
     return 0
@@ -383,107 +441,76 @@ def _write_acf_table(path: Path, chains: dict, max_lag: int) -> None:
 
 
 def cmd_sample_params(args) -> int:
-    seed = args.seed
-    n = _num(int, "n", args.n, 100)
-    if n < 0:
-        raise InputDomainError(f"n must be >= 0, got {n}")
-    source = _opt(args.histograms, "highway")
-    hists = _load_histogram_arg(source)
+    hists = _load_histogram_arg(args.histograms)
     out = _out_dir(args)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     path = out / "params.csv"
     with path.open("w", newline="") as fh:
         fh.write(",".join(PARAM_NAMES) + "\n")
-        for _ in range(n):
+        for _ in range(args.n):
             p = sample_param_set(hists, rng)
             fh.write(",".join(repr(getattr(p, name)) for name in PARAM_NAMES) + "\n")
-    RunManifest("sample-params", (str(source),), seed, str(args.out),
-                __version__, {"n": n, "histograms": str(source)}).write(out)
-    print(f"wrote {n} parameter rows to {path}")
+    _write_manifest(args, out, (args.histograms,))
+    print(f"wrote {args.n} parameter rows to {path}")
     return 0
 
 
 def cmd_build_demand(args) -> int:
-    out = _out_dir(args)
-    seed = args.seed
     if args.network is None:
         raise ConfigurationError("build-demand needs --network")
-    n_vehicles = _num(int, "n_vehicles", args.n_vehicles, 50)
-    mean_headway = _num(float, "mean_headway", args.mean_headway, 4.0)
-    n_routes = _num(int, "n_routes", args.n_routes, 4)
-    source = _opt(args.histograms, "highway")
-
     net = load_network(args.network)
-    hists = _load_histogram_arg(source)
-    rng = np.random.default_rng(seed)
-    demand = build_demand(net, hists, n_vehicles, rng,
-                          mean_headway=mean_headway, n_routes=n_routes)
+    hists = _load_histogram_arg(args.histograms)
+    rng = np.random.default_rng(args.seed)
+    demand = build_demand(net, hists, args.n_vehicles, rng,
+                          mean_headway=args.mean_headway, n_routes=args.n_routes)
+    out = _out_dir(args)
     save_demand(demand, out / "demand.json")
-    RunManifest("build-demand", (str(args.network), str(source)), seed,
-                str(args.out), __version__, {
-        "n_vehicles": n_vehicles, "mean_headway": mean_headway,
-        "n_routes": n_routes, "histograms": str(source),
-    }).write(out)
-    print(f"wrote demand for {n_vehicles} vehicles to {out / 'demand.json'}")
+    _write_manifest(args, out, (args.network, args.histograms))
+    print(f"wrote demand for {args.n_vehicles} vehicles to {out / 'demand.json'}")
     return 0
 
 
-def _make_policy(name: str, args, scenario):
-    if name == "zero-action":
+def _make_policy(args, scenario):
+    if args.policy == "zero-action":
         return ZeroActionPolicy()
-    if name == "builtin-idm-ego":
-        params = _parse_params(_opt(args.params, DEFAULT_PARAMS))
+    if args.policy == "builtin-idm-ego":
         half_width = scenario.network.lanes[scenario.ego_lane].width / 2.0
-        return BuiltinIdmEgoPolicy(params, v0=scenario.ego_speed,
+        return BuiltinIdmEgoPolicy(args.params, v0=scenario.ego_speed,
                                    dt=scenario.dt, half_lane_width=half_width)
-    if name == "external-stdio":
-        return ExternalStdioPolicy(_opt(args.policy_cmd, ""))
-    raise ConfigurationError(f"unknown policy {name!r}")
+    return ExternalStdioPolicy(args.policy_cmd)
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
-    seed = args.seed
     if args.scenario is None:
         raise ConfigurationError("simulate needs --scenario (a file or a kind)")
-    policy_name = _opt(args.policy, "zero-action")
-
-    rng = np.random.default_rng(seed)
-    scenario = load_scenario(args.scenario, rng=rng)
+    scenario = load_scenario(args.scenario, rng=np.random.default_rng(args.seed))
     if args.max_steps is not None:
-        scenario = replace(scenario, max_steps=_num(int, "max_steps", args.max_steps))
+        scenario = replace(scenario, max_steps=args.max_steps)
 
-    env = TrafficEnv(scenario, trace_path=out / "trace.csv")
-    policy = _make_policy(policy_name, args, scenario)
     cause_override = None
-    try:
-        obs = env.reset()
-        while True:
-            try:
-                action = policy.act(obs)
-            except PolicyProtocolError as exc:
-                print(f"policy protocol violation: {exc}", file=sys.stderr)
-                cause_override = "policy_error"
-                break
-            result = env.step(action)
-            obs = result.observation
-            env.render_frame()
-            if result.terminated:
-                break
-    finally:
-        policy.close()
-        env.close()
+    with closing(_make_policy(args, scenario)) as policy:
+        out = _out_dir(args)
+        with closing(TrafficEnv(scenario, trace_path=out / "trace.csv")) as env:
+            obs = env.reset()
+            while True:
+                try:
+                    action = policy.act(obs)
+                except PolicyProtocolError as exc:
+                    print(f"policy protocol violation: {exc}", file=sys.stderr)
+                    cause_override = "policy_error"
+                    break
+                result = env.step(action)
+                obs = result.observation
+                env.render_frame()
+                if result.terminated:
+                    break
 
     summary = env.episode_summary()
     if cause_override is not None:
         summary["cause"] = cause_override
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    RunManifest("simulate", (str(args.scenario),), seed, str(args.out),
-                __version__, {
-        "policy": policy_name, "policy_cmd": args.policy_cmd,
-        "max_steps": args.max_steps,
-    }).write(out)
+    _write_manifest(args, out, (args.scenario,))
     print(f"cause={summary['cause']} steps={summary['steps']} "
           f"collisions_logged={summary['collisions_logged']}")
     return 0
@@ -492,79 +519,26 @@ def cmd_simulate(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--seed", type=int, default=None,
-                     help="master RNG seed (default 0)")
-    sub.add_argument("--out", required=True, help="output directory")
-    sub.add_argument("--config", default=None,
-                     help="JSON file supplying values for omitted flags")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="microtraffic",
         description="calibrated microscopic traffic simulation toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("gen-synthetic",
-                        help="generate follower trajectories from known parameters")
-    p.add_argument("--n-vehicles", type=int, default=None)
-    p.add_argument("--n-obs", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--noise-sigma", type=float, default=None)
-    p.add_argument("--params", default=None,
-                   help=f"six comma-separated values, default {DEFAULT_PARAMS}")
-    _add_common(p)
-    p.set_defaults(func=cmd_gen_synthetic)
-
-    p = subs.add_parser("calibrate",
-                        help="fit driver parameters to trajectory files")
-    p.add_argument("--data", nargs="+", required=True,
-                   help="trajectory CSV files or directories of them")
-    p.add_argument("--n-iter", type=int, default=None)
-    p.add_argument("--burn-in", type=int, default=None)
-    p.add_argument("--thin", type=int, default=None)
-    p.add_argument("--noise-sigma", type=float, default=None)
-    p.add_argument("--objective", choices=("one-step", "rollout"), default=None)
-    p.add_argument("--pin-delta", default=None,
-                   help="freeze the exponent at this value (calibrated by default)")
-    p.add_argument("--max-lag", type=int, default=None)
-    p.add_argument("--n-bins", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = subs.add_parser("sample-params",
-                        help="draw parameter sets from posterior histograms")
-    p.add_argument("--histograms", default=None,
-                   help="histogram JSON path, or a scenario kind for the bundled defaults")
-    p.add_argument("--n", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_sample_params)
-
-    p = subs.add_parser("build-demand",
-                        help="generate a demand file for a road network")
-    p.add_argument("--network", default=None, required=False,
-                   help="road network JSON")
-    p.add_argument("--histograms", default=None)
-    p.add_argument("--n-vehicles", type=int, default=None)
-    p.add_argument("--mean-headway", type=float, default=None)
-    p.add_argument("--n-routes", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_build_demand)
-
-    p = subs.add_parser("simulate", help="run one environment episode")
-    p.add_argument("--scenario", default=None,
-                   help="scenario file, or a kind name to pick a bundled one")
-    p.add_argument("--policy", choices=POLICY_NAMES, default=None)
-    p.add_argument("--policy-cmd", default=None,
-                   help="command line for the external-stdio policy")
-    p.add_argument("--max-steps", type=int, default=None,
-                   help="override the scenario step budget")
-    p.add_argument("--params", default=None,
-                   help="parameters for the builtin-idm-ego policy")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
+    for name, (help_text, inputs, options) in VERBS.items():
+        p = subs.add_parser(name, help=help_text)
+        p.set_defaults(options=options)
+        for flag, keywords in inputs.items():
+            p.add_argument(flag, **keywords)
+        # No argparse default: a flag left off the command line stays None,
+        # so --config can fill it before _resolve converts it.
+        for opt in options + (SEED,):
+            shown = "" if opt.default is None else f" (default {opt.default})"
+            p.add_argument(opt.flag, choices=opt.choices,
+                           help=(opt.help + shown).strip() or None)
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--config", default=None,
+                       help="JSON file supplying values for omitted flags")
     return parser
 
 
@@ -583,25 +557,16 @@ def _apply_config(args) -> None:
             setattr(args, dest, value)
 
 
-def _check_seed(value) -> int:
-    """The master seed (0 when omitted) as a non-negative integer."""
-    seed = _num(int, "seed", value, 0)
-    if seed < 0:
-        raise ConfigurationError(f"seed must be an integer >= 0, got {value!r}")
-    return seed
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
-        args.seed = _check_seed(args.seed)
-        return args.func(args)
-    except MicrotrafficError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        _resolve(args)
+        # Looked up by name at call time, so a replaced module attribute
+        # (a tracer's wrapper, a test double) is the function that runs.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except (MicrotrafficError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -694,3 +694,95 @@ def test_external_policy_reply_split_across_writes(tmp_path):
 def test_external_policy_requires_command():
     with pytest.raises(ConfigurationError, match="--policy-cmd"):
         ExternalStdioPolicy("")
+
+
+# -- option declaration ------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, flag, text, message", [
+    (("gen-synthetic",), "--n-vehicles", "abc",
+     "n_vehicles must be an integer, got 'abc'"),
+    (("gen-synthetic",), "--dt", "fast", "dt must be a number, got 'fast'"),
+    (("calibrate", "--data", "veh.csv"), "--burn-in", "x",
+     "burn_in must be an integer, got 'x'"),
+    (("calibrate", "--data", "veh.csv"), "--pin-delta", "four",
+     "pin_delta must be a number, got 'four'"),
+    (("calibrate", "--data", "veh.csv"), "--max-lag", "1e400",
+     "max_lag must be an integer, got '1e400'"),
+    (("calibrate", "--data", "veh.csv"), "--n-bins", "0", "n_bins must be >= 1, got 0"),
+    (("sample-params",), "--n", "[3]", "n must be an integer, got '[3]'"),
+    (("build-demand", "--network", "net.json"), "--mean-headway", "slow",
+     "mean_headway must be a number, got 'slow'"),
+    (("build-demand", "--network", "net.json"), "--n-routes", "0",
+     "n_routes must be >= 1, got 0"),
+    (("build-demand", "--network", "net.json"), "--n-routes", "-5",
+     "n_routes must be >= 1, got -5"),
+    (("simulate", "--scenario", "highway"), "--max-steps", "many",
+     "max_steps must be an integer, got 'many'"),
+    (("simulate", "--scenario", "highway"), "--seed", "abc",
+     "seed must be an integer, got 'abc'"),
+    (("simulate", "--scenario", "highway"), "--seed", "-1",
+     "seed must be an integer >= 0, got -1"),
+])
+def test_bad_value_reports_alike_from_command_line_and_config(
+        tmp_path, capsys, monkeypatch, argv, flag, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({flag[2:]: text}))
+    for given in ((flag, text), ("--config", "c.json")):
+        rc = run_cli(*argv, *given, "--out", tmp_path / "out")
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, config", [
+    (("gen-synthetic", "--n-vehicles", -1), {}),
+    (("calibrate", "--data", "veh.csv", "--max-lag", -1), {}),
+    (("calibrate", "--data", "veh.csv"), {"objective": "two-step"}),
+    (("sample-params", "--n", -1), {}),
+    (("sample-params", "--histograms", "no_such.json"), {}),
+    (("build-demand", "--network", "no_such.json"), {}),
+    (("build-demand", "--network", "net.json", "--n-vehicles", -1), {}),
+    (("build-demand", "--network", "net.json", "--mean-headway", 0), {}),
+    (("simulate", "--scenario", "nope"), {}),
+    (("simulate", "--scenario", "highway", "--params", "1,2"), {}),
+    (("simulate", "--scenario", "highway", "--policy", "external-stdio"), {}),
+    (("simulate", "--scenario", "highway"), {"policy": "psychic"}),
+])
+def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch,
+                                                argv, config):
+    monkeypatch.chdir(tmp_path)
+    write_scenario_files(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    rc = run_cli(*argv, "--config", "c.json", "--out", tmp_path / "out")
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_records_every_declared_option(tmp_path, synthetic_dir):
+    write_scenario_files(tmp_path)
+    runs = {
+        "gen-synthetic": ("--n-vehicles", 1, "--n-obs", 20),
+        "calibrate": ("--data", synthetic_dir / "veh_0000.csv", "--n-iter", 20),
+        "sample-params": ("--n", 2),
+        "build-demand": ("--network", tmp_path / "net.json", "--n-vehicles", 2),
+        "simulate": ("--scenario", "highway", "--max-steps", 2, "--policy",
+                     "builtin-idm-ego", "--params", "3,5,8,10,2,4"),
+    }
+    assert sorted(runs) == sorted(cli.VERBS)
+    for verb, flags in runs.items():
+        out = tmp_path / verb
+        assert run_cli(verb, *flags, "--out", out) == 0
+        parameters = RunManifest.load(out / "manifest.json").parameters
+        assert sorted(parameters) == sorted(opt.dest for opt in cli.VERBS[verb][2])
+    simulate = RunManifest.load(tmp_path / "simulate" / "manifest.json").parameters
+    assert simulate["params"] == _parse_params("3,5,8,10,2,4").as_dict()
+    assert simulate["policy_cmd"] is None
+
+
+def test_main_runs_the_verb_function_found_on_the_module(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: calls.append(args) or 0)
+    assert run_cli("simulate", "--scenario", "highway", "--out", tmp_path / "run") == 0
+    assert [args.policy for args in calls] == ["zero-action"]

@@ -125,9 +125,9 @@ class Option:
 
 SEED = Option("--seed", int, 0, low=0, help="master RNG seed")
 
-#: Per verb: its help line, its input flags (argparse keywords; the manifest
-#: lists their values as ``inputs``) and its options, which the manifest
-#: records as ``parameters``.
+#: Per verb: its help line, its input flags (the paths it reads, with their
+#: argparse keywords) and its options, which the manifest records as
+#: ``parameters``.
 VERBS = {
     "gen-synthetic": ("generate follower trajectories from known parameters", {}, (
         Option("--n-vehicles", int, 50, low=0),

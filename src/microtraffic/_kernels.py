@@ -2,13 +2,11 @@
 
 The car-following step and the calibration objective dominate runtime: a
 chain run evaluates the objective tens of thousands of times, each over a
-few hundred samples. The scalar kernels (``_idm_accel``,
-``_follower_step``, ``_rollout_loop``) step one follower at a time; the
-batch kernels (``_accel_series_np``, ``_follower_step_np``,
-``_rmse_one_step_np``) are vectorised over samples.
+few hundred samples. ``_idm_accel`` and ``_rollout_loop`` step one
+follower at a time; the ``_np`` kernels are vectorised over samples.
 
-The scalar law ``_idm_accel`` (rollouts, ``follower_step``) and the batch
-law ``_accel_series_np`` (the one-step RMSE, and through
+The scalar law ``_idm_accel`` (rollouts, ``idm_acceleration``) and the
+batch law ``_accel_series_np`` (the one-step RMSE, and through
 ``_follower_step_np`` the environment's background traffic) use the same
 floating-point operation for each term: the ``(v/v_des)**delta`` term is
 libm ``pow`` (scalar ``**``, and ``np.float_power`` for arrays, which is
@@ -20,12 +18,15 @@ parameter vector for all samples or one per sample: a trajectory rolled
 out at theta scores a one-step RMSE of exactly zero at theta, and a BV in
 the environment moves exactly as a rollout of it would.
 
-A rollout runs the scalar law on Python floats, not on the slower numpy
-scalars: ``**`` on Python floats is the same libm ``pow`` as on
-``np.float64``, and the rest is correctly rounded IEEE arithmetic either
-way. Where Python floats raise ``ArithmeticError`` and numpy scalars
-carry inf or nan on, the rollout is rerun on the arrays, so its results
-stay bit-identical.
+A rollout unpacks theta and computes the desired-gap denominator
+``2.0 * math.sqrt(a_max * a_comf)`` once, then takes every Euler step in
+one loop with one call of the law. Hoisting cannot change a bit: each
+step divides by the value the same operations give on the same inputs.
+The loop runs on Python floats, not the slower numpy scalars: ``**`` on
+Python floats is the same libm ``pow`` as on ``np.float64``, and the rest
+is correctly rounded IEEE arithmetic either way. Where Python floats
+raise ``ArithmeticError`` and numpy scalars carry inf or nan on, the
+rollout is rerun on numpy scalars, so its results stay bit-identical.
 """
 
 import math
@@ -38,62 +39,50 @@ import numpy as np
 ACTIVE = SimpleNamespace(name="numpy")
 
 
-def _idm_accel(a_max, a_comf, v_des, d_min, T, delta, v, dv, gap):
+def _idm_accel(a_max, b2, v_des, d_min, T, delta, v, dv, gap):
+    """The scalar law; ``b2`` is ``2.0 * math.sqrt(a_max * a_comf)``."""
     # Desired gap is clamped at zero before squaring so a fast-opening gap
     # (large negative dv) cannot turn the interaction term into a push.
-    d_des = d_min + v * T + v * dv / (2.0 * math.sqrt(a_max * a_comf))
+    d_des = d_min + v * T + v * dv / b2
     if d_des < 0.0:
         d_des = 0.0
     q = d_des / gap
     return a_max * (1.0 - (v / v_des) ** delta - q * q)
 
 
-def _follower_step(a_max, a_comf, v_des, d_min, T, delta, v, v_lead, gap, dt):
-    """One forward-Euler step of a follower behind a leader.
+def _rollout_loop(theta, lead_v, v0, gap0, dt):
+    """Roll a follower behind leader speeds ``lead_v`` with forward Euler.
 
-    Positions advance with the speeds held at the start of the step, so the
-    gap update uses the pre-step relative speed. Speed is floored at zero.
-    Returns (accel at the pre-step state, next speed, next gap).
+    Sample k holds the state after k steps plus the acceleration at that
+    state. The gap advances with the pre-step speeds; speed is floored at
+    zero. Returns lists (speed, gap, accel) of the samples; fewer samples
+    than leader speeds means the gap collapsed to zero or below.
     """
-    a = _idm_accel(a_max, a_comf, v_des, d_min, T, delta, v, v - v_lead, gap)
-    v_next = v + a * dt
-    if v_next < 0.0:
-        v_next = 0.0
-    gap_next = gap + (v_lead - v) * dt
-    return a, v_next, gap_next
+    a_max, a_comf, v_des, d_min, T, delta = theta
+    b2 = 2.0 * math.sqrt(a_max * a_comf)
+    vs, gaps, accs = [], [], []
+    v, gap = v0, gap0
+    for v_lead in lead_v:
+        a = _idm_accel(a_max, b2, v_des, d_min, T, delta, v, v - v_lead, gap)
+        vs.append(v)
+        gaps.append(gap)
+        accs.append(a)
+        gap += (v_lead - v) * dt
+        v += a * dt
+        if v < 0.0:
+            v = 0.0
+        if gap <= 0.0:
+            break
+    return vs, gaps, accs
 
 
-def _rollout_loop(theta, lead_v, v0, gap0, dt, v_out, gap_out, a_out):
-    """Roll a follower forward, recording one sample per step.
-
-    Sample k holds the state after k Euler steps plus the acceleration
-    evaluated at that state. Stops early when the gap collapses to zero
-    or below; returns (samples recorded, collapsed flag).
-    """
-    n = len(lead_v)
-    v = v0
-    gap = gap0
-    for k in range(n):
-        v_out[k] = v
-        gap_out[k] = gap
-        a, v, gap = _follower_step(
-            theta[0], theta[1], theta[2], theta[3], theta[4], theta[5],
-            v, lead_v[k], gap, dt,
-        )
-        a_out[k] = a
-        if gap <= 0.0 and k + 1 < n:
-            return k + 1, True
-    return n, False
-
-
-def _rollout_floats(theta, lead_v, v0, gap0, dt, v_out, gap_out, a_out):
-    """``_rollout_loop`` on Python floats, rerun on the arrays where Python
-    floats raise (see the module docstring)."""
+def _rollout_floats(theta, lead_v, v0, gap0, dt):
+    """``_rollout_loop`` on Python floats (``lead_v`` a list), rerun on
+    numpy scalars where Python floats raise (see the module docstring)."""
     try:
-        return _rollout_loop(theta.tolist(), lead_v.tolist(), v0, gap0, dt,
-                             v_out, gap_out, a_out)
+        return _rollout_loop(theta.tolist(), lead_v, v0, gap0, dt)
     except ArithmeticError:
-        return _rollout_loop(theta, lead_v, v0, gap0, dt, v_out, gap_out, a_out)
+        return _rollout_loop(theta, np.array(lead_v), v0, gap0, dt)
 
 
 def _accel_series_np(theta, v, dv, gap, out):
@@ -112,10 +101,10 @@ def _accel_series_np(theta, v, dv, gap, out):
 
 
 def _follower_step_np(theta, v, v_lead, gap, dt):
-    """``_follower_step`` over a batch: one forward-Euler step per row.
+    """One forward-Euler step per row, as ``_rollout_loop`` takes it.
 
-    ``theta`` is as in ``_accel_series_np``. Same arithmetic as the scalar
-    step, so every row equals ``_follower_step`` on that row bit for bit.
+    ``theta`` is as in ``_accel_series_np``. Same arithmetic as a rollout
+    step, so every row equals that step on that row bit for bit.
     Returns arrays (accel at the pre-step state, next speed, next gap).
     """
     a = np.empty_like(v)

@@ -289,6 +289,13 @@ class Chain:
                          f"{int(accepted)}\n")
 
 
+def _support_box(targets):
+    """Stacked prior boxes: theta is in target k's support iff lo[k] <= theta <= hi[k]."""
+    # ``theta > 0 and theta >= lo`` is ``theta >= max(lo, 5e-324)``.
+    lo = np.maximum(np.stack([t.prior_lo for t in targets]), np.nextafter(0.0, 1.0))
+    return lo, np.stack([t.prior_hi for t in targets])
+
+
 class _OneStepBatch:
     """One-step trajectory targets of one length, scored in one kernel call.
 
@@ -307,10 +314,7 @@ class _OneStepBatch:
         self.dv = np.stack([t._dv for t in targets])
         self.gap = np.stack([t._gap for t in targets])
         self.a_obs = np.stack([t._a_obs for t in targets])
-        # ``theta > 0 and theta >= lo`` is ``theta >= max(lo, 5e-324)``.
-        self.lo = np.maximum(np.stack([t.prior_lo for t in targets]),
-                             np.nextafter(0.0, 1.0))
-        self.hi = np.stack([t.prior_hi for t in targets])
+        self.lo, self.hi = _support_box(targets)
         self.neg_scale = -np.array([t._scale for t in targets])
         self.pred = np.empty_like(self.v)
 
@@ -338,11 +342,11 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
     in or out of support), its target values come from the same
     floating-point operations, and its accept test is ``math.log`` on
     Python floats. Lockstep changes only the cost: each iteration proposes
-    a K x dim block, and one-step ``TargetDensity`` chains over
-    trajectories of equal length are scored in one batched call
-    (``_OneStepBatch``). Any other target (the rollout objective, a
-    trajectory of a length no other chain has, toy targets) is scored by
-    its own ``log_density(theta) -> float``.
+    a K x dim block. One-step ``TargetDensity`` chains of equal length are
+    scored in one batched call (``_OneStepBatch``). The other
+    ``TargetDensity`` chains (the rollout objective, a length no other
+    chain has) have their support tested in one stacked comparison and are
+    scored only inside it. Toy targets are scored by ``log_density``.
 
     The configs must share ``n_iter``; seeds, burn-in, thinning and
     ``pin_delta`` may differ. The initial point must have non-zero target
@@ -375,18 +379,24 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
     sigma = np.array([cfg.effective_sigma for cfg in cfgs])
     groups: dict[int, list] = {}
     alone = []
+    others = []
     for c, t in enumerate(targets):
-        if isinstance(t, TargetDensity) and t.objective == "one-step":
+        if not isinstance(t, TargetDensity):
+            others.append(c)
+        elif t.objective == "one-step":
             groups.setdefault(len(t.obs), []).append(c)
         else:
             alone.append(c)
     batches = []
     for rows in groups.values():
-        # A batch of one costs more than the target's own log_density.
+        # A batch of one costs more than scoring its target alone.
         if len(rows) > 1:
             batches.append(_OneStepBatch(rows, [targets[c] for c in rows]))
         else:
             alone += rows
+    if alone:
+        alone_lo, alone_hi = _support_box([targets[c] for c in alone])
+        neg_scale = [-targets[c]._scale for c in alone]
     iterations = [np.arange(cfg.burn_in, n_iter, cfg.thin, dtype=np.int64)
                   for cfg in cfgs]
     samples = [np.empty((it.size, dim)) for it in iterations]
@@ -404,7 +414,13 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
         for batch in batches:
             logp_prop[batch.rows] = batch.log_densities(prop[batch.rows])
         lp = logp_prop.tolist()
-        for c in alone:
+        if alone:
+            rows = prop[alone]
+            ok = ((rows >= alone_lo) & (rows <= alone_hi)).all(axis=1).tolist()
+            for c, inside, scale in zip(alone, ok, neg_scale):
+                rmse = targets[c].rmse(prop[c]) if inside else math.nan
+                lp[c] = scale * rmse * rmse if math.isfinite(rmse) else -math.inf
+        for c in others:
             lp[c] = float(targets[c].log_density(prop[c]))
         for c, rng in enumerate(rngs):
             u = rng.random()
@@ -457,12 +473,15 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
 
 def posterior_histogram(chain: Chain, param_index: int, n_bins: int) -> Histogram:
     """Equal-width histogram of one chain coordinate over its sample range."""
-    if len(chain) == 0:
+    return _sample_histogram(chain.samples[:, param_index], n_bins)
+
+
+def _sample_histogram(x, n_bins) -> Histogram:
+    if x.size == 0:
         raise InputDomainError("chain has no samples")
     n_bins = int(n_bins)
     if n_bins < 1:
         raise InputDomainError(f"n_bins must be >= 1, got {n_bins}")
-    x = chain.samples[:, param_index]
     lo = float(x.min())
     hi = float(x.max())
     if hi <= lo:
@@ -481,17 +500,8 @@ def pooled_histograms(chains, n_bins: int):
     for c in chains[1:]:
         if c.param_names != names:
             raise InputDomainError("chains have mismatched parameter names")
-    merged = Chain(
-        samples=np.concatenate([c.samples for c in chains], axis=0),
-        log_targets=np.concatenate([c.log_targets for c in chains]),
-        iterations=np.concatenate([c.iterations for c in chains]),
-        accepted=np.concatenate([c.accepted for c in chains]),
-        accept_count=sum(c.accept_count for c in chains),
-        config=chains[0].config,
-        param_names=names,
-    )
-    return {name: posterior_histogram(merged, i, n_bins)
-            for i, name in enumerate(names)}
+    samples = np.concatenate([c.samples for c in chains])
+    return {name: _sample_histogram(samples[:, i], n_bins) for i, name in enumerate(names)}
 
 
 def synthetic_trajectory(params: ParamSet, rng, n_obs: int = 200,

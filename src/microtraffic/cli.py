@@ -133,7 +133,7 @@ VERBS = {
         Option("--n-vehicles", int, 50, low=0),
         Option("--n-obs", int, 200),
         Option("--dt", float, 0.1),
-        Option("--noise-sigma", float, DEFAULT_NOISE_SIGMA),
+        Option("--noise-sigma", float, DEFAULT_NOISE_SIGMA, low=0),
         Option("--params", _parse_params, DEFAULT_PARAMS,
                help="six comma-separated values"),
     )),
@@ -349,6 +349,9 @@ class ExternalStdioPolicy:
 
 
 def cmd_gen_synthetic(args) -> int:
+    # synthetic_trajectory checks these too, but only once --out exists.
+    if args.n_obs < 2 or not (math.isfinite(args.dt) and args.dt > 0):
+        raise InputDomainError(f"need n_obs >= 2 and finite dt > 0, got {args.n_obs}, {args.dt!r}")
     out = _out_dir(args)
     children = np.random.SeedSequence(args.seed).spawn(args.n_vehicles)
     for i, child in enumerate(children):
@@ -551,8 +554,14 @@ def _apply_config(args) -> None:
         raise ConfigurationError(f"{args.config}: not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigurationError(f"{args.config}: config must be a JSON object")
+    # Keys of other verbs are accepted, so one file can serve the pipeline.
+    known = {"out", "config", SEED.dest}.union(*(
+        [flag[2:].replace("-", "_") for flag in inputs] + [opt.dest for opt in options]
+        for _, inputs, options in VERBS.values()))
     for key, value in config.items():
         dest = key.replace("-", "_")
+        if dest not in known:
+            raise ConfigurationError(f"{args.config}: no verb has an option {key!r}")
         if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, value)
 

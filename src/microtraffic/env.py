@@ -21,7 +21,7 @@ and "who is near whom" is a neighbouring column or a ``searchsorted``
 into that slice. Leaders are resolved for all BVs at once (the next
 larger ``s`` on the lane, the ego merged in and winning ties) and the
 car-following update is one batched evaluation of the acceleration law,
-bit-identical to the scalar ``follower_step`` on every row. Python loops
+bit-identical on every row to a step of ``_rollout_loop``. Python loops
 run only over the few BVs that cross a lane end or share an ``s`` and
 the BV contacts that get logged. At equal ``s`` the lowest id comes
 first.

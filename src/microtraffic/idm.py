@@ -212,8 +212,8 @@ def idm_acceleration(p: ParamSet, s: FollowingState) -> float:
     zero. The result is never silently non-finite: inputs extreme enough
     to overflow raise instead.
     """
-    args = (p.a_max, p.a_comf, p.v_des, p.d_min, p.T, p.delta,
-            s.v, s.delta_v, s.d_front)
+    b2 = 2.0 * math.sqrt(p.a_max * p.a_comf)
+    args = (p.a_max, b2, p.v_des, p.d_min, p.T, p.delta, s.v, s.delta_v, s.d_front)
     try:
         a = _kernels._idm_accel(*args)
     except ArithmeticError:
@@ -284,18 +284,11 @@ def rollout_follower(p: ParamSet, leader_speeds, init: FollowingState,
     if not np.all(np.isfinite(lead)) or np.any(lead < 0.0):
         raise InputDomainError("leader speeds must be finite and >= 0")
 
-    v_out = np.empty(n_steps)
-    gap_out = np.empty(n_steps)
-    a_out = np.empty(n_steps)
-    n, collapsed = _kernels._rollout_floats(
-        p.to_array(), lead, float(init.v), float(init.d_front), dt,
-        v_out, gap_out, a_out,
-    )
-    n = int(n)
-    t = np.arange(n) * dt
-    return Trajectory(dt, t, v_out[:n].copy(), lead[:n].copy(),
-                      gap_out[:n].copy(), a_out[:n].copy(),
-                      gap_collapsed=bool(collapsed))
+    v, gap, a = _kernels._rollout_floats(p.to_array(), lead.tolist(), float(init.v),
+                                         float(init.d_front), dt)
+    n = len(a)
+    return Trajectory(dt, np.arange(n) * dt, v, lead[:n].copy(), gap, a,
+                      gap_collapsed=n < n_steps)
 
 
 def rmse_objective(obs: Trajectory, p: ParamSet) -> float:
@@ -307,27 +300,26 @@ def rmse_objective(obs: Trajectory, p: ParamSet) -> float:
 
 
 def rollout_start(obs: Trajectory):
-    """Leader speeds, initial speed and initial gap for ``rollout_rmse``,
-    validated once as ``rollout_follower`` would validate them."""
+    """Leader speeds (a list), initial speed and initial gap for
+    ``rollout_rmse``, validated as ``rollout_follower`` would validate them."""
     if len(obs) == 0:
         raise InputDomainError("cannot evaluate objective on an empty trajectory")
     init = FollowingState(obs.v_ego[0], obs.v_ego[0] - obs.v_leader[0], obs.gap[0])
     if np.any(obs.v_leader < 0.0):
         raise InputDomainError("leader speeds must be finite and >= 0")
-    return obs.v_leader, init.v, init.d_front
+    return obs.v_leader.tolist(), init.v, init.d_front
 
 
 def rollout_rmse(theta, lead, v0: float, gap0: float, dt: float, a_obs) -> float:
     """RMSE between ``a_obs`` and a rollout at ``theta``; +inf when the gap
     collapses before the horizon or an acceleration is not finite."""
-    n = a_obs.shape[0]
-    v_out, gap_out, a_out = np.empty((3, n))
-    if _kernels._rollout_floats(theta, lead, v0, gap0, dt, v_out, gap_out, a_out)[1]:
+    a = _kernels._rollout_floats(theta, lead, v0, gap0, dt)[2]
+    if len(a) < len(lead):
         return math.inf
-    a_out -= a_obs
-    a_out *= a_out
+    err = np.subtract(a, a_obs)
+    err *= err
     # np.mean's own pairwise sum and divide; a nan (inf - inf) maps to +inf.
-    mean_sq = np.add.reduce(a_out) / n
+    mean_sq = np.add.reduce(err) / len(a)
     return math.sqrt(mean_sq) if mean_sq <= math.inf else math.inf
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from microtraffic import (DemandSpec, Lane, ParamSet, RoadNetwork, Route,
@@ -127,6 +128,45 @@ def idm_accel_formula(p, v, delta_v, gap):
     d_des = max(d_des, 0.0)
     interaction = 0.0 if math.isinf(gap) else (d_des / gap) ** 2
     return p.a_max * (1.0 - (v / p.v_des) ** p.delta - interaction)
+
+
+def follower_step(a_max, a_comf, v_des, d_min, T, delta, v, v_lead, gap, dt):
+    """One forward-Euler step of a follower behind a leader, written out
+    term by term as the package's scalar law and Euler step compute it:
+    the reference its rollout and batched step must match bit for bit.
+
+    Positions advance with the speeds held at the start of the step, so the
+    gap update uses the pre-step relative speed. Speed is floored at zero.
+    Returns (accel at the pre-step state, next speed, next gap).
+    """
+    d_des = d_min + v * T + v * (v - v_lead) / (2.0 * math.sqrt(a_max * a_comf))
+    if d_des < 0.0:
+        d_des = 0.0
+    q = d_des / gap
+    a = a_max * (1.0 - (v / v_des) ** delta - q * q)
+    v_next = v + a * dt
+    if v_next < 0.0:
+        v_next = 0.0
+    return a, v_next, gap + (v_lead - v) * dt
+
+
+def rollout_reference(theta, lead_v, v0, gap0, dt):
+    """A per-step loop of ``follower_step`` calls: sample k is the state
+    after k steps plus the acceleration at that state; stops early when
+    the gap collapses before the horizon. Returns (samples recorded,
+    collapsed flag, rows speed/gap/accel)."""
+    n = len(lead_v)
+    out = np.empty((3, n))
+    v = v0
+    gap = gap0
+    for k in range(n):
+        out[0, k] = v
+        out[1, k] = gap
+        a, v, gap = follower_step(*theta, v, lead_v[k], gap, dt)
+        out[2, k] = a
+        if gap <= 0.0 and k + 1 < n:
+            return k + 1, True, out[:, :k + 1]
+    return n, False, out
 
 
 def pytest_configure(config):

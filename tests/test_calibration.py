@@ -375,7 +375,7 @@ def assert_lockstep_matches_alone(targets, cfgs, theta_init):
     return chains
 
 
-def one_step_targets(lengths, **kwargs):
+def synthetic_targets(lengths, **kwargs):
     return [TargetDensity(synthetic_trajectory(THETA_STAR, np.random.default_rng(k),
                                                n_obs=n), **kwargs)
             for k, n in enumerate(lengths)]
@@ -391,13 +391,13 @@ CENTRE = 0.5 * (DEFAULT_PRIOR_LO + DEFAULT_PRIOR_HI)
 
 def test_run_chains_ragged_lengths_match_single_chains():
     # Two equal-length pairs scored in batches, one length scored alone.
-    targets = one_step_targets([60, 45, 60, 80, 45])
+    targets = synthetic_targets([60, 45, 60, 80, 45])
     chains = assert_lockstep_matches_alone(targets, lockstep_configs(5, 400), CENTRE)
     assert all(c.accept_count > 0 for c in chains)
 
 
 def test_run_chains_pinned_exponent_matches_single_chains():
-    targets = one_step_targets([50, 50, 50])
+    targets = synthetic_targets([50, 50, 50])
     cfgs = [ProposalConfig(default_proposal_sigma(), 300, seed=7, pin_delta=4.0),
             ProposalConfig(default_proposal_sigma(), 300, seed=8),
             ProposalConfig(default_proposal_sigma(), 300, seed=9, pin_delta=2.5)]
@@ -408,7 +408,7 @@ def test_run_chains_pinned_exponent_matches_single_chains():
 
 
 def test_run_chains_thinning_and_burn_in_match_single_chains():
-    targets = one_step_targets([40, 40, 40])
+    targets = synthetic_targets([40, 40, 40])
     cfgs = [ProposalConfig(default_proposal_sigma(), 301, seed=1, burn_in=37, thin=3),
             ProposalConfig(default_proposal_sigma(), 301, seed=2, burn_in=0, thin=7),
             ProposalConfig(default_proposal_sigma(), 301, seed=3, burn_in=300)]
@@ -421,16 +421,29 @@ def test_run_chains_tight_prior_box_matches_single_chains():
     # Proposal scales of 2% of the default box against a box of +-10%
     # around the start: most proposals fall outside the support.
     theta = THETA_STAR.to_array()
-    targets = one_step_targets([50, 50, 50, 50], prior_lo=0.9 * theta,
+    targets = synthetic_targets([50, 50, 50, 50], prior_lo=0.9 * theta,
                                prior_hi=1.1 * theta)
     chains = assert_lockstep_matches_alone(targets, lockstep_configs(4, 300), theta)
     assert all(0 < c.acceptance_rate < 0.2 for c in chains)
 
 
+def test_run_chains_rollout_targets_match_single_chains():
+    # Ragged lengths, a box of +-10% around the start (so most proposals
+    # fall outside the support) and one pinned exponent.
+    theta = THETA_STAR.to_array()
+    targets = synthetic_targets([40, 25, 40, 60], objective="rollout",
+                                prior_lo=0.9 * theta, prior_hi=1.1 * theta)
+    cfgs = lockstep_configs(4, 200)
+    cfgs[2] = ProposalConfig(default_proposal_sigma(), 200, seed=12, pin_delta=4.0)
+    chains = assert_lockstep_matches_alone(targets, cfgs, theta)
+    assert all(0 < c.acceptance_rate < 0.2 for c in chains)
+    assert np.all(chains[2].samples[:, 5] == 4.0)
+
+
 def test_run_chains_mixed_objectives_match_single_chains():
-    targets = (one_step_targets([40, 40])
+    targets = (synthetic_targets([40, 40])
                + [TargetDensity(short_trajectory(), objective="rollout")]
-               + one_step_targets([40]))
+               + synthetic_targets([40]))
     assert_lockstep_matches_alone(targets, lockstep_configs(4, 120), CENTRE)
 
 
@@ -460,13 +473,13 @@ def test_run_chains_validation():
         run_chains(targets, [ProposalConfig(np.ones(1), 10),
                              ProposalConfig(np.ones(2), 10)], np.array([0.0]))
     with pytest.raises(InputDomainError, match="zero target density"):
-        run_chains(one_step_targets([30, 30]), lockstep_configs(2, 10),
+        run_chains(synthetic_targets([30, 30]), lockstep_configs(2, 10),
                    np.array([3.0, 5.0, 35.0, 10.0, 2.0, 11.0]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_one_step_batch_equals_log_density_row_by_row():
-    targets = one_step_targets([70, 70, 70], noise_sigma=0.4)
+    targets = synthetic_targets([70, 70, 70], noise_sigma=0.4)
     rng = np.random.default_rng(11)
     # Draws inside the box, beyond both of its faces, and non-finite ones.
     theta = rng.uniform(-0.2, 1.2, (400, 3, 6)) * DEFAULT_PRIOR_HI

@@ -126,6 +126,21 @@ def test_gen_synthetic_bad_input_reports_cleanly(tmp_path, capsys, flags, messag
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--dt", "nan"), "need n_obs >= 2 and finite dt > 0, got 200, nan"),
+    (("--dt", 0), "need n_obs >= 2 and finite dt > 0, got 200, 0.0"),
+    (("--n-obs", 1), "need n_obs >= 2 and finite dt > 0, got 1, 0.1"),
+    (("--noise-sigma", -1), "noise_sigma must be >= 0, got -1.0"),
+])
+def test_gen_synthetic_bad_generation_input_makes_no_out_dir(tmp_path, capsys, flags,
+                                                             message):
+    out = tmp_path / "g"
+    rc = run_cli("gen-synthetic", "--n-vehicles", 1, *flags, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # -- calibrate ---------------------------------------------------------------
 
 
@@ -518,6 +533,30 @@ def test_unconvertible_config_value_reports_cleanly(tmp_path, capsys, monkeypatc
     rc = run_cli(*argv, "--config", "c.json", "--out", tmp_path / "out")
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_config_key_no_verb_declares_reports_cleanly(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"n_vehicle": 2}))
+    out = tmp_path / "g"
+    rc = run_cli("gen-synthetic", "--config", config, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {config}: no verb has an option 'n_vehicle'\n"
+    assert not out.exists()
+
+
+def test_config_keys_of_other_verbs_are_accepted(tmp_path):
+    # One file for the whole pipeline: each verb takes its own keys.
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "n-vehicles": 2, "n_obs": 30, "n_iter": 40, "objective": "rollout",
+        "data": ["elsewhere"], "network": "net.json", "n": 3,
+        "scenario": "highway", "policy": "zero-action", "out": "ignored"}))
+    out = tmp_path / "data"
+    rc = run_cli("gen-synthetic", "--seed", 1, "--config", config, "--out", out)
+    assert rc == 0
+    assert len(list(out.glob("veh_*.csv"))) == 2
+    assert len((out / "veh_0000.csv").read_text().splitlines()) == 31
 
 
 def test_config_must_be_an_object(tmp_path, capsys):

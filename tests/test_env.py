@@ -8,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import THETA_STAR, straight_scenario
-from microtraffic import _kernels
+from conftest import THETA_STAR, follower_step, straight_scenario
 from microtraffic import (Action, DemandSpec, EnvUsageError, InputDomainError,
                           Lane, ParamSet, RoadNetwork, Route, Scenario,
                           TrafficEnv, VehicleSpec)
@@ -561,8 +560,7 @@ def test_lane_index_matches_linear_scans(case):
             key, v_lead, gap = ref_leader(env, bvs, b, mem_lane, mem_s)
             if key is not None and key == b.leader_key:
                 gap = b.gap
-            _, v_next, gap_next = _kernels._follower_step(
-                *b.theta, b.v, v_lead, gap, dt)
+            _, v_next, gap_next = follower_step(*b.theta, b.v, v_lead, gap, dt)
             expected[b.id] = (key, b.s + b.v * dt, v_next,
                               gap_next if gap_next > 0.0 else GAP_EPS)
         touching = {(c["rear"], c["front"]) for c in ref_contacts(bvs, 0)}

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import THETA_STAR, idm_accel_formula
+from conftest import THETA_STAR, follower_step, idm_accel_formula, rollout_reference
 from microtraffic import ParamSet
 from microtraffic import _kernels
 from microtraffic.calibration import DEFAULT_PRIOR_HI, DEFAULT_PRIOR_LO
@@ -28,8 +28,14 @@ STATE_GRID = list(itertools.product(
 ))
 
 
+def _law_args(a_max, a_comf, v_des, d_min, T, delta):
+    """Parameters as ``_idm_accel`` takes them: ``a_comf`` folded into the
+    desired-gap denominator."""
+    return (a_max, 2.0 * math.sqrt(a_max * a_comf), v_des, d_min, T, delta)
+
+
 def _scalar_args(p, v, dv, gap):
-    return (p.a_max, p.a_comf, p.v_des, p.d_min, p.T, p.delta, v, dv, gap)
+    return (*_law_args(*p.to_array().tolist()), v, dv, gap)
 
 
 def _prior_batch(n_theta=16, n_states=500, seed=2109):
@@ -48,10 +54,14 @@ def _per_sample_thetas(thetas, n):
     return thetas[np.arange(n) % len(thetas)].T.copy()
 
 
+#: Leader speeds of the rollout cases: cruise, brake, speed up, stop.
+LEAD = np.repeat([22.0, 9.0, 27.0, 0.0], 50)
+
+
 def _batch_results(thetas, v, dv, gap, a_obs):
-    """Numpy batch accelerations (one row per theta), each row's RMSE, and
-    one batched follower step (accel, speed, gap) with a different theta
-    per sample."""
+    """Numpy batch accelerations (one row per theta), each row's RMSE, one
+    batched follower step (accel, speed, gap) with a different theta per
+    sample, and one rollout (v, gap, a) per theta, nan after a collapse."""
     accel = np.empty((len(thetas), v.size))
     rmse = np.empty(len(thetas))
     for i, theta in enumerate(thetas):
@@ -59,7 +69,11 @@ def _batch_results(thetas, v, dv, gap, a_obs):
         rmse[i] = _kernels._rmse_one_step_np(theta, v, dv, gap, a_obs)
     steps = np.stack(_kernels._follower_step_np(
         _per_sample_thetas(thetas, v.size), v, v - dv, gap, 0.1))
-    return accel, rmse, steps
+    rollouts = np.full((len(thetas), 3, LEAD.size), np.nan)
+    for theta, out in zip(thetas, rollouts):
+        rows = np.array(_kernels._rollout_floats(theta, LEAD.tolist(), 25.0, 40.0, 0.1))
+        out[:, :rows.shape[1]] = rows
+    return accel, rmse, steps, rollouts
 
 
 def _assert_bits_equal(got, want):
@@ -97,17 +111,17 @@ def test_batch_accel_bit_identical_to_scalar_on_grid():
 
 def test_batch_accel_bit_identical_to_scalar_on_prior_draws():
     thetas, v, dv, gap, a_obs = _prior_batch()
-    accel, _, _ = _batch_results(thetas, v, dv, gap, a_obs)
+    accel = _batch_results(thetas, v, dv, gap, a_obs)[0]
     states = list(zip(v.tolist(), dv.tolist(), gap.tolist()))
     for theta, row in zip(thetas, accel):
-        want = [_kernels._idm_accel(*theta, *state)
+        want = [_kernels._idm_accel(*_law_args(*theta), *state)
                 for state in states]
         _assert_bits_equal(row, want)
 
 
 def _scalar_steps(theta_cols, v, v_lead, gap, dt):
     """Scalar ``follower_step`` on every column: one (accel, speed, gap) each."""
-    return [_kernels._follower_step(*theta_cols[:, i], v[i], v_lead[i], gap[i], dt)
+    return [follower_step(*theta_cols[:, i], v[i], v_lead[i], gap[i], dt)
             for i in range(v.size)]
 
 
@@ -142,32 +156,34 @@ EXTREME_THETAS = (np.array([1.0, 1.0, 1e-35, 2.0, 1.0, 10.0]),
 
 def _rollout(rollout, theta, lead, gap0):
     """(samples, collapsed, rows v/gap/a) of one 25 m/s start behind ``lead``."""
-    out = np.empty((3, len(lead)))
-    n, collapsed = rollout(theta, lead, 25.0, gap0, 0.1, *out)
-    return int(n), bool(collapsed), out[:, :int(n)]
+    rows = np.array(rollout(theta, lead, 25.0, gap0, 0.1))
+    return rows.shape[1], rows.shape[1] < len(lead), rows
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_float_rollout_bit_identical_to_numpy_scalar_rollout():
-    lead = np.repeat([22.0, 9.0, 27.0, 0.0], 50)
+    # The reference takes one follower step call per step on numpy scalars,
+    # which carry inf and nan on where Python floats raise.
     thetas = [p.to_array() for p in PARAM_GRID] + list(_prior_batch()[0])
     collapsed = completed = 0
     for theta in thetas + list(EXTREME_THETAS):
         for gap0 in (0.25, 8.0, 300.0, math.inf):
-            n, c, rows = _rollout(_kernels._rollout_floats, theta, lead, gap0)
-            want_n, want_c, want_rows = _rollout(_kernels._rollout_loop, theta, lead, gap0)
-            assert (n, c) == (want_n, want_c)
-            _assert_bits_equal(rows, want_rows)
-            collapsed += c
-            completed += not c
+            want_n, want_c, want_rows = rollout_reference(theta, LEAD, 25.0, gap0, 0.1)
+            for rollout, lead in ((_kernels._rollout_floats, LEAD.tolist()),
+                                  (_kernels._rollout_loop, LEAD)):
+                n, c, rows = _rollout(rollout, theta, lead, gap0)
+                assert (n, c) == (want_n, want_c)
+                _assert_bits_equal(rows, want_rows)
+            collapsed += want_c
+            completed += not want_c
     # The cases reach a collapsing gap and complete horizons.
     assert collapsed and completed
     for theta in EXTREME_THETAS:
         # Python floats raise here, so these cases ran the array rerun...
         with pytest.raises(ArithmeticError):
-            _rollout(_kernels._rollout_loop, theta.tolist(), lead.tolist(), 40.0)
+            _rollout(_kernels._rollout_loop, theta.tolist(), LEAD.tolist(), 40.0)
         # ...which carries numpy's non-finite values on, as before.
-        assert not np.isfinite(_rollout(_kernels._rollout_loop, theta, lead, 40.0)[2]).all()
+        assert not np.isfinite(_rollout(_kernels._rollout_loop, theta, LEAD, 40.0)[2]).all()
 
 
 def _avx512_dispatch_targets():
@@ -185,10 +201,10 @@ _BATCH_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from test_kernels import _avx512_dispatch_targets, _batch_results, _prior_batch
-accel, rmse, steps = _batch_results(*_prior_batch())
+accel, rmse, steps, rollouts = _batch_results(*_prior_batch())
 print(json.dumps({"still_enabled": _avx512_dispatch_targets(),
                   "accel": accel.tobytes().hex(), "rmse": rmse.tobytes().hex(),
-                  "steps": steps.tobytes().hex()}))
+                  "steps": steps.tobytes().hex(), "rollouts": rollouts.tobytes().hex()}))
 """
 
 
@@ -204,7 +220,8 @@ def test_batch_results_identical_with_avx512_dispatch_disabled():
         env=env, capture_output=True, text=True, check=True)
     other = json.loads(out.stdout)
     assert other["still_enabled"] == []
-    accel, rmse, steps = _batch_results(*_prior_batch())
+    accel, rmse, steps, rollouts = _batch_results(*_prior_batch())
     assert bytes.fromhex(other["accel"]) == accel.tobytes()
     assert bytes.fromhex(other["rmse"]) == rmse.tobytes()
     assert bytes.fromhex(other["steps"]) == steps.tobytes()
+    assert bytes.fromhex(other["rollouts"]) == rollouts.tobytes()

@@ -278,15 +278,33 @@ class Chain:
 
     def to_csv(self, path) -> None:
         path = Path(path)
-        # Samples go to Python floats one row at a time: converting the
-        # whole block keeps all its float objects alive at once.
-        rows = zip(self.iterations.tolist(), self.samples,
-                   self.log_targets.tolist(), self.accepted.tolist())
+        # A kept row repeats the one before it unless a proposal was
+        # accepted in between, so the ``repr`` text of (theta, log_target)
+        # is built only on a row that differs from the one before it and
+        # reused until the next such row. Rows are compared bit for bit:
+        # ``==`` merges -0.0 with 0.0 and never matches a NaN. Only those
+        # rows become Python floats, one at a time, and lines go out in
+        # chunks of 128, so the block's floats and text are never all
+        # alive at once.
+        theta = np.asarray(self.samples, dtype=np.float64)
+        logp = np.asarray(self.log_targets, dtype=np.float64)
+        bits, logp_bits = theta.view(np.int64), logp.view(np.int64)
+        new = np.ones(len(logp), dtype=bool)
+        new[1:] = (bits[1:] != bits[:-1]).any(axis=1) | (logp_bits[1:] != logp_bits[:-1])
+        states = zip(theta[new], logp[new].tolist())
+        rows = zip(self.iterations.tolist(), new.tolist(), self.accepted.astype(int).tolist())
         with path.open("w", newline="") as fh:
             fh.write("iter," + ",".join(self.param_names) + ",log_target,accepted\n")
-            for it, theta, logp, accepted in rows:
-                fh.write(f"{it},{','.join(map(repr, theta.tolist()))},{logp!r},"
-                         f"{int(accepted)}\n")
+            lines = []
+            for it, first, accepted in rows:
+                if first:
+                    row, logp_row = next(states)
+                    state = f"{','.join(map(repr, row.tolist()))},{logp_row!r}"
+                lines.append(f"{it},{state},{accepted}\n")
+                if len(lines) == 128:
+                    fh.write("".join(lines))
+                    lines.clear()
+            fh.write("".join(lines))
 
 
 def _support_box(targets):

@@ -109,12 +109,14 @@ def _parse_pin(text) -> float | None:
 @dataclass(frozen=True)
 class Option:
     """One verb flag. ``kind`` converts its value (from the command line or
-    ``--config``); ``low`` is its least allowed value."""
+    ``--config``); ``low`` and ``high`` are its least and greatest allowed
+    values."""
 
     flag: str
     kind: object = str
     default: object = None
     low: int | None = None
+    high: int | None = None
     choices: tuple | None = None
     help: str = ""
 
@@ -124,6 +126,9 @@ class Option:
 
 
 SEED = Option("--seed", int, 0, low=0, help="master RNG seed")
+#: Ceiling of ``calibrate --n-bins``: the histogram allocates every bin
+#: edge, so a huge count would exhaust memory instead of failing cleanly.
+MAX_N_BINS = 10_000
 
 #: Per verb: its help line, its input flags (the paths it reads, with their
 #: argparse keywords) and its options, which the manifest records as
@@ -149,7 +154,8 @@ VERBS = {
         Option("--pin-delta", _parse_pin,
                help="freeze the exponent at this value (calibrated by default)"),
         Option("--max-lag", int, 50, low=0),
-        Option("--n-bins", int, 20, low=1),
+        Option("--n-bins", int, 20, low=1, high=MAX_N_BINS,
+               help=f"posterior histogram bins per parameter, at most {MAX_N_BINS}"),
     )),
     "sample-params": ("draw parameter sets from posterior histograms", {}, (
         Option("--histograms", str, "highway",
@@ -191,6 +197,8 @@ def _resolve(args) -> None:
             if opt.low is not None and value < opt.low:
                 what = "an integer >= " if opt is SEED else ">= "
                 raise InputDomainError(f"{opt.dest} must be {what}{opt.low}, got {value}")
+            if opt.high is not None and value > opt.high:
+                raise InputDomainError(f"{opt.dest} must be <= {opt.high}, got {value}")
         setattr(args, opt.dest, value)
 
 
@@ -438,9 +446,9 @@ def _write_acf_table(path: Path, chains: dict, max_lag: int) -> None:
                     col = np.full(lag_max + 1, math.nan)
                     col[0] = 1.0
                     cols.append(col)
-            for lag in range(lag_max + 1):
-                row = ",".join(repr(float(c[lag])) for c in cols)
-                fh.write(f"{stem},{lag},{row}\n")
+            rows = zip(*(c.tolist() for c in cols))
+            fh.write("".join(f"{stem},{lag},{','.join(map(repr, row))}\n"
+                             for lag, row in enumerate(rows)))
 
 
 def cmd_sample_params(args) -> int:

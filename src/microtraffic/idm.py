@@ -168,10 +168,8 @@ class Trajectory:
         path = Path(path)
         with path.open("w", newline="") as fh:
             fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-            for i in range(len(self)):
-                row = (self.t[i], self.v_ego[i], self.v_leader[i],
-                       self.gap[i], self.a_obs[i])
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+            rows = zip(*(getattr(self, name).tolist() for name in TRAJECTORY_COLUMNS))
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":

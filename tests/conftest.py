@@ -169,6 +169,29 @@ def rollout_reference(theta, lead_v, v0, gap0, dt):
     return n, False, out
 
 
+def chain_csv_reference(chain, path):
+    """The row-by-row chain writer: every row turns its floats into text
+    with ``repr`` and is written on its own. ``Chain.to_csv`` must write
+    the same bytes."""
+    rows = zip(chain.iterations.tolist(), chain.samples,
+               chain.log_targets.tolist(), chain.accepted.tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("iter," + ",".join(chain.param_names) + ",log_target,accepted\n")
+        for it, theta, logp, accepted in rows:
+            fh.write(f"{it},{','.join(map(repr, theta.tolist()))},{logp!r},"
+                     f"{int(accepted)}\n")
+
+
+def enabled_dispatch_targets():
+    """numpy's SIMD dispatch targets that this CPU enables, e.g. X86_V3."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    enabled = umath.__cpu_features__
+    return [t for t in getattr(umath, "__cpu_dispatch__", ()) if enabled.get(t)]
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import THETA_STAR
+from conftest import THETA_STAR, chain_csv_reference
 from microtraffic import (DegenerateSeriesError, FollowingState,
                           GaussianTarget, GenerationError, InputDomainError,
                           ParamSet, ProposalConfig, TargetDensity, Trajectory,
@@ -503,6 +503,85 @@ def test_chain_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert first[0] == str(chain.iterations[0])
     assert first[3] in ("0", "1")
+
+
+def assert_chain_csv_matches_reference(chain, tmp_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    chain.to_csv(got)
+    chain_csv_reference(chain, want)
+    assert got.read_bytes() == want.read_bytes()
+    # Every float reads back to the bits it was written from.
+    rows = [line.split(",") for line in got.read_text().splitlines()[1:]]
+    values = np.array([[float(x) for x in row[1:-1]] for row in rows])
+    assert values[:, :-1].tobytes() == np.ascontiguousarray(chain.samples).tobytes()
+    assert values[:, -1].tobytes() == chain.log_targets.tobytes()
+
+
+def _hand_chain(samples, log_targets):
+    n = len(log_targets)
+    return Chain(samples=samples, log_targets=np.array(log_targets, dtype=np.float64),
+                 iterations=np.arange(5, 5 + 3 * n, 3, dtype=np.int64),
+                 accepted=np.arange(n) % 3 == 0, accept_count=0,
+                 config=ProposalConfig(np.ones(samples.shape[1]), 5 + 3 * n),
+                 param_names=tuple(f"p{k}" for k in range(samples.shape[1])))
+
+
+def test_chain_csv_long_runs_and_consecutive_acceptances_match_reference(tmp_path):
+    rng = np.random.default_rng(4)
+    lengths = [1, 1, 60, 1, 7, 1, 1, 30]
+    samples = np.repeat(rng.normal(size=(len(lengths), 3)), lengths, axis=0)
+    # Equal samples with a new log target, and the reverse, start new runs.
+    samples[61:63] = samples[60]
+    logp = np.repeat(rng.normal(size=len(lengths)), lengths)
+    logp[70] = logp[69]
+    assert_chain_csv_matches_reference(_hand_chain(samples, logp), tmp_path)
+    # A flat target accepts every proposal: no row repeats the one before.
+    flat = run_chain(FlatTarget(), ProposalConfig(np.array([0.5]), 50, seed=2),
+                     np.array([0.0]))
+    assert flat.accepted.all()
+    assert_chain_csv_matches_reference(flat, tmp_path)
+
+
+def test_chain_csv_signed_zeros_and_nans_match_reference(tmp_path):
+    samples = np.ones((9, 2))
+    samples[[2, 3, 6], 1] = -0.0
+    samples[[4, 5], 1] = 0.0
+    samples[7:, 0] = math.nan
+    logp = [0.0, -0.0, -0.0, 0.0, math.nan, math.nan, -1.5, math.nan, math.nan]
+    chain = _hand_chain(samples, logp)
+    assert_chain_csv_matches_reference(chain, tmp_path)
+    fields = [line.split(",") for line in (tmp_path / "got.csv").read_text().splitlines()[1:]]
+    assert [f[3] for f in fields[:4]] == ["0.0", "-0.0", "-0.0", "0.0"]
+    assert [f[2] for f in fields[:6]] == ["1.0", "1.0", "-0.0", "-0.0", "0.0", "0.0"]
+
+
+def test_chain_csv_non_contiguous_samples_match_reference(tmp_path):
+    rng = np.random.default_rng(8)
+    lengths = rng.integers(1, 9, 12)
+    block = np.repeat(rng.normal(size=(12, 8)), lengths, axis=0)
+    logp = np.repeat(rng.normal(size=12), lengths)
+    for samples in (block[:, ::2], np.asfortranarray(block[:, :4])):
+        assert not samples.flags.c_contiguous
+        assert_chain_csv_matches_reference(_hand_chain(samples, logp), tmp_path)
+
+
+def test_run_chains_csv_matches_reference(tmp_path):
+    # Burn-in 0 with thinning, a pinned exponent, a single kept row, and a
+    # tight box where most proposals are rejected and rows repeat.
+    theta = THETA_STAR.to_array()
+    targets = (synthetic_targets([40, 40, 40])
+               + synthetic_targets([40], prior_lo=0.9 * theta, prior_hi=1.1 * theta))
+    sigma = default_proposal_sigma()
+    cfgs = [ProposalConfig(sigma, 301, seed=1, burn_in=0, thin=7),
+            ProposalConfig(sigma, 301, seed=2, pin_delta=4.0),
+            ProposalConfig(sigma, 301, seed=3, burn_in=300),
+            ProposalConfig(sigma, 301, seed=4, burn_in=0, thin=3, pin_delta=4.0)]
+    chains = run_chains(targets, cfgs, theta)
+    assert len(chains[2]) == 1
+    assert np.all(chains[1].samples[:, 5] == 4.0)
+    assert (chains[3].samples[1:] == chains[3].samples[:-1]).all(axis=1).any()
+    for chain in chains:
+        assert_chain_csv_matches_reference(chain, tmp_path)
 
 
 def test_autocorrelation_lag_zero_and_alternating():

@@ -237,6 +237,8 @@ def test_calibrate_malformed_csv_names_row(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (("--max-lag", -1), "max_lag must be >= 0, got -1"),
     (("--n-bins", 0), "n_bins must be >= 1, got 0"),
+    (("--n-bins", cli.MAX_N_BINS + 1),
+     f"n_bins must be <= {cli.MAX_N_BINS}, got {cli.MAX_N_BINS + 1}"),
 ])
 def test_calibrate_checks_diagnostic_options_before_any_chain(
         tmp_path, synthetic_dir, capsys, monkeypatch, flags, message):
@@ -250,6 +252,13 @@ def test_calibrate_checks_diagnostic_options_before_any_chain(
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_calibrate_help_states_n_bins_ceiling(capsys):
+    assert cli.MAX_N_BINS <= 10_000
+    with pytest.raises(SystemExit):
+        cli.main(["calibrate", "--help"])
+    assert f"at most {cli.MAX_N_BINS}" in " ".join(capsys.readouterr().out.split())
 
 
 # -- sample-params -----------------------------------------------------------
@@ -762,6 +771,8 @@ def test_external_policy_requires_command():
      "seed must be an integer, got 'abc'"),
     (("simulate", "--scenario", "highway"), "--seed", "-1",
      "seed must be an integer >= 0, got -1"),
+    (("calibrate", "--data", "veh.csv"), "--n-bins", str(cli.MAX_N_BINS + 1),
+     f"n_bins must be <= {cli.MAX_N_BINS}, got {cli.MAX_N_BINS + 1}"),
 ])
 def test_bad_value_reports_alike_from_command_line_and_config(
         tmp_path, capsys, monkeypatch, argv, flag, text, message):

@@ -13,10 +13,15 @@ and ``_calib_digests`` with the assertions removed.
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import enabled_dispatch_targets
 from microtraffic import DemandSpec, Route, TrafficEnv, VehicleSpec
 from microtraffic.cli import DEFAULT_PARAMS, BuiltinIdmEgoPolicy, main
 from microtraffic.idm import ParamSet
@@ -169,3 +174,41 @@ def test_dense_highway_state_matches_golden():
 
 def test_calibration_outputs_match_golden(tmp_path):
     assert _calib_digests(tmp_path) == GOLDEN_CALIB
+
+
+def _wide_dispatch_targets():
+    """X86_V3, X86_V4 and AVX-512 targets that numpy dispatches to and this
+    CPU enables; with all of them off numpy runs its X86_V2 baseline."""
+    return [t for t in enabled_dispatch_targets()
+            if t in ("X86_V3", "X86_V4") or t.startswith("AVX512")]
+
+
+_GOLDEN_SCRIPT = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_golden import (BUNDLED, _calib_digests, _cli_digests, _dense_digest,
+                         _wide_dispatch_targets)
+tmp = Path(sys.argv[2])
+digests = {"still_enabled": _wide_dispatch_targets(),
+           "cli": {name: list(_cli_digests(name, tmp)) for name in BUNDLED},
+           "dense": _dense_digest(), "calib": _calib_digests(tmp)}
+print(json.dumps(digests))
+"""
+
+
+@pytest.mark.skipif(not _wide_dispatch_targets(),
+                    reason="no X86_V3, X86_V4 or AVX-512 numpy dispatch target enabled")
+def test_golden_digests_hold_with_wide_simd_dispatch_disabled(tmp_path):
+    env = dict(os.environ)
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(_wide_dispatch_targets())
+    out = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_SCRIPT, str(Path(__file__).parent), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True)
+    # The CLI verbs print to stdout too; the digests are the last line.
+    other = json.loads(out.stdout.splitlines()[-1])
+    assert other["still_enabled"] == []
+    assert other["cli"] == {name: list(GOLDEN_CLI[name]) for name in BUNDLED}
+    assert other["dense"] == GOLDEN_DENSE
+    assert other["calib"] == GOLDEN_CALIB

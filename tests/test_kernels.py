@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import THETA_STAR, follower_step, idm_accel_formula, rollout_reference
+from conftest import (THETA_STAR, enabled_dispatch_targets, follower_step,
+                      idm_accel_formula, rollout_reference)
 from microtraffic import ParamSet
 from microtraffic import _kernels
 from microtraffic.calibration import DEFAULT_PRIOR_HI, DEFAULT_PRIOR_LO
@@ -188,13 +189,8 @@ def test_float_rollout_bit_identical_to_numpy_scalar_rollout():
 
 def _avx512_dispatch_targets():
     """AVX-512 targets that numpy dispatches to and this CPU enables."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as umath
-    enabled = umath.__cpu_features__
-    return [t for t in getattr(umath, "__cpu_dispatch__", ())
-            if (t.startswith("AVX512") or t == "X86_V4") and enabled.get(t)]
+    return [t for t in enabled_dispatch_targets()
+            if t.startswith("AVX512") or t == "X86_V4"]
 
 
 _BATCH_SCRIPT = """

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .errors import DegenerateSeriesError, GenerationError, InputDomainError
+from .errors import DegenerateSeriesError, GenerationError, InputDomainError, checked
 from .histogram import Histogram
 from .idm import (PARAM_NAMES, FollowingState, ParamSet, Trajectory,
                   desired_gap, rollout_follower, rollout_rmse, rollout_start)
@@ -69,25 +69,17 @@ class ProposalConfig:
         if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0.0):
             raise InputDomainError("sigma_prop entries must be finite and > 0")
         object.__setattr__(self, "sigma_prop", sigma)
-        n_iter = int(self.n_iter)
-        if n_iter < 1:
-            raise InputDomainError(f"n_iter must be >= 1, got {n_iter}")
+        n_iter = checked(int, self.n_iter, "n_iter", low=1)
         object.__setattr__(self, "n_iter", n_iter)
-        burn_in = self.burn_in
-        burn_in = n_iter // 5 if burn_in is None else int(burn_in)
+        burn_in = n_iter // 5 if self.burn_in is None else checked(int, self.burn_in, "burn_in")
         if not 0 <= burn_in < n_iter:
             raise InputDomainError(
                 f"burn_in must satisfy 0 <= burn_in < n_iter, got {burn_in}"
             )
         object.__setattr__(self, "burn_in", burn_in)
-        thin = int(self.thin)
-        if thin < 1:
-            raise InputDomainError(f"thin must be >= 1, got {thin}")
-        object.__setattr__(self, "thin", thin)
+        object.__setattr__(self, "thin", checked(int, self.thin, "thin", low=1))
         if self.pin_delta is not None:
-            pin = float(self.pin_delta)
-            if not math.isfinite(pin) or pin <= 0.0:
-                raise InputDomainError(f"pin_delta must be finite and > 0, got {pin!r}")
+            pin = checked(float, self.pin_delta, "pin_delta", low=0.0, strict=True)
             if sigma.size != len(PARAM_NAMES):
                 raise InputDomainError("pin_delta requires a 6-dimensional chain")
             object.__setattr__(self, "pin_delta", pin)
@@ -118,9 +110,7 @@ class TargetDensity:
                  prior_lo=None, prior_hi=None, objective: str = "one-step"):
         if len(obs) == 0:
             raise InputDomainError("target density needs a non-empty trajectory")
-        noise_sigma = float(noise_sigma)
-        if not math.isfinite(noise_sigma) or noise_sigma <= 0.0:
-            raise InputDomainError(f"noise_sigma must be finite and > 0, got {noise_sigma!r}")
+        noise_sigma = checked(float, noise_sigma, "noise_sigma", low=0.0, strict=True)
         lo = DEFAULT_PRIOR_LO.copy() if prior_lo is None else np.ascontiguousarray(prior_lo, dtype=np.float64)
         hi = DEFAULT_PRIOR_HI.copy() if prior_hi is None else np.ascontiguousarray(prior_hi, dtype=np.float64)
         if lo.shape != (6,) or hi.shape != (6,):
@@ -172,11 +162,8 @@ class GaussianTarget:
     """1-D Gaussian log-density adapter for sampler self-checks."""
 
     def __init__(self, mu: float, sigma: float):
-        sigma = float(sigma)
-        if not math.isfinite(sigma) or sigma <= 0.0:
-            raise InputDomainError(f"sigma must be finite and > 0, got {sigma!r}")
         self.mu = float(mu)
-        self.sigma = sigma
+        self.sigma = checked(float, sigma, "sigma", low=0.0, strict=True)
         self.dim = 1
 
     def log_density(self, theta) -> float:
@@ -471,9 +458,7 @@ def run_chain(target, cfg: ProposalConfig, theta_init) -> Chain:
 def autocorrelation(series, max_lag: int) -> np.ndarray:
     """Biased sample autocorrelation at lags 0..max_lag (lag 0 is 1.0)."""
     x = np.asarray(series, dtype=np.float64).ravel()
-    max_lag = int(max_lag)
-    if max_lag < 0:
-        raise InputDomainError(f"max_lag must be >= 0, got {max_lag}")
+    max_lag = checked(int, max_lag, "max_lag", low=0)
     if x.size <= max_lag:
         raise InputDomainError(
             f"series length {x.size} must exceed max_lag {max_lag}"
@@ -497,9 +482,7 @@ def posterior_histogram(chain: Chain, param_index: int, n_bins: int) -> Histogra
 def _sample_histogram(x, n_bins) -> Histogram:
     if x.size == 0:
         raise InputDomainError("chain has no samples")
-    n_bins = int(n_bins)
-    if n_bins < 1:
-        raise InputDomainError(f"n_bins must be >= 1, got {n_bins}")
+    n_bins = checked(int, n_bins, "n_bins", low=1)
     lo = float(x.min())
     hi = float(x.max())
     if hi <= lo:
@@ -537,8 +520,7 @@ def synthetic_trajectory(params: ParamSet, rng, n_obs: int = 200,
     """
     if n_obs < 2 or not (math.isfinite(dt) and dt > 0):
         raise InputDomainError(f"need n_obs >= 2 and finite dt > 0, got {n_obs}, {dt!r}")
-    if noise_sigma < 0:
-        raise InputDomainError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    noise_sigma = checked(float, noise_sigma, "noise_sigma", low=0.0)
     n = int(n_obs)
     per_piece = max(int(round(piece_duration / dt)), 1)
     n_pieces = -(-n // per_piece)

@@ -44,12 +44,12 @@ from .calibration import (DEFAULT_NOISE_SIGMA, DEFAULT_PRIOR_HI,
                           run_chains, synthetic_trajectory)
 from .env import Action, TrafficEnv
 from .errors import (ConfigurationError, DegenerateSeriesError, InputDomainError,
-                     MicrotrafficError, PolicyProtocolError)
+                     MicrotrafficError, PolicyProtocolError, checked)
 from .histogram import load_histograms, save_histograms
 from .idm import PARAM_NAMES, FollowingState, ParamSet, Trajectory, idm_acceleration
 from .network import SCENARIO_KINDS, load_network, load_scenario
-from .population import (DEFAULT_MEAN_HEADWAY, build_demand, default_histograms,
-                         sample_param_set, save_demand)
+from .population import (DEFAULT_MEAN_HEADWAY, DEFAULT_VEHICLE_LENGTH, build_demand,
+                         default_histograms, sample_param_set, save_demand)
 
 DEFAULT_PARAMS = "3,5,35,10,2,4"
 POLICY_NAMES = ("zero-action", "builtin-idm-ego", "external-stdio")
@@ -80,16 +80,6 @@ class RunManifest:
                            d["out_dir"], d["version"], d["parameters"])
 
 
-def _convert(kind, name: str, value):
-    """``value`` converted by ``kind``; one that does not convert is a
-    configuration error, wherever it came from."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigurationError(f"{name} must be {what}, got {value!r}") from None
-
-
 def _parse_params(text: str) -> ParamSet:
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != len(PARAM_NAMES):
@@ -97,13 +87,14 @@ def _parse_params(text: str) -> ParamSet:
             f"--params wants {len(PARAM_NAMES)} comma-separated values "
             f"({','.join(PARAM_NAMES)}), got {text!r}"
         )
-    return ParamSet.from_array([_convert(float, "--params value", p) for p in parts])
+    return ParamSet.from_array([checked(float, p, "--params value", ConfigurationError,
+                                        finite=False) for p in parts])
 
 
 def _parse_pin(text) -> float | None:
     if text is None or str(text).lower() == "none":
         return None
-    return _convert(float, "pin_delta", text)
+    return checked(float, text, "pin_delta", ConfigurationError, finite=False)
 
 
 @dataclass(frozen=True)
@@ -184,13 +175,15 @@ VERBS = {
 
 def _resolve(args) -> None:
     """Leave on ``args`` every option of the verb, defaulted, converted and
-    checked, whether it came from the command line or ``--config``."""
+    checked, whether it came from the command line or ``--config``. A
+    number may be ``nan`` or ``inf`` here; the verb decides."""
     for opt in (SEED,) + args.options:
         value = getattr(args, opt.dest)
         if value is None:
             value = opt.default
         if value is not None:
-            value = _convert(opt.kind, opt.dest, value)
+            value = (checked(opt.kind, value, opt.dest, ConfigurationError, finite=False)
+                     if opt.kind in (int, float) else opt.kind(value))
             if opt.choices is not None and value not in opt.choices:
                 raise ConfigurationError(
                     f"{opt.dest} must be one of {', '.join(opt.choices)}, got {value!r}")
@@ -219,10 +212,16 @@ def _out_dir(args) -> Path:
 
 
 def _load_histogram_arg(source):
-    """A scenario kind name picks the bundled defaults; anything else is a path."""
+    """A scenario kind name picks the bundled defaults; anything else is a
+    path. A histogram must cover every parameter, checked before ``--out``
+    exists."""
     if str(source) in SCENARIO_KINDS:
         return default_histograms(str(source))
-    return load_histograms(source)
+    hists = load_histograms(source)
+    for name in PARAM_NAMES:
+        if name not in hists:
+            raise ConfigurationError(f"{source}: missing histogram for parameter {name!r}")
+    return hists
 
 
 # -- policies ---------------------------------------------------------------
@@ -246,12 +245,10 @@ class BuiltinIdmEgoPolicy:
     vehicle length on both sides.
     """
 
-    def __init__(self, params: ParamSet, v0: float, dt: float,
-                 half_lane_width: float, vehicle_length: float = 5.0):
+    def __init__(self, params: ParamSet, v0: float, dt: float, half_lane_width: float):
         self.params = params
         self.dt = float(dt)
         self.half_width = float(half_lane_width)
-        self.length = float(vehicle_length)
         self._v = float(v0)
 
     def act(self, obs) -> Action:
@@ -264,7 +261,7 @@ class BuiltinIdmEgoPolicy:
         if leader is None:
             state = FollowingState(v=max(self._v, 0.0), delta_v=0.0, d_front=math.inf)
         else:
-            gap = max(float(leader[1]) - self.length, 1e-3)
+            gap = max(float(leader[1]) - DEFAULT_VEHICLE_LENGTH, 1e-3)
             state = FollowingState(v=max(self._v, 0.0), delta_v=-float(leader[3]),
                                    d_front=gap)
         a = idm_acceleration(self.params, state)
@@ -281,10 +278,13 @@ class ExternalStdioPolicy:
     ``POLICY_REPLY_TIMEOUT_S`` seconds."""
 
     def __init__(self, command: str):
-        if not command:
+        try:
+            argv = shlex.split(command or "")
+        except ValueError as exc:
+            raise ConfigurationError(f"--policy-cmd {command!r}: {exc}") from None
+        if not argv:
             raise ConfigurationError("external-stdio policy needs --policy-cmd")
-        self._proc = subprocess.Popen(
-            shlex.split(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         self._pending = b""
         self._stalled = False
 
@@ -360,6 +360,7 @@ def cmd_gen_synthetic(args) -> int:
     # synthetic_trajectory checks these too, but only once --out exists.
     if args.n_obs < 2 or not (math.isfinite(args.dt) and args.dt > 0):
         raise InputDomainError(f"need n_obs >= 2 and finite dt > 0, got {args.n_obs}, {args.dt!r}")
+    checked(float, args.noise_sigma, "noise_sigma", low=0.0)
     out = _out_dir(args)
     children = np.random.SeedSequence(args.seed).spawn(args.n_vehicles)
     for i, child in enumerate(children):
@@ -583,7 +584,7 @@ def main(argv=None) -> int:
         # Looked up by name at call time, so a replaced module attribute
         # (a tracer's wrapper, a test double) is the function that runs.
         return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (MicrotrafficError, FileNotFoundError) as exc:
+    except (MicrotrafficError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

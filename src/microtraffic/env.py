@@ -43,9 +43,9 @@ import numpy as np
 from . import _kernels
 from .errors import EnvUsageError, InputDomainError
 from .network import Scenario, is_off_road
+from .population import DEFAULT_VEHICLE_LENGTH
 
 DEFAULT_VEHICLE_WIDTH = 2.0
-DEFAULT_EGO_LENGTH = 5.0
 OBS_FEATURES = 5
 _SPAWN_CLEARANCE = 2.0
 _GAP_EPS = 1e-6
@@ -101,13 +101,11 @@ class TrafficEnv:
     :meth:`render_frame`.
     """
 
-    def __init__(self, scenario: Scenario, reward_fn=None, trace_path=None,
-                 ego_length: float = DEFAULT_EGO_LENGTH,
-                 vehicle_width: float = DEFAULT_VEHICLE_WIDTH):
+    def __init__(self, scenario: Scenario, reward_fn=None, trace_path=None):
         self.scenario = scenario
         self.net = scenario.network
-        self.ego_length = float(ego_length)
-        self.vehicle_width = float(vehicle_width)
+        self.ego_length = DEFAULT_VEHICLE_LENGTH
+        self.vehicle_width = DEFAULT_VEHICLE_WIDTH
         self.reward_fn = reward_fn
         self._trace_path = Path(trace_path) if trace_path is not None else None
         self._trace_fh = None
@@ -518,7 +516,6 @@ class TrafficEnv:
         """Ego overlap test: bumper gap <= 0 with lateral centres closer
         than the mean vehicle width."""
         mem_lane, mem_s, mem_d = self._mem
-        ex, ey, _ = self._pose
         lat_limit = self.vehicle_width  # (w_ego + w_bv) / 2 with equal widths
         reach = (self.ego_length + self._max_length) / 2.0 + _WINDOW_SLACK
         for lane_id, lo, hi in self._occupied:

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one scalar check.
+
+Every scalar from outside (a constructor argument, a JSON field, a flag)
+passes through :func:`checked`, which raises the caller's own error class
+naming the field, so a malformed file or flag ends in one ``error:`` line
+from the command line instead of a traceback.
+"""
+
+import math
 
 
 class MicrotrafficError(Exception):
@@ -39,3 +47,30 @@ class EnvUsageError(MicrotrafficError, RuntimeError):
 
 class PolicyProtocolError(MicrotrafficError, RuntimeError):
     """An external policy process broke the line protocol."""
+
+
+def checked(kind, value, name: str, error=InputDomainError, low=None,
+            strict: bool = False, finite: bool = True):
+    """``value`` converted by ``kind``, else ``error`` naming ``name``.
+
+    ``kind`` is ``float`` or ``int``. ``int`` accepts a float only when it
+    is whole, so ``1.5`` is not silently cut to ``1``. A float must be
+    finite unless ``finite`` is false. With ``low`` given the value must
+    be ``>= low``, or ``> low`` when ``strict``. The message is built
+    only on failure.
+    """
+    try:
+        x = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None or (kind is int and isinstance(value, float) and x != value):
+        what = "an integer" if kind is int else "a number"
+        raise error(f"{name} must be {what}, got {value!r}")
+    finite = finite and kind is float
+    if ((finite and not math.isfinite(x))
+            or (low is not None and not (x > low if strict else x >= low))):
+        need = ["finite"] if finite else []
+        if low is not None:
+            need.append(f"{'>' if strict else '>='} {low:g}")
+        raise error(f"{name} must be {' and '.join(need)}, got {x!r}")
+    return x

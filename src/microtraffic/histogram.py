@@ -28,9 +28,11 @@ class Histogram:
     mass: np.ndarray
 
     def __post_init__(self):
-        lo = np.ascontiguousarray(self.lo, dtype=np.float64)
-        hi = np.ascontiguousarray(self.hi, dtype=np.float64)
-        mass = np.ascontiguousarray(self.mass, dtype=np.float64)
+        try:
+            lo, hi, mass = (np.ascontiguousarray(a, dtype=np.float64)
+                            for a in (self.lo, self.hi, self.mass))
+        except (TypeError, ValueError):
+            raise InputDomainError("bin edges and masses must be numbers") from None
         if not (lo.ndim == hi.ndim == mass.ndim == 1):
             raise InputDomainError("histogram arrays must be 1-D")
         if not (lo.size == hi.size == mass.size) or lo.size == 0:
@@ -57,7 +59,7 @@ class Histogram:
         bins = list(bins)
         if not bins:
             raise InputDomainError("histogram needs at least one bin")
-        lo, hi, mass = (np.array(col, dtype=np.float64) for col in zip(*bins))
+        lo, hi, mass = zip(*bins)
         return cls(lo, hi, mass)
 
     @property

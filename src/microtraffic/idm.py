@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .errors import InputDomainError, SchemaError, SingularGapError
+from .errors import InputDomainError, SchemaError, SingularGapError, checked
 
 #: Canonical parameter order used by arrays, CSV columns and JSON payloads.
 PARAM_NAMES = ("a_max", "a_comf", "v_des", "d_min", "T", "delta")
@@ -44,15 +44,7 @@ class ParamSet:
 
     def __post_init__(self):
         for name in PARAM_NAMES:
-            value = getattr(self, name)
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise InputDomainError(f"parameter {name!r} is not a number: {value!r}")
-            if not math.isfinite(value) or value <= 0.0:
-                raise InputDomainError(
-                    f"parameter {name!r} must be finite and > 0, got {value!r}"
-                )
+            value = checked(float, getattr(self, name), name, low=0.0, strict=True)
             object.__setattr__(self, name, value)
 
     def to_array(self) -> np.ndarray:
@@ -90,13 +82,9 @@ class FollowingState:
     d_front: float
 
     def __post_init__(self):
-        v = float(self.v)
-        delta_v = float(self.delta_v)
-        d_front = float(self.d_front)
-        if not math.isfinite(v) or v < 0.0:
-            raise InputDomainError(f"speed must be finite and >= 0, got {v!r}")
-        if not math.isfinite(delta_v):
-            raise InputDomainError(f"delta_v must be finite, got {delta_v!r}")
+        v = checked(float, self.v, "speed", low=0.0)
+        delta_v = checked(float, self.delta_v, "delta_v")
+        d_front = checked(float, self.d_front, "gap", finite=False)
         if math.isnan(d_front) or d_front <= 0.0:
             raise SingularGapError(
                 f"gap must be > 0 (+inf for no leader), got {d_front!r}"
@@ -129,10 +117,7 @@ class Trajectory:
     gap_collapsed: bool = False
 
     def __post_init__(self):
-        dt = float(self.dt)
-        if not math.isfinite(dt) or dt <= 0.0:
-            raise InputDomainError(f"dt must be finite and > 0, got {dt!r}")
-        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "dt", checked(float, self.dt, "dt", low=0.0, strict=True))
         arrays = {}
         n = None
         for name in TRAJECTORY_COLUMNS:
@@ -233,12 +218,8 @@ def desired_gap(p: ParamSet, v: float, delta_v: float) -> float:
     it at zero internally, this helper reports the raw value. Raises when
     the value is not finite, e.g. when ``a_max * a_comf`` underflows to 0.
     """
-    v = float(v)
-    delta_v = float(delta_v)
-    if not math.isfinite(v) or v < 0.0:
-        raise InputDomainError(f"speed must be finite and >= 0, got {v!r}")
-    if not math.isfinite(delta_v):
-        raise InputDomainError(f"delta_v must be finite, got {delta_v!r}")
+    v = checked(float, v, "speed", low=0.0)
+    delta_v = checked(float, delta_v, "delta_v")
     try:
         gap = p.d_min + v * p.T + v * delta_v / (2.0 * math.sqrt(p.a_max * p.a_comf))
     except ZeroDivisionError:
@@ -262,12 +243,8 @@ def rollout_follower(p: ParamSet, leader_speeds, init: FollowingState,
     the profile. Stops early with ``gap_collapsed=True`` when the gap
     would close completely.
     """
-    dt = float(dt)
-    if not math.isfinite(dt) or dt <= 0.0:
-        raise InputDomainError(f"dt must be finite and > 0, got {dt!r}")
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise InputDomainError(f"n_steps must be >= 1, got {n_steps}")
+    dt = checked(float, dt, "dt", low=0.0, strict=True)
+    n_steps = checked(int, n_steps, "n_steps", low=1)
     lead = np.asarray(leader_speeds, dtype=np.float64)
     if lead.ndim == 0:
         lead = np.full(n_steps, float(lead))

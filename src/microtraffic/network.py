@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, InputDomainError, NetworkError, SchemaError
+from .errors import ConfigurationError, InputDomainError, NetworkError, SchemaError, checked
 
 SCENARIO_KINDS = ("highway", "urban")
 _SCENARIO_SUFFIX = ".scenario.json"
@@ -32,7 +32,10 @@ class Lane:
     right: str | None = None
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.centerline, dtype=np.float64)
+        try:
+            pts = np.ascontiguousarray(self.centerline, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise NetworkError(f"lane {self.id!r}: centerline must be numbers") from None
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise NetworkError(f"lane {self.id!r}: centerline must be (k, 2) with k >= 2")
         if not np.all(np.isfinite(pts)):
@@ -41,9 +44,8 @@ class Lane:
         seg_len = np.hypot(seg[:, 0], seg[:, 1])
         if np.any(seg_len <= 0.0):
             raise NetworkError(f"lane {self.id!r}: centerline has a zero-length segment")
-        width = float(self.width)
-        if not math.isfinite(width) or width <= 0.0:
-            raise NetworkError(f"lane {self.id!r}: width must be finite and > 0")
+        width = checked(float, self.width, f"lane {self.id!r}: width", NetworkError,
+                        low=0.0, strict=True)
         cum = np.concatenate(([0.0], np.cumsum(seg_len)))
         object.__setattr__(self, "centerline", pts)
         object.__setattr__(self, "width", width)
@@ -198,21 +200,20 @@ def load_network(path) -> RoadNetwork:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(payload, dict) or "lanes" not in payload:
         raise SchemaError(f"{path}: expected an object with a 'lanes' list")
-    lanes = []
-    for entry in payload["lanes"]:
-        try:
-            lanes.append(Lane(
-                id=entry["id"],
-                centerline=entry["centerline"],
-                width=entry["width"],
-                successors=tuple(entry.get("successors", ())),
-                left=entry.get("left"),
-                right=entry.get("right"),
-            ))
-        except KeyError as exc:
-            raise SchemaError(f"{path}: lane entry missing key {exc}") from None
     try:
+        lanes = [Lane(
+            id=entry["id"],
+            centerline=entry["centerline"],
+            width=entry["width"],
+            successors=tuple(entry.get("successors", ())),
+            left=entry.get("left"),
+            right=entry.get("right"),
+        ) for entry in payload["lanes"]]
         return RoadNetwork(lanes, payload.get("sources", ()), payload.get("sinks", ()))
+    except KeyError as exc:
+        raise SchemaError(f"{path}: lane entry missing key {exc}") from None
+    except TypeError as exc:
+        raise SchemaError(f"{path}: malformed network entry ({exc})") from None
     except NetworkError as exc:
         raise NetworkError(f"{path}: {exc}") from None
 
@@ -224,20 +225,19 @@ def road_to_global(net: RoadNetwork, rc: RoadCoord):
     return net.lanes[rc.lane_id].pose_at(rc.s, rc.d)
 
 
-def global_to_road(net: RoadNetwork, x: float, y: float,
-                   tol: float = 0.0) -> RoadCoord | None:
+def global_to_road(net: RoadNetwork, x: float, y: float) -> RoadCoord | None:
     """Road-aligned coordinate on the nearest qualifying lane, else None.
 
     A lane qualifies when the distance to its centerline is at most
-    width/2 + tol; among qualifying lanes the smallest distance wins, with
-    ties broken by lane id order.
+    width/2; among qualifying lanes the smallest distance wins, with ties
+    broken by lane id order.
     """
     best = None
     best_dist = math.inf
     for lane_id in net._sorted_ids:
         lane = net.lanes[lane_id]
         s, d, dist = lane.project(x, y)
-        if dist <= lane.width / 2.0 + tol and dist < best_dist:
+        if dist <= lane.width / 2.0 and dist < best_dist:
             best = RoadCoord(lane_id, s, d)
             best_dist = dist
     return best
@@ -245,7 +245,7 @@ def global_to_road(net: RoadNetwork, x: float, y: float,
 
 def is_off_road(net: RoadNetwork, x: float, y: float) -> bool:
     """True when (x, y) is not within any lane's width (closed boundary)."""
-    return global_to_road(net, x, y, tol=0.0) is None
+    return global_to_road(net, x, y) is None
 
 
 @dataclass(frozen=True)
@@ -266,27 +266,21 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise SchemaError(f"scenario kind must be one of {SCENARIO_KINDS}, got {self.kind!r}")
-        dt = float(self.dt)
-        if not math.isfinite(dt) or dt <= 0.0:
-            raise SchemaError(f"scenario dt must be finite and > 0, got {dt!r}")
-        object.__setattr__(self, "dt", dt)
-        max_steps = int(self.max_steps)
-        if max_steps < 1:
-            raise SchemaError(f"scenario max_steps must be >= 1, got {max_steps}")
-        object.__setattr__(self, "max_steps", max_steps)
+        for name, kind, low, strict in (("dt", float, 0.0, True),
+                                        ("max_steps", int, 1, False),
+                                        ("seed", int, 0, False),
+                                        ("ego_speed", float, 0.0, False),
+                                        ("ego_start_s", float, 0.0, False)):
+            value = checked(kind, getattr(self, name), f"scenario {name}", SchemaError,
+                            low=low, strict=strict)
+            object.__setattr__(self, name, value)
         if self.ego_lane not in self.network.lanes:
             raise SchemaError(f"ego lane {self.ego_lane!r} does not exist")
         lane = self.network.lanes[self.ego_lane]
-        start_s = float(self.ego_start_s)
-        if not 0.0 <= start_s <= lane.length:
+        if self.ego_start_s > lane.length:
             raise SchemaError(
-                f"ego_start_s={start_s!r} outside [0, {lane.length}] on {self.ego_lane!r}"
+                f"ego_start_s={self.ego_start_s!r} outside [0, {lane.length}] on {self.ego_lane!r}"
             )
-        object.__setattr__(self, "ego_start_s", start_s)
-        speed = float(self.ego_speed)
-        if not math.isfinite(speed) or speed < 0.0:
-            raise SchemaError(f"ego_speed must be finite and >= 0, got {speed!r}")
-        object.__setattr__(self, "ego_speed", speed)
         self.demand.validate_against(self.network)
 
 
@@ -303,29 +297,34 @@ def _load_scenario_file(path: Path) -> Scenario:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: expected a scenario object")
     for key in ("kind", "network_file", "dt", "max_steps", "seed"):
         if key not in payload:
             raise SchemaError(f"{path}: missing key {key!r}")
     base = path.parent
-    network = load_network(base / payload["network_file"])
-    demand_file = payload.get("demand_file")
-    demand = load_demand(base / demand_file) if demand_file else DemandSpec((), ())
-    ego_lane = payload.get("ego_lane")
-    if ego_lane is None:
-        candidates = sorted(network.sources) or sorted(network.lanes)
-        ego_lane = candidates[0]
-    return Scenario(
-        kind=payload["kind"],
-        network=network,
-        demand=demand,
-        dt=payload["dt"],
-        max_steps=payload["max_steps"],
-        seed=int(payload["seed"]),
-        ego_lane=ego_lane,
-        ego_speed=payload.get("ego_speed", 0.0),
-        ego_start_s=payload.get("ego_start_s", 0.0),
-        source_path=str(path),
-    )
+    try:
+        network = load_network(base / payload["network_file"])
+        demand_file = payload.get("demand_file")
+        demand = load_demand(base / demand_file) if demand_file else DemandSpec((), ())
+        ego_lane = payload.get("ego_lane")
+        if ego_lane is None:
+            candidates = sorted(network.sources) or sorted(network.lanes)
+            ego_lane = candidates[0]
+        return Scenario(
+            kind=payload["kind"],
+            network=network,
+            demand=demand,
+            dt=payload["dt"],
+            max_steps=payload["max_steps"],
+            seed=payload["seed"],
+            ego_lane=ego_lane,
+            ego_speed=payload.get("ego_speed", 0.0),
+            ego_start_s=payload.get("ego_start_s", 0.0),
+            source_path=str(path),
+        )
+    except TypeError as exc:
+        raise SchemaError(f"{path}: malformed scenario ({exc})") from None
 
 
 def list_scenarios(kind: str | None = None, library=None):

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, GenerationError, InputDomainError, SchemaError
-from .histogram import Histogram
+from .errors import ConfigurationError, GenerationError, InputDomainError, SchemaError, checked
+from .histogram import Histogram, load_histograms
 from .idm import PARAM_NAMES, ParamSet
-from .network import RoadNetwork
+from .network import SCENARIO_KINDS, RoadNetwork, _bundled_library
 
 DEFAULT_VEHICLE_LENGTH = 5.0
 DEFAULT_MEAN_HEADWAY = 4.0
@@ -41,19 +41,14 @@ def sample_from_histogram(h: Histogram, rng: np.random.Generator) -> float:
     return float(v)
 
 
-def sample_param_set(histograms, rng: np.random.Generator,
-                     pin_delta: float | None = None) -> ParamSet:
+def sample_param_set(histograms, rng: np.random.Generator) -> ParamSet:
     """Draw an independent ParamSet from per-parameter histograms.
 
-    Requires a histogram for every parameter name, except ``delta`` when
-    ``pin_delta`` is given. Coordinates are drawn independently, in the
-    canonical parameter order.
+    Requires a histogram for every parameter name. Coordinates are drawn
+    independently, in the canonical parameter order.
     """
     values = {}
     for name in PARAM_NAMES:
-        if name == "delta" and pin_delta is not None:
-            values[name] = float(pin_delta)
-            continue
         h = histograms.get(name)
         if h is None:
             raise ConfigurationError(f"missing histogram for parameter {name!r}")
@@ -93,15 +88,15 @@ class VehicleSpec:
     depart_s: float = 0.0
 
     def __post_init__(self):
-        if float(self.depart) < 0.0 or not math.isfinite(float(self.depart)):
-            raise InputDomainError(f"vehicle {self.id!r}: depart must be finite and >= 0")
-        if float(self.length) <= 0.0:
-            raise InputDomainError(f"vehicle {self.id!r}: length must be > 0")
-        if float(self.depart_s) < 0.0:
-            raise InputDomainError(f"vehicle {self.id!r}: depart_s must be >= 0")
-        object.__setattr__(self, "depart", float(self.depart))
-        object.__setattr__(self, "length", float(self.length))
-        object.__setattr__(self, "depart_s", float(self.depart_s))
+        try:
+            depart = checked(float, self.depart, "depart", low=0.0)
+            length = checked(float, self.length, "length", low=0.0, strict=True)
+            depart_s = checked(float, self.depart_s, "depart_s", low=0.0)
+        except InputDomainError as exc:
+            raise InputDomainError(f"vehicle {self.id!r}: {exc}") from None
+        object.__setattr__(self, "depart", depart)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "depart_s", depart_s)
 
 
 @dataclass(frozen=True)
@@ -163,9 +158,7 @@ def generate_random_trips(net: RoadNetwork, n_routes: int,
     Each trip draws a source and sink uniformly and keeps the connecting
     path; a disconnected pair is redrawn up to 100 times before giving up.
     """
-    n_routes = int(n_routes)
-    if n_routes < 0:
-        raise InputDomainError(f"n_routes must be >= 0, got {n_routes}")
+    n_routes = checked(int, n_routes, "n_routes", low=0)
     if n_routes == 0:
         return []
     sources = sorted(net.sources)
@@ -192,20 +185,15 @@ def generate_random_trips(net: RoadNetwork, n_routes: int,
 def build_demand(net: RoadNetwork, histograms, n_vehicles: int,
                  rng: np.random.Generator,
                  mean_headway: float = DEFAULT_MEAN_HEADWAY,
-                 n_routes: int = 4,
-                 vehicle_length: float = DEFAULT_VEHICLE_LENGTH,
-                 pin_delta: float | None = None) -> DemandSpec:
+                 n_routes: int = 4) -> DemandSpec:
     """Generate routes and a vehicle schedule with per-vehicle parameters.
 
     Vehicles are assigned round-robin over the generated routes; departure
     times accumulate exponential headways with the given mean; every
     vehicle gets an independent ParamSet draw.
     """
-    n_vehicles = int(n_vehicles)
-    if n_vehicles < 0:
-        raise InputDomainError(f"n_vehicles must be >= 0, got {n_vehicles}")
-    if float(mean_headway) <= 0.0:
-        raise InputDomainError("mean_headway must be > 0")
+    n_vehicles = checked(int, n_vehicles, "n_vehicles", low=0)
+    mean_headway = checked(float, mean_headway, "mean_headway", low=0.0, strict=True)
     if n_vehicles == 0:
         return DemandSpec((), ())
     trips = generate_random_trips(net, max(1, int(n_routes)), rng)
@@ -214,13 +202,11 @@ def build_demand(net: RoadNetwork, histograms, n_vehicles: int,
     t = 0.0
     for i in range(n_vehicles):
         t += float(rng.exponential(mean_headway))
-        params = sample_param_set(histograms, rng, pin_delta=pin_delta)
         vehicles.append(VehicleSpec(
             id=f"veh_{i:04d}",
             route=routes[i % len(routes)].id,
             depart=t,
-            params=params,
-            length=vehicle_length,
+            params=sample_param_set(histograms, rng),
         ))
     return DemandSpec(routes, tuple(vehicles))
 
@@ -264,12 +250,9 @@ def load_demand(path) -> DemandSpec:
             )
             for v in payload.get("vehicles", ())
         )
+        return DemandSpec(routes, vehicles)
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"{path}: malformed demand entry ({exc})") from None
-    except InputDomainError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
-    try:
-        return DemandSpec(routes, vehicles)
     except InputDomainError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
@@ -281,15 +264,8 @@ def default_histograms(kind: str) -> dict[str, Histogram]:
     literature fits for highway car-following; the urban set is a coarse
     illustrative spread (lower speeds, shorter jam spacing).
     """
-    from importlib import resources
-
-    from .histogram import load_histograms
-    from .network import SCENARIO_KINDS
-
     if kind not in SCENARIO_KINDS:
         raise ConfigurationError(
             f"unknown scenario kind {kind!r}, expected one of {SCENARIO_KINDS}"
         )
-    ref = resources.files("microtraffic") / "scenarios" / f"defaults_{kind}.json"
-    with resources.as_file(ref) as path:
-        return load_histograms(path)
+    return load_histograms(_bundled_library() / f"defaults_{kind}.json")

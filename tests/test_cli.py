@@ -16,7 +16,7 @@ from microtraffic.errors import ConfigurationError, PolicyProtocolError
 from microtraffic.histogram import load_histograms, save_histograms
 from microtraffic.idm import (PARAM_NAMES, FollowingState, idm_acceleration,
                               rmse_objective)
-from microtraffic.network import load_network
+from microtraffic.network import _bundled_library, load_network
 from microtraffic.population import default_histograms, load_demand
 
 from conftest import THETA_STAR, write_scenario_files
@@ -131,6 +131,7 @@ def test_gen_synthetic_bad_input_reports_cleanly(tmp_path, capsys, flags, messag
     (("--dt", 0), "need n_obs >= 2 and finite dt > 0, got 200, 0.0"),
     (("--n-obs", 1), "need n_obs >= 2 and finite dt > 0, got 1, 0.1"),
     (("--noise-sigma", -1), "noise_sigma must be >= 0, got -1.0"),
+    (("--noise-sigma", "nan"), "noise_sigma must be finite and >= 0, got nan"),
 ])
 def test_gen_synthetic_bad_generation_input_makes_no_out_dir(tmp_path, capsys, flags,
                                                              message):
@@ -534,6 +535,7 @@ def test_config_does_not_override_cli_flags(tmp_path):
      "max_steps must be an integer, got 'many'"),
     (("simulate", "--scenario", "highway"), {"seed": "abc"},
      "seed must be an integer, got 'abc'"),
+    (("sample-params",), {"n": 2.5}, "n must be an integer, got 2.5"),
 ])
 def test_unconvertible_config_value_reports_cleanly(tmp_path, capsys, monkeypatch,
                                                     argv, config, message):
@@ -836,3 +838,150 @@ def test_main_runs_the_verb_function_found_on_the_module(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "cmd_simulate", lambda args: calls.append(args) or 0)
     assert run_cli("simulate", "--scenario", "highway", "--out", tmp_path / "run") == 0
     assert [args.policy for args in calls] == ["zero-action"]
+
+
+# -- malformed input files ---------------------------------------------------
+
+
+def _bundled_copy(tmp_path):
+    """Copies of the bundled highway_plain files and default histograms,
+    each loaded as a JSON document keyed by its role."""
+    src = _bundled_library()
+    names = {"scenario": "highway_plain.scenario.json",
+             "network": "highway_plain.network.json",
+             "demand": "highway_plain.demand.json",
+             "histograms": "defaults_highway.json"}
+    return {role: (tmp_path / name, json.loads((src / name).read_text()))
+            for role, name in names.items()}
+
+
+def _set(doc, keys, value):
+    """Replace the field of ``doc`` at the path ``keys``."""
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+@pytest.mark.parametrize("role, keys, value, named", [
+    ("scenario", ("max_steps",), "abc", "max_steps must be an integer, got 'abc'"),
+    ("scenario", ("dt",), None, "dt must be a number, got None"),
+    ("scenario", ("seed",), "x", "seed must be an integer, got 'x'"),
+    ("scenario", ("seed",), math.nan, "seed must be an integer, got nan"),
+    ("scenario", ("max_steps",), math.inf, "max_steps must be an integer, got inf"),
+    ("scenario", ("max_steps",), 500.5, "max_steps must be an integer, got 500.5"),
+    ("scenario", ("ego_speed",), "fast", "ego_speed must be a number, got 'fast'"),
+    ("scenario", ("ego_speed",), [25.0], "ego_speed must be a number, got [25.0]"),
+    ("scenario", ("ego_lane",), ["lane_1"], "highway_plain.scenario.json: malformed"),
+    ("scenario", ("network_file",), 5, "highway_plain.scenario.json: malformed"),
+    ("network", ("lanes", 0, "width"), "wide", "width must be a number, got 'wide'"),
+    ("network", ("lanes", 0, "width"), None, "width must be a number, got None"),
+    ("network", ("lanes", 0, "width"), [3.5], "width must be a number, got [3.5]"),
+    ("network", ("lanes",), 5, "highway_plain.network.json: malformed"),
+    ("network", ("lanes",), math.nan, "highway_plain.network.json: malformed"),
+    ("network", ("lanes", 0), "lane_0", "highway_plain.network.json: malformed"),
+    ("network", ("lanes", 0, "successors"), 5, "highway_plain.network.json: malformed"),
+    ("network", ("lanes", 0, "successors"), math.inf,
+     "highway_plain.network.json: malformed"),
+    ("network", ("lanes", 0, "centerline"), "abc", "centerline must be numbers"),
+    ("network", ("sources",), 5, "highway_plain.network.json: malformed"),
+    ("demand", ("vehicles", 0, "depart"), "soon", "depart must be a number, got 'soon'"),
+    ("demand", ("vehicles", 0, "length"), math.nan, "length must be finite and > 0, got nan"),
+    ("demand", ("vehicles", 0, "length"), math.inf, "length must be finite and > 0, got inf"),
+    ("demand", ("vehicles", 0, "id"), ["veh_0000"], "highway_plain.demand.json: malformed"),
+    ("demand", ("routes", 0, "id"), ["route_0"], "highway_plain.demand.json: malformed"),
+    ("histograms", ("a_max", 0, "lo"), "a", "'a_max': bin edges and masses must be numbers"),
+    ("histograms", ("a_max", 0, "mass"), "x", "'a_max': bin edges and masses must be numbers"),
+])
+def test_malformed_input_file_field_ends_in_one_error_line(tmp_path, capsys, role, keys,
+                                                           value, named):
+    files = _bundled_copy(tmp_path)
+    path, doc = files[role]
+    _set(doc, keys, value)
+    for target, payload in files.values():
+        target.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    if role == "histograms":
+        argv = ("sample-params", "--histograms", path)
+    else:
+        argv = ("simulate", "--scenario", files["scenario"][0])
+    rc = run_cli(*argv, "--out", out)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not out.exists()
+
+
+# -- operating-system errors -------------------------------------------------
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_naming_an_existing_file_reports_cleanly(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("keep me\n")
+    rc = run_cli("gen-synthetic", "--n-vehicles", 1, "--n-obs", 10, "--out", out)
+    assert rc == 2
+    _assert_one_error_line(capsys)
+    assert out.read_text() == "keep me\n"
+
+
+def test_out_under_a_file_reports_cleanly(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / "run"
+    rc = run_cli("gen-synthetic", "--n-vehicles", 1, "--n-obs", 10, "--out", out)
+    assert rc == 2
+    _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample-params", "--n", 0),
+    ("build-demand", "--network", "net.json", "--n-vehicles", 0),
+])
+def test_histogram_file_missing_a_parameter_reports_cleanly(tmp_path, capsys, monkeypatch,
+                                                            argv):
+    monkeypatch.chdir(tmp_path)
+    write_scenario_files(tmp_path)
+    hists = default_histograms("highway")
+    del hists["T"]
+    save_histograms(hists, tmp_path / "h.json")
+    rc = run_cli(*argv, "--histograms", "h.json", "--out", tmp_path / "out")
+    assert rc == 2
+    assert capsys.readouterr().err == "error: h.json: missing histogram for parameter 'T'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_histograms_naming_a_directory_reports_cleanly(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = run_cli("sample-params", "--histograms", tmp_path, "--out", out)
+    assert rc == 2
+    _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_policy_cmd_that_cannot_run_reports_cleanly(tmp_path, capsys):
+    scenario = write_scenario_files(tmp_path, max_steps=5)
+    script = tmp_path / "not_executable"
+    script.write_text("print('0,0')\n")
+    script.chmod(0o644)
+    out = tmp_path / "out"
+    rc = run_cli("simulate", "--scenario", scenario, "--policy", "external-stdio",
+                 "--policy-cmd", script, "--out", out)
+    assert rc == 2
+    _assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_policy_cmd_that_does_not_split_reports_cleanly(tmp_path, capsys):
+    scenario = write_scenario_files(tmp_path, max_steps=5)
+    out = tmp_path / "out"
+    rc = run_cli("simulate", "--scenario", scenario, "--policy", "external-stdio",
+                 "--policy-cmd", 'python3 -c "unbalanced', "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: --policy-cmd 'python3 -c \"unbalanced': No closing quotation\n")
+    assert not out.exists()

@@ -12,6 +12,7 @@ and ``_calib_digests`` with the assertions removed.
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,7 +26,7 @@ from conftest import enabled_dispatch_targets
 from microtraffic import DemandSpec, Route, TrafficEnv, VehicleSpec
 from microtraffic.cli import DEFAULT_PARAMS, BuiltinIdmEgoPolicy, main
 from microtraffic.idm import ParamSet
-from microtraffic.network import list_scenarios, load_scenario
+from microtraffic.network import _bundled_library, list_scenarios, load_scenario
 from microtraffic.population import default_histograms, sample_param_set
 
 BUNDLED = ("highway_plain", "highway_curve", "urban_block", "urban_grid")
@@ -212,3 +213,19 @@ def test_golden_digests_hold_with_wide_simd_dispatch_disabled(tmp_path):
     assert other["cli"] == {name: list(GOLDEN_CLI[name]) for name in BUNDLED}
     assert other["dense"] == GOLDEN_DENSE
     assert other["calib"] == GOLDEN_CALIB
+
+
+def test_gen_scenarios_reproduces_the_bundled_files(tmp_path, monkeypatch):
+    """Every digest above depends on the bundled scenario data, so the tool
+    that writes it must still reproduce it byte for byte."""
+    tool_path = Path(__file__).resolve().parent.parent / "tools" / "gen_scenarios.py"
+    spec = importlib.util.spec_from_file_location("gen_scenarios", tool_path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "OUT", tmp_path)
+    tool.main()
+    bundled = _bundled_library()
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in bundled.glob("*.json"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes(), name

@@ -187,7 +187,6 @@ def test_off_road_boundary_is_closed():
     assert not is_off_road(net, 1500.0, -1.75)
     assert is_off_road(net, 1500.0, math.nextafter(1.75, 2.0))
     assert is_off_road(net, 1500.0, 2.0)
-    assert global_to_road(net, 1500.0, 2.0, tol=0.5) is not None
 
 
 def test_global_to_road_prefers_nearest_then_id_order():
@@ -214,6 +213,13 @@ def test_scenario_validation():
     with pytest.raises(SchemaError):
         Scenario("highway", base.network, base.demand, 0.1, 100, 0, "lane_0",
                  ego_speed=-1.0)
+
+
+@pytest.mark.parametrize("seed", ["x", None, 1.5, 1.5j, -1])
+def test_scenario_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    base = straight_scenario()
+    with pytest.raises(SchemaError, match="scenario seed must be"):
+        Scenario("highway", base.network, base.demand, 0.1, 100, seed, "lane_0")
 
 
 def test_bundled_scenarios_parse_with_expected_networks():

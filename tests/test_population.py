@@ -1,5 +1,6 @@
 """Parameter sampling from marginals and demand generation."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from microtraffic import (ConfigurationError, DemandSpec, GenerationError,
                           load_demand, sample_from_histogram,
                           sample_param_set, save_demand)
 from microtraffic.network import Lane
+from microtraffic.population import DEFAULT_VEHICLE_LENGTH
 
 TABLE_HISTOGRAMS = {
     name: Histogram.from_bins([(value * 0.975, value * 1.025, 1.0)])
@@ -99,12 +101,6 @@ def test_sample_param_set_missing_marginal():
         sample_param_set(partial, np.random.default_rng(0))
 
 
-def test_sample_param_set_pin_delta_skips_marginal():
-    partial = {k: v for k, v in TABLE_HISTOGRAMS.items() if k != "delta"}
-    p = sample_param_set(partial, np.random.default_rng(0), pin_delta=4.0)
-    assert p.delta == 4.0
-
-
 def test_sample_param_set_zero_edge_bin_stays_positive():
     hists = dict(TABLE_HISTOGRAMS)
     hists["a_max"] = Histogram.from_bins([(0.0, 0.5, 1.0)])
@@ -121,6 +117,13 @@ def test_route_and_vehicle_validation():
         VehicleSpec("v", "r", 0.0, THETA_STAR, length=0.0)
     with pytest.raises(InputDomainError):
         VehicleSpec("v", "r", 0.0, THETA_STAR, depart_s=-1.0)
+
+
+@pytest.mark.parametrize("field", ["length", "depart_s"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_vehicle_spec_rejects_non_finite_geometry(field, value):
+    with pytest.raises(InputDomainError, match=f"vehicle 'v': {field} must be finite"):
+        VehicleSpec("v", "r", 0.0, THETA_STAR, **{field: value})
 
 
 def test_demand_spec_reference_checks():
@@ -197,7 +200,7 @@ def test_build_demand_empty():
 def test_build_demand_schedule_and_parameters():
     net = fork_network()
     spec = build_demand(net, TABLE_HISTOGRAMS, 50, np.random.default_rng(6),
-                        mean_headway=4.0, n_routes=4, vehicle_length=4.2)
+                        mean_headway=4.0, n_routes=4)
     assert len(spec.routes) == 4
     assert len(spec.vehicles) == 50
     spec.validate_against(net)
@@ -212,7 +215,7 @@ def test_build_demand_schedule_and_parameters():
     for i, v in enumerate(spec.vehicles):
         assert v.id == f"veh_{i:04d}"
         assert v.route == f"route_{i % 4}"
-        assert v.length == 4.2
+        assert v.length == DEFAULT_VEHICLE_LENGTH
         lo, hi = TABLE_HISTOGRAMS["v_des"].support
         assert lo <= v.params.v_des < hi
 

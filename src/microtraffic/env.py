@@ -29,6 +29,14 @@ first.
 Episodes terminate on ego collision, on the ego leaving the paved network
 (closed boundary: exactly half a lane width away is still on the road),
 or at ``max_steps``. BV-BV contact is logged but does not terminate.
+
+Per-step geometry costs what the lanes near the ego cost, not what the
+network does. The off-road test tries the ego's membership lane first and
+stops at the first lane that holds it. The collision test skips the
+projection onto an occupied lane whose centerline box is farther from the
+ego, on either axis, than the lateral limit plus ``_WINDOW_SLACK``. A
+rendered frame poses each occupied lane's BVs in one batched
+``Lane.poses_at`` call and goes to the trace in one write.
 """
 
 from __future__ import annotations
@@ -196,7 +204,7 @@ class TrafficEnv:
 
         if self.check_collision():
             self._cause = "collision"
-        elif is_off_road(self.net, *self._pose[:2]):
+        elif is_off_road(self.net, *self._pose[:2], first=self._mem[0]):
             self._cause = "off_road"
         elif self._step_idx >= self.scenario.max_steps:
             self._cause = "max_steps"
@@ -516,12 +524,19 @@ class TrafficEnv:
         """Ego overlap test: bumper gap <= 0 with lateral centres closer
         than the mean vehicle width."""
         mem_lane, mem_s, mem_d = self._mem
+        x, y, _ = self._pose
         lat_limit = self.vehicle_width  # (w_ego + w_bv) / 2 with equal widths
+        # The distance to a lane's centerline is at least the per-axis
+        # distance to its box, so beyond this margin |lat| >= lat_limit.
+        margin = lat_limit + _WINDOW_SLACK
         reach = (self.ego_length + self._max_length) / 2.0 + _WINDOW_SLACK
         for lane_id, lo, hi in self._occupied:
             if lane_id == mem_lane:
                 s_ego, lat = mem_s, mem_d
             else:
+                x0, y0, x1, y1 = self.net.lanes[lane_id]._box
+                if x0 - x > margin or x - x1 > margin or y0 - y > margin or y - y1 > margin:
+                    continue
                 s_ego, lat, _ = self._project_ego(lane_id)
             if not abs(lat) < lat_limit:
                 continue
@@ -584,30 +599,29 @@ class TrafficEnv:
 
     # -- output ------------------------------------------------------------
 
-    def _columns(self, order_row, *rows):
-        """One tuple ``(order, *rows)`` of Python values per BV, sorted by
-        ``order_row`` (whose values are distinct)."""
-        return sorted(zip(*self._F[[order_row, *rows]].tolist()))
-
     def render_frame(self):
-        """One row per vehicle (ego first): (step, id, x, y, heading, v).
+        """One row per vehicle (ego first, then BVs by id): (step, id, x,
+        y, heading, v).
 
-        Appends the rows to the trace file when tracing is enabled and
-        returns them either way.
+        Appends the rows to the trace file, in one write, when tracing is
+        enabled and returns them either way.
         """
         if not self._live:
             raise EnvUsageError("render_frame() before reset()")
+        step = self._step_idx
         x, y, heading = self._pose
-        rows = [(self._step_idx, "ego", x, y, heading,
-                 math.hypot(self._ego_vlong, self._ego_vlat))]
-        for rank, code, s, v in self._columns(_RANK, _LANE, _S, _V):
-            bx, by, bh = self.net.lanes[self._lane_ids[int(code)]].pose_at(s, 0.0)
-            rows.append((self._step_idx, self._ids[int(rank)], bx, by, bh, v))
+        rows = [(step, "ego", x, y, heading, math.hypot(self._ego_vlong, self._ego_vlat))]
+        F = self._F
+        # Rows: id rank, x, y, heading, v; one column per BV.
+        cols = np.empty((5, F.shape[1]))
+        cols[0], cols[4] = F[_RANK], F[_V]
+        for lane_id, lo, hi in self._occupied:
+            cols[1:4, lo:hi] = self.net.lanes[lane_id].poses_at(F[_S, lo:hi])
+        for rank, bx, by, bh, v in zip(*cols[:, cols[0].argsort()].tolist()):
+            rows.append((step, self._ids[int(rank)], bx, by, bh, v))
         if self._trace_fh is not None:
-            for step, vid, rx, ry, rh, rv in rows:
-                self._trace_fh.write(
-                    f"{step},{vid},{float(rx)!r},{float(ry)!r},{float(rh)!r},{float(rv)!r}\n"
-                )
+            self._trace_fh.write("".join(f"{step},{vid},{rx!r},{ry!r},{rh!r},{rv!r}\n"
+                                         for step, vid, rx, ry, rh, rv in rows))
             self._trace_fh.flush()
         return rows
 
@@ -631,4 +645,5 @@ class TrafficEnv:
         car-following update (+inf when leaderless).
         """
         return {self._ids[int(r)]: (self._lane_ids[int(c)], s, v, gap)
-                for _, r, c, s, v, gap in self._columns(_SEQ, _RANK, _LANE, _S, _V, _GAP)}
+                for _, r, c, s, v, gap
+                in sorted(zip(*self._F[[_SEQ, _RANK, _LANE, _S, _V, _GAP]].tolist()))}

@@ -5,6 +5,14 @@ optional same-direction left/right neighbours. The road-aligned frame is
 (s, d): arc length along the centerline and signed lateral offset, with d
 positive to the left of the travel direction. Heading at a polyline vertex
 is taken from the outgoing segment.
+
+Each lane keeps per-segment tables built once: unit direction vectors,
+headings (``math.atan2``, never numpy's possibly SIMD-dispatched
+``arctan2``) and the bounding box of its centerline. ``Lane.pose_at`` and
+its batched twin ``Lane.poses_at`` read the tables, so both give the same
+bits. ``is_off_road`` stops at the first lane that holds the point and
+takes a lane to try first, so a caller that knows the nearby lane pays
+for one projection, not one per lane of the network.
 """
 
 from __future__ import annotations
@@ -47,20 +55,25 @@ class Lane:
         width = checked(float, self.width, f"lane {self.id!r}: width", NetworkError,
                         low=0.0, strict=True)
         cum = np.concatenate(([0.0], np.cumsum(seg_len)))
+        unit = seg / seg_len[:, None]
         object.__setattr__(self, "centerline", pts)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "successors", tuple(self.successors))
         object.__setattr__(self, "_seg", seg)
         object.__setattr__(self, "_seg_len", seg_len)
         object.__setattr__(self, "_cum_s", cum)
+        # Segment i holds s in [cum[i], cum[i + 1]); the first and last
+        # segments extend to -inf and +inf.
+        object.__setattr__(self, "_inner_s", cum[1:-1])
+        object.__setattr__(self, "_unit", unit)
+        object.__setattr__(self, "_heading",
+                           np.array([math.atan2(uy, ux) for ux, uy in unit.tolist()]))
+        xs, ys = pts.T.tolist()
+        object.__setattr__(self, "_box", (min(xs), min(ys), max(xs), max(ys)))
 
     @property
     def length(self) -> float:
         return float(self._cum_s[-1])
-
-    def _segment_index(self, s: float) -> int:
-        i = int(np.searchsorted(self._cum_s, s, side="right")) - 1
-        return min(max(i, 0), len(self._seg_len) - 1)
 
     def pose_at(self, s: float, d: float = 0.0, extrapolate: bool = False):
         """Global (x, y, heading) at arc length s, offset d to the left.
@@ -72,12 +85,23 @@ class Lane:
             raise InputDomainError(
                 f"lane {self.id!r}: s={s!r} outside [0, {self.length}]"
             )
-        i = self._segment_index(s)
-        ux, uy = self._seg[i] / self._seg_len[i]
+        i = int(self._inner_s.searchsorted(s, side="right"))
+        ux, uy = self._unit[i]
         local = s - self._cum_s[i]
         x = self.centerline[i, 0] + ux * local - uy * d
         y = self.centerline[i, 1] + uy * local + ux * d
-        return float(x), float(y), float(math.atan2(uy, ux))
+        return float(x), float(y), float(self._heading[i])
+
+    def poses_at(self, s: np.ndarray):
+        """Arrays (x, y, heading) on the centerline at the arc lengths ``s``
+        (within [0, length]): element for element the bits of
+        ``pose_at(s, 0.0)``, the ``- uy * 0.0`` term and its sign of zero
+        included."""
+        i = self._inner_s.searchsorted(s, side="right")
+        ux, uy = self._unit[i].T
+        local = s - self._cum_s[i]
+        x0, y0 = self.centerline[i].T
+        return x0 + ux * local - uy * 0.0, y0 + uy * local + ux * 0.0, self._heading[i]
 
     def project(self, x: float, y: float):
         """(s, d, dist) of the closest centerline point to (x, y).
@@ -243,9 +267,22 @@ def global_to_road(net: RoadNetwork, x: float, y: float) -> RoadCoord | None:
     return best
 
 
-def is_off_road(net: RoadNetwork, x: float, y: float) -> bool:
-    """True when (x, y) is not within any lane's width (closed boundary)."""
-    return global_to_road(net, x, y) is None
+def is_off_road(net: RoadNetwork, x: float, y: float, first: str | None = None) -> bool:
+    """True when (x, y) is not within any lane's width (closed boundary).
+
+    Lanes are tried ``first`` (a lane id), then the others in id order, and
+    the test stops at the first lane within half its width of the point.
+    Each lane qualifies on its own, so the order never changes the answer:
+    it is always ``global_to_road(net, x, y) is None``.
+    """
+    ids = net._sorted_ids
+    if first is not None:
+        ids = [first] + [lane_id for lane_id in ids if lane_id != first]
+    for lane_id in ids:
+        lane = net.lanes[lane_id]
+        if lane.project(x, y)[2] <= lane.width / 2.0:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -311,18 +348,22 @@ def _load_scenario_file(path: Path) -> Scenario:
         if ego_lane is None:
             candidates = sorted(network.sources) or sorted(network.lanes)
             ego_lane = candidates[0]
-        return Scenario(
-            kind=payload["kind"],
-            network=network,
-            demand=demand,
-            dt=payload["dt"],
-            max_steps=payload["max_steps"],
-            seed=payload["seed"],
-            ego_lane=ego_lane,
-            ego_speed=payload.get("ego_speed", 0.0),
-            ego_start_s=payload.get("ego_start_s", 0.0),
-            source_path=str(path),
-        )
+        try:
+            return Scenario(
+                kind=payload["kind"],
+                network=network,
+                demand=demand,
+                dt=payload["dt"],
+                max_steps=payload["max_steps"],
+                seed=payload["seed"],
+                ego_lane=ego_lane,
+                ego_speed=payload.get("ego_speed", 0.0),
+                ego_start_s=payload.get("ego_start_s", 0.0),
+                source_path=str(path),
+            )
+        except SchemaError as exc:
+            # The network and demand errors above already name their files.
+            raise SchemaError(f"{path}: {exc}") from None
     except TypeError as exc:
         raise SchemaError(f"{path}: malformed scenario ({exc})") from None
 
@@ -334,9 +375,10 @@ def list_scenarios(kind: str | None = None, library=None):
     for p in sorted(library.glob(f"*{_SCENARIO_SUFFIX}")):
         if kind is not None:
             try:
-                if json.loads(p.read_text()).get("kind") != kind:
-                    continue
+                payload = json.loads(p.read_text())
             except json.JSONDecodeError:
+                continue
+            if not isinstance(payload, dict) or payload.get("kind") != kind:
                 continue
         out.append(p)
     return out

@@ -912,6 +912,19 @@ def test_malformed_input_file_field_ends_in_one_error_line(tmp_path, capsys, rol
     assert not out.exists()
 
 
+def test_scenario_field_error_names_the_scenario_file(tmp_path, capsys):
+    files = _bundled_copy(tmp_path)
+    path, doc = files["scenario"]
+    doc["max_steps"] = "abc"
+    for target, payload in files.values():
+        target.write_text(json.dumps(payload))
+    rc = run_cli("simulate", "--scenario", path, "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"error: {path}: scenario max_steps must be an integer, "
+                   "got 'abc'\n")
+
+
 # -- operating-system errors -------------------------------------------------
 
 

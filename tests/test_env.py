@@ -532,6 +532,13 @@ def placed_env(case):
 @example({"bvs": [("v00", (0, 0.5, 5.0, 5.0, "none", 1.0)),
                   ("v01", (0, 0.0, 10.0, 5.0, "none", 1.0))], "ego_lane": 0,
           "ego_s": 100.0, "ego_d": 0.0, "ego_v": 5.0, "queries": []})
+# the ego on lane_0 at the collision test's box margin (vehicle width plus
+# the 1 m slack, 3.0 m) of lane_1's centerline box, where a BV sits level
+# with it: exactly at the margin it is projected, one ulp beyond it skipped
+@example({"bvs": [("v00", (1, 10.0, 5.0, 5.0, "none", 1.0))], "ego_lane": 0,
+          "ego_s": 10.0, "ego_d": -0.5, "ego_v": 5.0, "queries": []})
+@example({"bvs": [("v00", (1, 10.0, 5.0, 5.0, "none", 1.0))], "ego_lane": 0,
+          "ego_s": 10.0, "ego_d": -0.49999999999999956, "ego_v": 5.0, "queries": []})
 def test_lane_index_matches_linear_scans(case):
     env = placed_env(case)
     mem_lane, mem_s, _ = env._ego_membership()

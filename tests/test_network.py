@@ -14,7 +14,7 @@ from microtraffic import (ConfigurationError, InputDomainError, NetworkError,
                           RoadCoord, RoadNetwork, Scenario, SchemaError,
                           global_to_road, is_off_road, list_scenarios,
                           load_network, load_scenario, road_to_global)
-from microtraffic.network import Lane
+from microtraffic.network import Lane, _bundled_library
 
 
 def bent_lane():
@@ -187,6 +187,67 @@ def test_off_road_boundary_is_closed():
     assert not is_off_road(net, 1500.0, -1.75)
     assert is_off_road(net, 1500.0, math.nextafter(1.75, 2.0))
     assert is_off_road(net, 1500.0, 2.0)
+    # the same edges whichever lane is tried first, and round a lane end
+    net = straight_network(n_lanes=3)
+    for first in (None, "lane_0", "lane_1", "lane_2"):
+        assert not is_off_road(net, 1500.0, 1.75, first=first)
+        assert is_off_road(net, 1500.0, math.nextafter(1.75, 2.0), first=first)
+        assert not is_off_road(net, 3001.75, -7.0, first=first)
+        assert is_off_road(net, math.nextafter(3001.75, 4000.0), -7.0, first=first)
+
+
+def bundled_network(name):
+    return load_scenario(_bundled_library() / f"{name}.scenario.json").network
+
+
+OFF_ROAD_NETWORKS = (straight_network(n_lanes=3), RoadNetwork([bent_lane()]),
+                     bundled_network("urban_grid"))
+
+
+@st.composite
+def points_near_lanes(draw):
+    """A network and a point near one of its lanes: at either lane end or
+    along it, on an edge or anywhere across it, optionally moved one ulp
+    along x or y."""
+    net = draw(st.sampled_from(OFF_ROAD_NETWORKS))
+    lane = draw(st.sampled_from([net.lanes[lane_id] for lane_id in sorted(net.lanes)]))
+    half = lane.width / 2.0
+    s = draw(st.sampled_from([0.0, lane.length]) | st.floats(-5.0, lane.length + 5.0))
+    d = draw(st.sampled_from([half, -half]) | st.floats(-3.0 * half, 3.0 * half))
+    x, y, _ = lane.pose_at(s, d, extrapolate=True)
+    toward = draw(st.sampled_from([None, -math.inf, math.inf]))
+    if toward is not None:
+        if draw(st.booleans()):
+            x = math.nextafter(x, toward)
+        else:
+            y = math.nextafter(y, toward)
+    return net, x, y
+
+
+@settings(deadline=None, max_examples=150)
+@given(points_near_lanes())
+def test_off_road_early_exit_agrees_with_global_to_road(case):
+    net, x, y = case
+    expected = global_to_road(net, x, y) is None
+    for first in (None, *sorted(net.lanes)):
+        assert is_off_road(net, x, y, first=first) == expected
+
+
+# At s = -0.0 on this lane, x = (-0.0 + 0.6 * -0.0) - (-0.8 * 0.0) is +0.0
+# only through the offset term with d = 0.0.
+SIGNED_ZERO_LANE = Lane("down", [(-0.0, -0.0), (3.0, -4.0)], 3.5)
+
+
+@pytest.mark.parametrize("name", ["highway_curve", "urban_grid", "signed_zero"])
+def test_batched_poses_match_pose_at_bit_for_bit(name):
+    lanes = [SIGNED_ZERO_LANE] if name == "signed_zero" else bundled_network(name).lanes.values()
+    rng = np.random.default_rng(0)
+    for lane in lanes:
+        s = np.concatenate(([-0.0, 0.0, lane.length], lane._cum_s,
+                            rng.uniform(0.0, lane.length, 64)))
+        batched = zip(*(a.tolist() for a in lane.poses_at(s)))
+        for s_k, pose in zip(s.tolist(), batched):
+            assert [v.hex() for v in pose] == [v.hex() for v in lane.pose_at(s_k, 0.0)]
 
 
 def test_global_to_road_prefers_nearest_then_id_order():
@@ -245,6 +306,16 @@ def test_list_scenarios_kind_filter():
     assert len(list_scenarios("highway")) == 2
     assert len(list_scenarios("urban")) == 2
     assert list_scenarios("rural") == []
+
+
+def test_library_file_that_is_not_an_object_is_skipped(tmp_path):
+    (tmp_path / "bad.scenario.json").write_text("[1, 2]")
+    with pytest.raises(ConfigurationError, match="no scenarios of kind 'highway'"):
+        load_scenario("highway", np.random.default_rng(0), library=tmp_path)
+    good = write_scenario_files(tmp_path, max_steps=10)
+    assert list_scenarios("highway", library=tmp_path) == [good]
+    picked = load_scenario("highway", np.random.default_rng(0), library=tmp_path)
+    assert picked.source_path == str(good)
 
 
 def test_load_scenario_by_kind_picks_uniformly(tmp_path):

@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 
 from .calibration import (DEFAULT_NOISE_SIGMA, Chain, GaussianTarget,
                           ProposalConfig, TargetDensity, autocorrelation,
-                          default_proposal_sigma, log_target, mh_step,
-                          pooled_histograms, posterior_histogram, propose,
-                          run_chain, run_chains, synthetic_trajectory,
-                          transition_log_density)
+                          default_proposal_sigma, mh_step, pooled_histograms,
+                          posterior_histogram, run_chain, run_chains,
+                          synthetic_trajectory)
 from .env import Action, StepResult, TrafficEnv
 from .errors import (ConfigurationError, DegenerateSeriesError, EnvUsageError,
                      GenerationError, InputDomainError, MicrotrafficError,

@@ -115,10 +115,18 @@ def _follower_step_np(theta, v, v_lead, gap, dt):
     return a, v_next, gap_next
 
 
+def _rmse_np(err):
+    """Root mean square along the last axis, squaring ``err`` in place; each
+    row of a C-contiguous block gets the pairwise sum it would get alone."""
+    err *= err
+    # np.mean's own pairwise sum and divide, without its Python-level checks.
+    return np.sqrt(np.add.reduce(err, axis=-1) / err.shape[-1])
+
+
 def _rmse_one_step_np(theta, v, dv, gap, a_obs):
+    """One-step prediction RMSE of ``a_obs`` along the last axis; ``theta``
+    as in ``_accel_series_np``, or ``(6, K, 1)`` for ``(K, n)`` samples."""
     pred = np.empty_like(v)
     _accel_series_np(theta, v, dv, gap, pred)
     pred -= a_obs
-    pred *= pred
-    # np.mean's own pairwise sum and divide, without its Python-level checks.
-    return math.sqrt(np.add.reduce(pred) / pred.shape[0])
+    return _rmse_np(pred)

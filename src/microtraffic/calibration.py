@@ -6,9 +6,11 @@ flat box prior on the positive orthant. The proposal kernel is an
 independent Gaussian per coordinate, which is symmetric, so the kernel
 terms cancel exactly in the acceptance ratio.
 
-The sampler itself only needs an object with ``log_density(theta)``, so
-toy targets (see :class:`GaussianTarget`) can stand in for the trajectory
-target when validating the chain machinery.
+``run_chains`` is the one sampler; every chain it runs equals the plain
+loop of :func:`mh_step` calls bit for bit. A target needs only a
+``log_density(theta)`` method, so toy targets (see :class:`GaussianTarget`)
+can stand in for the trajectory target when validating the chain
+machinery.
 """
 
 from __future__ import annotations
@@ -123,6 +125,9 @@ class TargetDensity:
         self.noise_sigma = noise_sigma
         self.prior_lo = lo
         self.prior_hi = hi
+        # The support is this closed box: ``theta > 0 and theta >= lo`` is
+        # ``theta >= max(lo, 5e-324)``, and a nan lies outside it.
+        self._lo = np.maximum(lo, np.nextafter(0.0, 1.0))
         self.objective = objective
         self.dim = 6
         # Trajectory columns are contiguous float64 already.
@@ -134,18 +139,14 @@ class TargetDensity:
 
     def in_support(self, theta) -> bool:
         theta = np.asarray(theta, dtype=np.float64)
-        return bool(
-            np.all(theta > 0.0)
-            and np.all(theta >= self.prior_lo)
-            and np.all(theta <= self.prior_hi)
-        )
+        return bool(np.all((theta >= self._lo) & (theta <= self.prior_hi)))
 
     def rmse(self, theta) -> float:
         """Objective RMSE at ``theta``; ``log_density`` checks the support."""
         theta = np.ascontiguousarray(theta, dtype=np.float64)
         if self.objective == "one-step":
-            return _kernels._rmse_one_step_np(
-                theta, self._v, self._dv, self._gap, self._a_obs)
+            return float(_kernels._rmse_one_step_np(
+                theta, self._v, self._dv, self._gap, self._a_obs))
         return rollout_rmse(theta, *self._rollout)
 
     def log_density(self, theta) -> float:
@@ -171,38 +172,6 @@ class GaussianTarget:
         return -0.5 * z * z
 
 
-def log_target(td, p) -> float:
-    """Log target density at ``p`` (a ParamSet or parameter vector)."""
-    return float(td.log_density(_theta_of(p)))
-
-
-def propose(theta, sigma, rng: np.random.Generator) -> np.ndarray:
-    """Random-walk proposal: theta plus independent Gaussian jitter.
-
-    No positivity or box check happens here; out-of-support proposals are
-    meant to be rejected by the acceptance step. Zero entries in ``sigma``
-    leave the matching coordinate untouched.
-    """
-    theta = _theta_of(theta)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    return theta + sigma * rng.standard_normal(theta.size)
-
-
-def transition_log_density(theta_to, theta_from, sigma) -> float:
-    """Log density of moving ``theta_from`` -> ``theta_to`` under the kernel.
-
-    ``sigma`` is the per-coordinate scale array (or a ProposalConfig, whose
-    raw ``sigma_prop`` is used). Symmetric in its first two arguments.
-    """
-    if isinstance(sigma, ProposalConfig):
-        sigma = sigma.sigma_prop
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma <= 0.0):
-        raise InputDomainError("kernel sigma entries must be > 0")
-    z = (_theta_of(theta_to) - _theta_of(theta_from)) / sigma
-    return float(np.sum(-0.5 * z * z - np.log(sigma * math.sqrt(2.0 * math.pi))))
-
-
 class MHStep(NamedTuple):
     theta: np.ndarray
     log_target: float
@@ -213,17 +182,20 @@ def mh_step(theta_curr, target, sigma, rng: np.random.Generator,
             logp_curr: float | None = None) -> MHStep:
     """One Metropolis-Hastings step from ``theta_curr``.
 
-    ``sigma`` is the effective proposal scale array (or a ProposalConfig).
-    The kernel is symmetric, so the acceptance ratio reduces to the target
-    ratio; a proposal with zero target density is always rejected. Pass
-    ``logp_curr`` to skip re-evaluating the target at the current point.
+    Nothing in the package calls it: it is the plain single-chain step
+    that the tests loop over as the reference ``run_chains`` must match
+    bit for bit, and the benchmark's tracer counts steps by wrapping it.
+
+    ``sigma`` is the effective proposal scale array; a zero entry leaves
+    its coordinate untouched. The kernel is symmetric, so the acceptance
+    ratio reduces to the target ratio; a proposal with zero target density
+    is always rejected. Pass ``logp_curr`` to skip re-evaluating the target
+    at the current point.
     """
-    if isinstance(sigma, ProposalConfig):
-        sigma = sigma.effective_sigma
     theta_curr = _theta_of(theta_curr)
     if logp_curr is None:
         logp_curr = float(target.log_density(theta_curr))
-    theta_prop = propose(theta_curr, sigma, rng)
+    theta_prop = theta_curr + sigma * rng.standard_normal(theta_curr.size)
     logp_prop = float(target.log_density(theta_prop))
     u = rng.random()
     if logp_prop > -math.inf and math.log(u) < logp_prop - logp_curr:
@@ -294,18 +266,11 @@ class Chain:
             fh.write("".join(lines))
 
 
-def _support_box(targets):
-    """Stacked prior boxes: theta is in target k's support iff lo[k] <= theta <= hi[k]."""
-    # ``theta > 0 and theta >= lo`` is ``theta >= max(lo, 5e-324)``.
-    lo = np.maximum(np.stack([t.prior_lo for t in targets]), np.nextafter(0.0, 1.0))
-    return lo, np.stack([t.prior_hi for t in targets])
-
-
 class _OneStepBatch:
     """One-step trajectory targets of one length, scored in one kernel call.
 
     The observations are stacked as C-contiguous ``(K, n)`` rows and theta
-    goes to ``_accel_series_np`` as ``(6, K, 1)`` columns, so each row gets
+    goes to ``_rmse_one_step_np`` as ``(6, K, 1)`` columns, so each row gets
     exactly the operations ``TargetDensity.log_density`` does on its own
     trajectory; the row sums of a C-contiguous block equal the 1-D
     pairwise sums.
@@ -319,21 +284,17 @@ class _OneStepBatch:
         self.dv = np.stack([t._dv for t in targets])
         self.gap = np.stack([t._gap for t in targets])
         self.a_obs = np.stack([t._a_obs for t in targets])
-        self.lo, self.hi = _support_box(targets)
+        self.lo = np.stack([t._lo for t in targets])
+        self.hi = np.stack([t.prior_hi for t in targets])
         self.neg_scale = -np.array([t._scale for t in targets])
-        self.pred = np.empty_like(self.v)
 
     def log_densities(self, theta) -> np.ndarray:
         """``log_density`` of each row of ``theta`` under its own target."""
         ok = ((theta >= self.lo) & (theta <= self.hi)).all(axis=1)
-        pred = self.pred
         # Rows outside the support are scored too and then discarded.
         with np.errstate(all="ignore"):
-            _kernels._accel_series_np(theta.T[:, :, None], self.v, self.dv,
-                                      self.gap, pred)
-            pred -= self.a_obs
-            pred *= pred
-            rmse = np.sqrt(np.add.reduce(pred, axis=1) / pred.shape[1])
+            rmse = _kernels._rmse_one_step_np(theta.T[:, :, None], self.v, self.dv,
+                                              self.gap, self.a_obs)
             logp = self.neg_scale * rmse * rmse
         return np.where(ok & np.isfinite(rmse), logp, -math.inf)
 
@@ -348,10 +309,10 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
     floating-point operations, and its accept test is ``math.log`` on
     Python floats. Lockstep changes only the cost: each iteration proposes
     a K x dim block. One-step ``TargetDensity`` chains of equal length are
-    scored in one batched call (``_OneStepBatch``). The other
-    ``TargetDensity`` chains (the rollout objective, a length no other
-    chain has) have their support tested in one stacked comparison and are
-    scored only inside it. Toy targets are scored by ``log_density``.
+    scored in one batched call (``_OneStepBatch``), a length no other chain
+    has in a batch of one. Rollout-objective chains have their support
+    tested in one stacked comparison and are scored only inside it. Toy
+    targets are scored by ``log_density``.
 
     The configs must share ``n_iter``; seeds, burn-in, thinning and
     ``pin_delta`` may differ. The initial point must have non-zero target
@@ -383,7 +344,7 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
     rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
     sigma = np.array([cfg.effective_sigma for cfg in cfgs])
     groups: dict[int, list] = {}
-    alone = []
+    rollout = []
     others = []
     for c, t in enumerate(targets):
         if not isinstance(t, TargetDensity):
@@ -391,17 +352,12 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
         elif t.objective == "one-step":
             groups.setdefault(len(t.obs), []).append(c)
         else:
-            alone.append(c)
-    batches = []
-    for rows in groups.values():
-        # A batch of one costs more than scoring its target alone.
-        if len(rows) > 1:
-            batches.append(_OneStepBatch(rows, [targets[c] for c in rows]))
-        else:
-            alone += rows
-    if alone:
-        alone_lo, alone_hi = _support_box([targets[c] for c in alone])
-        neg_scale = [-targets[c]._scale for c in alone]
+            rollout.append(c)
+    batches = [_OneStepBatch(rows, [targets[c] for c in rows]) for rows in groups.values()]
+    if rollout:
+        rollout_lo = np.stack([targets[c]._lo for c in rollout])
+        rollout_hi = np.stack([targets[c].prior_hi for c in rollout])
+        neg_scale = [-targets[c]._scale for c in rollout]
     iterations = [np.arange(cfg.burn_in, n_iter, cfg.thin, dtype=np.int64)
                   for cfg in cfgs]
     samples = [np.empty((it.size, dim)) for it in iterations]
@@ -419,10 +375,10 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
         for batch in batches:
             logp_prop[batch.rows] = batch.log_densities(prop[batch.rows])
         lp = logp_prop.tolist()
-        if alone:
-            rows = prop[alone]
-            ok = ((rows >= alone_lo) & (rows <= alone_hi)).all(axis=1).tolist()
-            for c, inside, scale in zip(alone, ok, neg_scale):
+        if rollout:
+            rows = prop[rollout]
+            ok = ((rows >= rollout_lo) & (rows <= rollout_hi)).all(axis=1).tolist()
+            for c, inside, scale in zip(rollout, ok, neg_scale):
                 rmse = targets[c].rmse(prop[c]) if inside else math.nan
                 lp[c] = scale * rmse * rmse if math.isfinite(rmse) else -math.inf
         for c in others:

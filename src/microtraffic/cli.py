@@ -177,6 +177,10 @@ def _resolve(args) -> None:
     """Leave on ``args`` every option of the verb, defaulted, converted and
     checked, whether it came from the command line or ``--config``. A
     number may be ``nan`` or ``inf`` here; the verb decides."""
+    for flag, keywords in VERBS[args.command][1].items():
+        # A path from --config may be any JSON value; argparse requires --data.
+        if "nargs" not in keywords and getattr(args, flag[2:]) is not None:
+            setattr(args, flag[2:], str(getattr(args, flag[2:])))
     for opt in (SEED,) + args.options:
         value = getattr(args, opt.dest)
         if value is None:

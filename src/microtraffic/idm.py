@@ -271,7 +271,7 @@ def rmse_objective(obs: Trajectory, p: ParamSet) -> float:
     if len(obs) == 0:
         raise InputDomainError("cannot evaluate objective on an empty trajectory")
     v, dv, gap = obs.states()
-    return _kernels._rmse_one_step_np(p.to_array(), v, dv, gap, obs.a_obs)
+    return float(_kernels._rmse_one_step_np(p.to_array(), v, dv, gap, obs.a_obs))
 
 
 def rollout_start(obs: Trajectory):
@@ -291,11 +291,9 @@ def rollout_rmse(theta, lead, v0: float, gap0: float, dt: float, a_obs) -> float
     a = _kernels._rollout_floats(theta, lead, v0, gap0, dt)[2]
     if len(a) < len(lead):
         return math.inf
-    err = np.subtract(a, a_obs)
-    err *= err
-    # np.mean's own pairwise sum and divide; a nan (inf - inf) maps to +inf.
-    mean_sq = np.add.reduce(err) / len(a)
-    return math.sqrt(mean_sq) if mean_sq <= math.inf else math.inf
+    rmse = float(_kernels._rmse_np(np.subtract(a, a_obs)))
+    # A nan (inf - inf) maps to +inf.
+    return rmse if rmse <= math.inf else math.inf
 
 
 def rollout_rmse_objective(obs: Trajectory, p: ParamSet) -> float:

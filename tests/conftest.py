@@ -2,10 +2,13 @@
 
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import microtraffic
 from microtraffic import (DemandSpec, Lane, ParamSet, RoadNetwork, Route,
                           Scenario)
 
@@ -180,6 +183,18 @@ def chain_csv_reference(chain, path):
         for it, theta, logp, accepted in rows:
             fh.write(f"{it},{','.join(map(repr, theta.tolist()))},{logp!r},"
                      f"{int(accepted)}\n")
+
+
+def dispatch_disabled_env(targets):
+    """Environment for a child Python with numpy's dispatch ``targets``
+    switched off. The child imports ``microtraffic`` from where this process
+    did, so it need not be installed."""
+    env = dict(os.environ)
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
+    src = str(Path(microtraffic.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def enabled_dispatch_targets():

@@ -9,11 +9,10 @@ from conftest import THETA_STAR, chain_csv_reference
 from microtraffic import (DegenerateSeriesError, FollowingState,
                           GaussianTarget, GenerationError, InputDomainError,
                           ParamSet, ProposalConfig, TargetDensity, Trajectory,
-                          autocorrelation, default_proposal_sigma, log_target,
-                          mh_step, pooled_histograms, posterior_histogram,
-                          propose, rmse_objective, rollout_follower,
-                          run_chain, run_chains, synthetic_trajectory,
-                          transition_log_density)
+                          autocorrelation, default_proposal_sigma, mh_step,
+                          pooled_histograms, posterior_histogram,
+                          rmse_objective, rollout_follower, run_chain,
+                          run_chains, synthetic_trajectory)
 from microtraffic.calibration import (DEFAULT_PRIOR_HI, DEFAULT_PRIOR_LO,
                                       Chain, _OneStepBatch)
 
@@ -91,7 +90,6 @@ def test_effective_sigma_zeroes_pinned_exponent():
 def test_target_density_zero_at_exact_parameters():
     td = TargetDensity(short_trajectory())
     assert td.log_density(THETA_STAR.to_array()) == 0.0
-    assert log_target(td, THETA_STAR) == 0.0
 
 
 def test_target_density_matches_rmse_formula():
@@ -158,65 +156,6 @@ def test_gaussian_target_moments_of_log_density():
     assert g.log_density(np.array([2.5])) == -0.5
     with pytest.raises(InputDomainError):
         GaussianTarget(0.0, 0.0)
-
-
-def test_propose_zero_sigma_leaves_coordinate():
-    rng = np.random.default_rng(3)
-    theta = np.array([1.0, 2.0, 3.0])
-    out = propose(theta, np.array([0.5, 0.0, 0.5]), rng)
-    assert out[1] == 2.0
-    assert out[0] != 1.0 and out[2] != 3.0
-
-
-def test_propose_is_seed_deterministic():
-    theta = np.array([1.0, 2.0])
-    sigma = np.array([0.3, 0.7])
-    a = propose(theta, sigma, np.random.default_rng(9))
-    b = propose(theta, sigma, np.random.default_rng(9))
-    assert np.array_equal(a, b)
-
-
-def test_propose_moments():
-    rng = np.random.default_rng(42)
-    n = 20_000
-    draws = np.array([propose([5.0], [2.0], rng)[0] for _ in range(n)])
-    assert abs(draws.mean() - 5.0) < 3.0 * 2.0 / math.sqrt(n)
-    assert abs(draws.std() - 2.0) < 0.05
-
-
-def test_transition_log_density_unit_gaussian_values():
-    at_zero = transition_log_density([0.0], [0.0], [1.0])
-    assert at_zero == -0.5 * math.log(2.0 * math.pi)
-    assert at_zero == pytest.approx(-0.9189385332046727, abs=1e-15)
-    one_off = transition_log_density([1.0], [0.0], [1.0])
-    assert one_off == pytest.approx(-1.4189385332046727, abs=1e-15)
-
-
-def test_transition_log_density_sums_over_coordinates():
-    sigma = np.array([0.5, 2.0])
-    got = transition_log_density([1.0, 3.0], [0.5, 1.0], sigma)
-    want = sum(-0.5 * ((d / s) ** 2) - math.log(s * math.sqrt(2 * math.pi))
-               for d, s in zip([0.5, 2.0], sigma))
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_transition_log_density_symmetry():
-    rng = np.random.default_rng(1)
-    sigma = np.array([0.3, 1.1, 2.0])
-    for _ in range(20):
-        a = rng.uniform(-5, 5, 3)
-        b = rng.uniform(-5, 5, 3)
-        assert transition_log_density(a, b, sigma) == pytest.approx(
-            transition_log_density(b, a, sigma), rel=1e-12)
-
-
-def test_transition_log_density_accepts_config_and_rejects_zero_sigma():
-    cfg = ProposalConfig(np.ones(6), 10, pin_delta=4.0)
-    via_cfg = transition_log_density(np.zeros(6), np.zeros(6), cfg)
-    via_arr = transition_log_density(np.zeros(6), np.zeros(6), np.ones(6))
-    assert via_cfg == via_arr
-    with pytest.raises(InputDomainError):
-        transition_log_density([0.0], [0.0], [0.0])
 
 
 def test_mh_step_flat_target_always_accepts():
@@ -390,7 +329,7 @@ CENTRE = 0.5 * (DEFAULT_PRIOR_LO + DEFAULT_PRIOR_HI)
 
 
 def test_run_chains_ragged_lengths_match_single_chains():
-    # Two equal-length pairs scored in batches, one length scored alone.
+    # Two equal-length pairs scored in batches, one length in a batch of one.
     targets = synthetic_targets([60, 45, 60, 80, 45])
     chains = assert_lockstep_matches_alone(targets, lockstep_configs(5, 400), CENTRE)
     assert all(c.accept_count > 0 for c in chains)
@@ -490,6 +429,25 @@ def test_one_step_batch_equals_log_density_row_by_row():
     for block in theta:
         got = batch.log_densities(block).tolist()
         assert got == [t.log_density(row) for t, row in zip(targets, block)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tight", [False, True])
+def test_support_is_one_box_for_every_scoring_path(tight):
+    theta0 = THETA_STAR.to_array()
+    box = dict(prior_lo=0.9 * theta0, prior_hi=1.1 * theta0) if tight else {}
+    td = TargetDensity(short_trajectory(), **box)
+    batch = _OneStepBatch([0], [td])
+    for k, (lo, hi) in enumerate(zip(td.prior_lo, td.prior_hi)):
+        for x, inside in ((-0.0, False), (0.0, False), (5e-324, lo == 0.0),
+                          (lo, lo > 0.0), (hi, True),
+                          (np.nextafter(hi, np.inf), False), (np.nan, False)):
+            theta = theta0.copy()
+            theta[k] = x
+            assert td.in_support(theta) == inside, (k, x)
+            logp = td.log_density(theta)
+            assert (logp > -math.inf) == (inside and math.isfinite(td.rmse(theta)))
+            assert batch.log_densities(theta[None]).tolist() == [logp], (k, x)
 
 
 def test_chain_csv_layout(tmp_path):

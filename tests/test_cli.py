@@ -556,6 +556,17 @@ def test_config_key_no_verb_declares_reports_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_input_path_gives_way_to_command_line_data(tmp_path, synthetic_dir):
+    # argparse requires --data, so a config value for it is never used.
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"data": 5}))
+    out = tmp_path / "calib"
+    data = synthetic_dir / "veh_0000.csv"
+    rc = run_cli("calibrate", "--data", data, "--n-iter", 20, "--config", config, "--out", out)
+    assert rc == 0
+    assert RunManifest.load(out / "manifest.json").inputs == (str(data),)
+
+
 def test_config_keys_of_other_verbs_are_accepted(tmp_path):
     # One file for the whole pipeline: each verb takes its own keys.
     config = tmp_path / "c.json"
@@ -800,6 +811,8 @@ def test_bad_value_reports_alike_from_command_line_and_config(
     (("simulate", "--scenario", "highway", "--params", "1,2"), {}),
     (("simulate", "--scenario", "highway", "--policy", "external-stdio"), {}),
     (("simulate", "--scenario", "highway"), {"policy": "psychic"}),
+    (("simulate",), {"scenario": 5}),
+    (("build-demand",), {"network": 7}),
 ])
 def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch,
                                                 argv, config):

@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import enabled_dispatch_targets
+from conftest import dispatch_disabled_env, enabled_dispatch_targets
 from microtraffic import DemandSpec, Route, TrafficEnv, VehicleSpec
 from microtraffic.cli import DEFAULT_PARAMS, BuiltinIdmEgoPolicy, main
 from microtraffic.idm import ParamSet
@@ -201,12 +200,10 @@ print(json.dumps(digests))
 @pytest.mark.skipif(not _wide_dispatch_targets(),
                     reason="no X86_V3, X86_V4 or AVX-512 numpy dispatch target enabled")
 def test_golden_digests_hold_with_wide_simd_dispatch_disabled(tmp_path):
-    env = dict(os.environ)
-    env.pop("NPY_ENABLE_CPU_FEATURES", None)
-    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(_wide_dispatch_targets())
     out = subprocess.run(
         [sys.executable, "-c", _GOLDEN_SCRIPT, str(Path(__file__).parent), str(tmp_path)],
-        env=env, capture_output=True, text=True, check=True)
+        env=dispatch_disabled_env(_wide_dispatch_targets()),
+        capture_output=True, text=True, check=True)
     # The CLI verbs print to stdout too; the digests are the last line.
     other = json.loads(out.stdout.splitlines()[-1])
     assert other["still_enabled"] == []

@@ -3,7 +3,6 @@
 import itertools
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (THETA_STAR, enabled_dispatch_targets, follower_step,
-                      idm_accel_formula, rollout_reference)
+from conftest import (THETA_STAR, dispatch_disabled_env, enabled_dispatch_targets,
+                      follower_step, idm_accel_formula, rollout_reference)
 from microtraffic import ParamSet
 from microtraffic import _kernels
 from microtraffic.calibration import DEFAULT_PRIOR_HI, DEFAULT_PRIOR_LO
@@ -207,13 +206,10 @@ print(json.dumps({"still_enabled": _avx512_dispatch_targets(),
 @pytest.mark.skipif(not _avx512_dispatch_targets(),
                     reason="no AVX-512 numpy dispatch target enabled in this process")
 def test_batch_results_identical_with_avx512_dispatch_disabled():
-    targets = _avx512_dispatch_targets()
-    env = dict(os.environ)
-    env.pop("NPY_ENABLE_CPU_FEATURES", None)
-    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
     out = subprocess.run(
         [sys.executable, "-c", _BATCH_SCRIPT, str(Path(__file__).parent)],
-        env=env, capture_output=True, text=True, check=True)
+        env=dispatch_disabled_env(_avx512_dispatch_targets()),
+        capture_output=True, text=True, check=True)
     other = json.loads(out.stdout)
     assert other["still_enabled"] == []
     accel, rmse, steps, rollouts = _batch_results(*_prior_batch())

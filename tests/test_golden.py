@@ -6,8 +6,8 @@ The digests are SHA-256 of output bytes and of ``float.hex`` renderings,
 so they hold for the numpy and libm builds they were recorded with
 (numpy 2.4 on x86-64 glibc); another math library may legitimately
 differ in the last bit and then needs the digests re-recorded from an
-unchanged tree. Regenerate by printing ``_cli_digests``, ``_dense_digest``
-and ``_calib_digests`` with the assertions removed.
+unchanged tree. Regenerate by printing ``_cli_digests``, ``_drift_digests``,
+``_dense_digest`` and ``_calib_digests`` with the assertions removed.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import dispatch_disabled_env, enabled_dispatch_targets
-from microtraffic import DemandSpec, Route, TrafficEnv, VehicleSpec
+from microtraffic import Action, DemandSpec, Route, TrafficEnv, VehicleSpec
 from microtraffic.cli import DEFAULT_PARAMS, BuiltinIdmEgoPolicy, main
 from microtraffic.idm import ParamSet
 from microtraffic.network import _bundled_library, list_scenarios, load_scenario
@@ -45,6 +45,21 @@ GOLDEN_CLI = {
     "urban_grid": (
         "a892fba748c3552c12caac7c557f4c34f1f5c4695e1eefcf50042a535adf178f",
         "c25d6e6a683bdc57643eb5a70580b7793e56773af020c30a1bc42a8d3ae5709b"),
+}
+
+#: (trace.csv, summary.json, observation bytes) digests of the scripted
+#: ``drift_action`` ego: it leaves its lane centre, crosses into the lane
+#: to its left (a neighbour lane on highway_curve, the oncoming lane on
+#: urban_grid) and ends off the road.
+GOLDEN_DRIFT = {
+    "highway_curve": (
+        "b6f8fe0f6bab7fa881333bbc9ed62a4c178d1cbeba13c4a69e4c7afbca1dbff8",
+        "a9d6af1fd943e397170d1c68fd47d4a4c3a5f547ac5cf157fdb9ff38c71834dd",
+        "d5ea31b07e7126340cba6e98e509cd8859d0516c6cec5aa5fc1600b5785683a2"),
+    "urban_grid": (
+        "f0705b378f8301bf97165c8bad4c189623e7a7299c555612770a3094971bd606",
+        "faf0f81d592c848a4e67fa8c65628e89231f1be6abbc84c3e6d06701dbe64935",
+        "59d7f04a640b9e683274b3677f60fcec91a766b49270758f4fa47cab0b25564c"),
 }
 
 #: Digest of the dense highway case after ``DENSE_STEPS`` steps.
@@ -98,6 +113,42 @@ def _cli_digests(name, tmp_path):
                  "--out", str(out)]) == 0
     return (_sha256((out / "trace.csv").read_bytes()),
             _sha256((out / "summary.json").read_bytes()))
+
+
+def drift_action(k):
+    """Action of the scripted ego at step ``k``: lateral pulses to the left,
+    back and left again, while the longitudinal acceleration cycles."""
+    if 20 <= k < 30:
+        a_lat = 0.6
+    elif 60 <= k < 70:
+        a_lat = -0.6
+    elif 120 <= k < 135:
+        a_lat = 0.8
+    else:
+        a_lat = 0.0
+    return Action((0.5, 0.0, -0.5, 0.0)[(k // 25) % 4], a_lat)
+
+
+def _drift_digests(name, tmp_path):
+    out = tmp_path / f"drift_{name}"
+    out.mkdir()
+    env = TrafficEnv(load_scenario(_bundled_path(name)), trace_path=out / "trace.csv")
+    observations = hashlib.sha256(env.reset().tobytes())
+    k = 0
+    while True:
+        result = env.step(drift_action(k))
+        observations.update(result.observation.tobytes())
+        env.render_frame()
+        if result.terminated:
+            break
+        k += 1
+    env.close()
+    summary = env.episode_summary()
+    assert summary["cause"] == "off_road"
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    return (_sha256((out / "trace.csv").read_bytes()),
+            _sha256((out / "summary.json").read_bytes()),
+            observations.hexdigest())
 
 
 def _file_digests(directory, names):
@@ -168,6 +219,11 @@ def test_bundled_episode_outputs_match_golden(name, tmp_path):
     assert _cli_digests(name, tmp_path) == GOLDEN_CLI[name]
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_DRIFT))
+def test_lateral_drift_episode_outputs_match_golden(name, tmp_path):
+    assert _drift_digests(name, tmp_path) == GOLDEN_DRIFT[name]
+
+
 def test_dense_highway_state_matches_golden():
     assert _dense_digest() == GOLDEN_DENSE
 
@@ -187,11 +243,12 @@ _GOLDEN_SCRIPT = """
 import json, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
-from test_golden import (BUNDLED, _calib_digests, _cli_digests, _dense_digest,
-                         _wide_dispatch_targets)
+from test_golden import (BUNDLED, GOLDEN_DRIFT, _calib_digests, _cli_digests,
+                         _dense_digest, _drift_digests, _wide_dispatch_targets)
 tmp = Path(sys.argv[2])
 digests = {"still_enabled": _wide_dispatch_targets(),
            "cli": {name: list(_cli_digests(name, tmp)) for name in BUNDLED},
+           "drift": {name: list(_drift_digests(name, tmp)) for name in GOLDEN_DRIFT},
            "dense": _dense_digest(), "calib": _calib_digests(tmp)}
 print(json.dumps(digests))
 """
@@ -208,6 +265,7 @@ def test_golden_digests_hold_with_wide_simd_dispatch_disabled(tmp_path):
     other = json.loads(out.stdout.splitlines()[-1])
     assert other["still_enabled"] == []
     assert other["cli"] == {name: list(GOLDEN_CLI[name]) for name in BUNDLED}
+    assert other["drift"] == {name: list(GOLDEN_DRIFT[name]) for name in GOLDEN_DRIFT}
     assert other["dense"] == GOLDEN_DENSE
     assert other["calib"] == GOLDEN_CALIB
 

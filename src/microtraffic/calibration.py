@@ -139,6 +139,8 @@ class TargetDensity:
 
     def in_support(self, theta) -> bool:
         theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (6,):
+            raise InputDomainError(f"theta must be a 6-vector, got shape {theta.shape}")
         return bool(np.all((theta >= self._lo) & (theta <= self.prior_hi)))
 
     def rmse(self, theta) -> float:
@@ -329,10 +331,12 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
         raise InputDomainError("chains run together need the same n_iter")
     theta0 = _theta_of(theta_init)
     dim = theta0.size
-    for cfg in cfgs:
-        if cfg.sigma_prop.size != dim:
-            raise InputDomainError(
-                f"init point has dim {dim}, proposal config has {cfg.sigma_prop.size}")
+    for target, cfg in zip(targets, cfgs):
+        # A target without a ``dim`` takes any size.
+        target_dim = getattr(target, "dim", dim)
+        if cfg.sigma_prop.size != dim or target_dim != dim:
+            raise InputDomainError(f"init point has dim {dim}, proposal config has "
+                                   f"{cfg.sigma_prop.size}, target has {target_dim}")
     theta = np.tile(theta0, (len(cfgs), 1))
     for row, cfg in zip(theta, cfgs):
         if cfg.pin_delta is not None:

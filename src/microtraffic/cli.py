@@ -134,8 +134,7 @@ VERBS = {
                help="six comma-separated values"),
     )),
     "calibrate": ("fit driver parameters to trajectory files", {
-        "--data": dict(nargs="+", required=True,
-                       help="trajectory CSV files or directories of them"),
+        "--data": dict(nargs="+", help="trajectory CSV files or directories of them"),
     }, (
         Option("--n-iter", int, 20000),
         Option("--burn-in", int),
@@ -178,9 +177,13 @@ def _resolve(args) -> None:
     checked, whether it came from the command line or ``--config``. A
     number may be ``nan`` or ``inf`` here; the verb decides."""
     for flag, keywords in VERBS[args.command][1].items():
-        # A path from --config may be any JSON value; argparse requires --data.
-        if "nargs" not in keywords and getattr(args, flag[2:]) is not None:
-            setattr(args, flag[2:], str(getattr(args, flag[2:])))
+        # A path from --config may be any JSON value, --data also a list.
+        value = getattr(args, flag[2:])
+        if value is not None and "nargs" in keywords:
+            paths = value if isinstance(value, list) else [value]
+            setattr(args, flag[2:], [str(v) for v in paths])
+        elif value is not None:
+            setattr(args, flag[2:], str(value))
     for opt in (SEED,) + args.options:
         value = getattr(args, opt.dest)
         if value is None:
@@ -392,6 +395,8 @@ def _expand_data_args(paths) -> list:
 
 
 def cmd_calibrate(args) -> int:
+    if args.data is None:
+        raise ConfigurationError("calibrate needs --data")
     files = _expand_data_args(args.data)
     if not files:
         raise ConfigurationError("no trajectory files found under --data")

@@ -30,13 +30,13 @@ Episodes terminate on ego collision, on the ego leaving the paved network
 (closed boundary: exactly half a lane width away is still on the road),
 or at ``max_steps``. BV-BV contact is logged but does not terminate.
 
-Per-step geometry costs what the lanes near the ego cost, not what the
-network does. The off-road test tries the ego's membership lane first and
-stops at the first lane that holds it. The collision test skips the
-projection onto an occupied lane whose centerline box is farther from the
-ego, on either axis, than the lateral limit plus ``_WINDOW_SLACK``. A
-rendered frame poses each occupied lane's BVs in one batched
-``Lane.poses_at`` call and goes to the trace in one write.
+Per-step geometry costs what the BVs and the lanes near the ego cost.
+The off-road test needs no projection while the ego is on its tracked
+lane's stretch within ``Lane._held_d`` of the centre line; otherwise it
+tries the membership lane first. The collision test skips an occupied
+lane whose centerline box is farther from the ego, on either axis, than
+the lateral limit plus ``_WINDOW_SLACK``. A frame and the observation pose
+all their BVs in one ``RoadNetwork.poses_at`` call.
 """
 
 from __future__ import annotations
@@ -118,11 +118,14 @@ class TrafficEnv:
         self._trace_path = Path(trace_path) if trace_path is not None else None
         self._trace_fh = None
         self._group_size = len(self.net.lane_group(scenario.ego_lane))
+        # Observation lanes of each membership lane: its group, cut to V / 2.
+        self._obs_lanes = {lane_id: self.net.lane_group(lane_id)[: self._group_size]
+                           for lane_id in self.net.lanes}
         self._max_length = max((spec.length for spec in scenario.demand.vehicles),
                                default=0.0)
         self._ids = sorted(spec.id for spec in scenario.demand.vehicles)
         self._rank = {vid: r for r, vid in enumerate(self._ids)}
-        self._lane_ids = sorted(self.net.lanes)
+        self._lane_ids = self.net._sorted_ids
         self._code = {lane_id: c for c, lane_id in enumerate(self._lane_ids)}
         self._codes = np.arange(len(self._lane_ids) + 1, dtype=np.float64)
         self._live = False
@@ -202,9 +205,13 @@ class TrafficEnv:
         self._spawn_due()
         self._log_bv_contacts()
 
+        # At 0 <= s <= length and |d| <= _held_d the pose is on the tracked
+        # lane (which is then the membership lane): no projection needed.
+        lane = self.net.lanes[self._ego_lane]
         if self.check_collision():
             self._cause = "collision"
-        elif is_off_road(self.net, *self._pose[:2], first=self._mem[0]):
+        elif ((not 0.0 <= self._ego_s <= lane.length or abs(self._ego_d) > lane._held_d)
+              and is_off_road(self.net, *self._pose[:2], first=self._mem[0])):
             self._cause = "off_road"
         elif self._step_idx >= self.scenario.max_steps:
             self._cause = "max_steps"
@@ -279,29 +286,36 @@ class TrafficEnv:
 
     def _sort(self):
         """Sort the BV columns by ``(lane, s, id)`` and refresh what the
-        order decides: lane slices, lane tails and neighbour gaps."""
+        order decides: lane slices, next columns (``_next``) and gaps."""
         F = self._F
-        F = self._F = F[:, np.lexsort((F[_RANK], F[_S], F[_LANE]))]
+        F = self._F = F.take(np.lexsort((F[_RANK], F[_S], F[_LANE])), axis=1)
         # Lane code c occupies columns bounds[c]:bounds[c + 1].
         bounds = self._bounds = F[_LANE].searchsorted(self._codes).tolist()
         self._occupied = [(lane_id, lo, hi) for lane_id, lo, hi
                           in zip(self._lane_ids, bounds, bounds[1:]) if lo < hi]
-        self._tails = [hi - 1 for _, _, hi in self._occupied]
-        self._mean_len = (F[_LEN, 1:] + F[_LEN, :-1]) / 2.0
+        # A lane's tail is its own next column.
+        tails = [hi - 1 for _, _, hi in self._occupied]
+        nxt = self._next = np.arange(1, F.shape[1] + 1)
+        nxt[tails] = tails
+        self._next_key = F[_RANK].take(nxt)
+        self._next_key[tails] = _NO_LEADER
+        # -inf at a tail makes its pair gap +inf.
+        self._mean_len = (F[_LEN].take(nxt) + F[_LEN]) / 2.0
+        self._mean_len[tails] = -math.inf
+        self._len = F[_LEN].tolist()
         self._refresh_gaps()
 
     def _refresh_gaps(self):
         """Recompute, from the current s, each column's distance ``_ds``
-        and bumper gap ``_pair_gap`` to the next column: +inf across a lane
-        boundary. The gaps are the contact test and, for a column not level
+        and bumper gap ``_pair_gap`` to the next column (+inf for a lane's
+        tail). The gaps are the contact test and, for a column not level
         with the next one, its gap to its BV leader. ``_touching`` lists
         the columns with a gap <= 0: the logged contacts, and the only
         columns that can be level with or behind the next one."""
         s = self._F[_S]
-        ds = s[1:] - s[:-1]
-        ds[self._tails[:-1]] = math.inf
-        self._ds = ds
-        self._pair_gap = ds - self._mean_len
+        self._s = s.tolist()  # for bisect within a lane's slice
+        self._ds = s.take(self._next) - s
+        self._pair_gap = self._ds - self._mean_len
         self._touching = (self._pair_gap <= 0.0).nonzero()[0].tolist()
 
     def _run(self, lane_id):
@@ -321,19 +335,12 @@ class TrafficEnv:
         bumper gap to a new leader, +inf without one.
         """
         F = self._F
-        n = F.shape[1]
         s, v = F[_S], F[_V]
-        lead = np.empty((3, n))
-        v_lead, key, gap = lead
-        # Column k + 1 leads column k unless k is its lane's tail (whose
-        # pair gap is +inf).
-        v_lead[:-1] = v[1:]
-        key[:-1] = F[_RANK, 1:]
-        np.maximum(self._pair_gap, _GAP_EPS, out=gap[:-1])
-        gap[-1] = math.inf
-        tails = self._tails
-        v_lead[tails] = v[tails]
-        key[tails] = _NO_LEADER
+        # Column k's leader is its next column, none for a lane's tail
+        # (which gets its own speed and a +inf gap).
+        v_lead = v.take(self._next)
+        key = self._next_key.copy()
+        gap = np.maximum(self._pair_gap, _GAP_EPS)
         # A column level with the next one has that one's leader, the first
         # column of the next equal-s group, at its own gap.
         group_leader = {}
@@ -348,14 +355,16 @@ class TrafficEnv:
                 gap[k] = max((s[j] - s[k]) - (F[_LEN, j] + F[_LEN, k]) / 2.0, _GAP_EPS)
 
         lo, hi = self._run(mem_lane)
-        k = lo + int(s[lo:hi].searchsorted(mem_s)) if lo < hi else lo
+        ss = self._s
+        k = bisect_left(ss, mem_s, lo, hi)
         if k > lo:
             # The last group behind the ego follows the ego.
-            g = lo + int(s[lo:k].searchsorted(s[k - 1]))
+            g = bisect_left(ss, ss[k - 1], lo, k)
             v_lead[g:k] = self._ego_vlong
             key[g:k] = _ego_key(self._code[mem_lane])
-            for i, (bs, blen) in enumerate(zip(s[g:k].tolist(), F[_LEN, g:k].tolist()), g):
-                gap[i] = max((mem_s - bs) - (self.ego_length + blen) / 2.0, _GAP_EPS)
+            for i in range(g, k):
+                gap[i] = max((mem_s - ss[i]) - (self.ego_length + self._len[i]) / 2.0,
+                             _GAP_EPS)
 
         np.copyto(gap, F[_GAP], where=key == F[_KEY])
         return key, v_lead, gap
@@ -456,12 +465,9 @@ class TrafficEnv:
     def _near(self, lane_id, s, reach):
         """(s, length) of the BVs on ``lane_id`` within ``reach`` of ``s``."""
         lo, hi = self._run(lane_id)
-        near = []
-        if hi > lo:
-            ss = self._F[_S, lo:hi]
-            i = lo + int(ss.searchsorted(s - reach, side="left"))
-            j = lo + int(ss.searchsorted(s + reach, side="right"))
-            near = list(zip(self._F[_S, i:j].tolist(), self._F[_LEN, i:j].tolist()))
+        i = bisect_left(self._s, s - reach, lo, hi)
+        j = bisect_right(self._s, s + reach, lo, hi)
+        near = list(zip(self._s[i:j], self._len[i:j]))
         ss, rows = self._staged.get(lane_id, ((), ()))
         near += [(bs, blen) for bs, _, _, blen in
                  rows[bisect_left(ss, s - reach):bisect_right(ss, s + reach)]]
@@ -482,7 +488,7 @@ class TrafficEnv:
         a tie between BVs."""
         best = None
         lo, hi = self._run(lane_id)
-        j = lo + int(self._F[_S, lo:hi].searchsorted(s, side="right")) if lo < hi else hi
+        j = bisect_right(self._s, s, lo, hi)
         if j < hi:
             best = tuple(self._F[[_S, _RANK, _V], j].tolist())
         ss, rows = self._staged.get(lane_id, ((), ()))
@@ -548,42 +554,41 @@ class TrafficEnv:
     def build_observation(self) -> np.ndarray:
         obs = np.zeros(self.observation_shape)
         mem_lane, mem_s, _ = self._mem
+        slots, cols = [], []
+        for j, lane_id in enumerate(self._obs_lanes[mem_lane]):
+            lo, hi = self._run(lane_id)
+            if lo == hi:
+                continue
+            s_ref = mem_s if lane_id == mem_lane else self._project_ego(lane_id)[0]
+            # Nearest BV strictly ahead and strictly behind s_ref; the
+            # lowest id wins a tie in s.
+            ahead = bisect_right(self._s, s_ref, lo, hi)
+            behind = bisect_left(self._s, s_ref, lo, hi)
+            if ahead < hi:
+                slots.append(2 * j)
+                cols.append(ahead)
+            if behind > lo:
+                slots.append(2 * j + 1)
+                cols.append(bisect_left(self._s, self._s[behind - 1], lo, behind))
+        if not slots:
+            return obs
         ex, ey, eh = self._pose
         tx, ty = math.cos(eh), math.sin(eh)
         nx, ny = -ty, tx
         evx = self._ego_vlong * tx + self._ego_vlat * nx
         evy = self._ego_vlong * ty + self._ego_vlat * ny
-        group = self.net.lane_group(mem_lane)[: self._group_size]
-        for j, lane_id in enumerate(group):
-            lo, hi = self._run(lane_id)
-            if lo == hi:
-                continue
-            lane = self.net.lanes[lane_id]
-            if lane_id == mem_lane:
-                s_ref = mem_s
-            else:
-                s_ref, _, _ = self._project_ego(lane_id)
-            # Nearest BV strictly ahead and strictly behind s_ref; the
-            # lowest id wins a tie in s.
-            ss = self._F[_S, lo:hi]
-            ahead = int(ss.searchsorted(s_ref, side="right"))
-            behind = int(ss.searchsorted(s_ref, side="left"))
-            slots = []
-            if ahead < hi - lo:
-                slots.append((2 * j, lo + ahead))
-            if behind:
-                slots.append((2 * j + 1, lo + int(ss[:behind].searchsorted(ss[behind - 1]))))
-            for slot, col in slots:
-                bs, bv_v = float(self._F[_S, col]), float(self._F[_V, col])
-                bx, by, bh = lane.pose_at(bs, 0.0)
-                bvx = bv_v * math.cos(bh)
-                bvy = bv_v * math.sin(bh)
-                dx, dy = bx - ex, by - ey
-                obs[slot] = (1.0,
-                             dx * tx + dy * ty,
-                             dx * nx + dy * ny,
-                             (bvx - evx) * tx + (bvy - evy) * ty,
-                             (bvx - evx) * nx + (bvy - evy) * ny)
+        G = self._F.take(cols, axis=1)
+        poses = self.net.poses_at(G[_LANE], G[_S])
+        for slot, bx, by, bh, bv_v in zip(slots, *(a.tolist() for a in poses),
+                                          G[_V].tolist()):
+            bvx = bv_v * math.cos(bh)
+            bvy = bv_v * math.sin(bh)
+            dx, dy = bx - ex, by - ey
+            obs[slot] = (1.0,
+                         dx * tx + dy * ty,
+                         dx * nx + dy * ny,
+                         (bvx - evx) * tx + (bvy - evy) * ty,
+                         (bvx - evx) * nx + (bvy - evy) * ny)
         return obs
 
     def current_info(self) -> dict:
@@ -611,13 +616,10 @@ class TrafficEnv:
         step = self._step_idx
         x, y, heading = self._pose
         rows = [(step, "ego", x, y, heading, math.hypot(self._ego_vlong, self._ego_vlat))]
-        F = self._F
-        # Rows: id rank, x, y, heading, v; one column per BV.
-        cols = np.empty((5, F.shape[1]))
-        cols[0], cols[4] = F[_RANK], F[_V]
-        for lane_id, lo, hi in self._occupied:
-            cols[1:4, lo:hi] = self.net.lanes[lane_id].poses_at(F[_S, lo:hi])
-        for rank, bx, by, bh, v in zip(*cols[:, cols[0].argsort()].tolist()):
+        G = self._F.take(self._F[_RANK].argsort(), axis=1)
+        poses = self.net.poses_at(G[_LANE], G[_S])
+        for rank, bx, by, bh, v in zip(G[_RANK].tolist(), *(a.tolist() for a in poses),
+                                       G[_V].tolist()):
             rows.append((step, self._ids[int(rank)], bx, by, bh, v))
         if self._trace_fh is not None:
             self._trace_fh.write("".join(f"{step},{vid},{rx!r},{ry!r},{rh!r},{rv!r}\n"

@@ -6,13 +6,12 @@ optional same-direction left/right neighbours. The road-aligned frame is
 positive to the left of the travel direction. Heading at a polyline vertex
 is taken from the outgoing segment.
 
-Each lane keeps per-segment tables built once: unit direction vectors,
-headings (``math.atan2``, never numpy's possibly SIMD-dispatched
-``arctan2``) and the bounding box of its centerline. ``Lane.pose_at`` and
-its batched twin ``Lane.poses_at`` read the tables, so both give the same
-bits. ``is_off_road`` stops at the first lane that holds the point and
-takes a lane to try first, so a caller that knows the nearby lane pays
-for one projection, not one per lane of the network.
+Each lane keeps per-segment tables built once: start points, unit
+direction vectors, headings (``math.atan2``, never numpy's possibly
+SIMD-dispatched ``arctan2``) and the bounding box of its centerline.
+``RoadNetwork.poses_at`` poses vehicles on any lanes with one lookup into
+all lanes' tables and gives the bits of ``Lane.pose_at``. ``is_off_road``
+stops at the first lane that holds the point, trying a given lane first.
 """
 
 from __future__ import annotations
@@ -59,8 +58,10 @@ class Lane:
         object.__setattr__(self, "centerline", pts)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "successors", tuple(self.successors))
+        object.__setattr__(self, "_starts", pts[:-1])
         object.__setattr__(self, "_seg", seg)
         object.__setattr__(self, "_seg_len", seg_len)
+        object.__setattr__(self, "_seg_len2", seg_len ** 2)
         object.__setattr__(self, "_cum_s", cum)
         # Segment i holds s in [cum[i], cum[i + 1]); the first and last
         # segments extend to -inf and +inf.
@@ -70,10 +71,13 @@ class Lane:
                            np.array([math.atan2(uy, ux) for ux, uy in unit.tolist()]))
         xs, ys = pts.T.tolist()
         object.__setattr__(self, "_box", (min(xs), min(ys), max(xs), max(ys)))
-
-    @property
-    def length(self) -> float:
-        return float(self._cum_s[-1])
+        # pose_at(s, d) at 0 <= s <= length lies within |d| of the centerline;
+        # rounding moves project's distance by a few ulps of the coordinates
+        # (~1e-12 m at km scale), far below 1e-6 m + 1e-9 * scale. So a pose
+        # with |d| <= _held_d is on this lane.
+        object.__setattr__(self, "length", float(cum[-1]))
+        scale = max(map(abs, self._box)) + self.length
+        object.__setattr__(self, "_held_d", width / 2.0 - (1e-6 + 1e-9 * scale))
 
     def pose_at(self, s: float, d: float = 0.0, extrapolate: bool = False):
         """Global (x, y, heading) at arc length s, offset d to the left.
@@ -92,17 +96,6 @@ class Lane:
         y = self.centerline[i, 1] + uy * local + ux * d
         return float(x), float(y), float(self._heading[i])
 
-    def poses_at(self, s: np.ndarray):
-        """Arrays (x, y, heading) on the centerline at the arc lengths ``s``
-        (within [0, length]): element for element the bits of
-        ``pose_at(s, 0.0)``, the ``- uy * 0.0`` term and its sign of zero
-        included."""
-        i = self._inner_s.searchsorted(s, side="right")
-        ux, uy = self._unit[i].T
-        local = s - self._cum_s[i]
-        x0, y0 = self.centerline[i].T
-        return x0 + ux * local - uy * 0.0, y0 + uy * local + ux * 0.0, self._heading[i]
-
     def project(self, x: float, y: float):
         """(s, d, dist) of the closest centerline point to (x, y).
 
@@ -112,13 +105,14 @@ class Lane:
         and their longitudinal overshoot shows up in ``dist``.
         """
         p = np.array([x, y], dtype=np.float64)
-        w = p - self.centerline[:-1]
-        t = np.einsum("ij,ij->i", w, self._seg) / (self._seg_len ** 2)
-        t = np.clip(t, 0.0, 1.0)
-        proj = self.centerline[:-1] + t[:, None] * self._seg
+        w = p - self._starts
+        t = np.einsum("ij,ij->i", w, self._seg) / self._seg_len2
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, 1.0, out=t)
+        proj = self._starts + t[:, None] * self._seg
         diff = p - proj
         dist2 = np.einsum("ij,ij->i", diff, diff)
-        i = int(np.argmin(dist2))
+        i = int(dist2.argmin())
         dist = math.sqrt(float(dist2[i]))
         cross = self._seg[i, 0] * diff[i, 1] - self._seg[i, 1] * diff[i, 0]
         d = dist if cross >= 0.0 else -dist
@@ -165,9 +159,37 @@ class RoadNetwork:
                 if ref not in self.lanes:
                     raise NetworkError(f"{name} {ref!r} does not exist")
         self._sorted_ids = sorted(self.lanes)
+        # All lanes' segments in sorted-id order. Rows: start x, y, unit x,
+        # y, pose_at's d terms at d = 0 as -(uy * 0.0), ux * 0.0 (a - b is
+        # a + (-b) bit for bit), start s, heading. Keys: where each segment
+        # ends, lane index + s*1j, +inf for a lane's last; numpy orders
+        # complex by real, then imaginary part, so the segment holding s on
+        # lane c is the number of keys <= c + s*1j.
+        ordered = [self.lanes[lane_id] for lane_id in self._sorted_ids]
+        self._segments = np.concatenate(
+            [np.vstack((lane._starts.T, lane._unit.T, -(lane._unit[:, 1] * 0.0),
+                        lane._unit[:, 0] * 0.0, lane._cum_s[:-1], lane._heading))
+             for lane in ordered], axis=1)
+        self._seg_keys = np.concatenate(
+            [np.column_stack((np.full(len(lane._unit), c), np.append(lane._inner_s, math.inf)))
+             for c, lane in enumerate(ordered)]).view(np.complex128).ravel()
 
     def __contains__(self, lane_id) -> bool:
         return lane_id in self.lanes
+
+    def poses_at(self, codes: np.ndarray, s: np.ndarray):
+        """Arrays (x, y, heading) at arc lengths ``s`` (within [0, length])
+        on lanes ``codes`` (indices in sorted-id order): element for element
+        the bits of that lane's ``pose_at(s, 0.0)``, signs of zero included."""
+        q = np.empty(len(s), dtype=np.complex128)
+        q.real = codes
+        q.imag = s
+        seg = self._segments.take(self._seg_keys.searchsorted(q, side="right"), axis=1)
+        # pose_at's sums, reordered: IEEE addition commutes bit for bit.
+        xy = seg[2:4] * (s - seg[6])
+        xy += seg[0:2]
+        xy += seg[4:6]
+        return xy[0], xy[1], seg[7]
 
     def shortest_path(self, src: str, dst: str):
         """Fewest-lanes path src -> dst over successor links, or None."""

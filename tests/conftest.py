@@ -153,6 +153,25 @@ def follower_step(a_max, a_comf, v_des, d_min, T, delta, v, v_lead, gap, dt):
     return a, v_next, gap + (v_lead - v) * dt
 
 
+def project_reference(lane, x, y):
+    """``Lane.project`` as first written: the reference the package's
+    projection must match bit for bit. (s, d, dist) of the closest
+    centerline point to (x, y); s is clamped to [0, length]."""
+    p = np.array([x, y], dtype=np.float64)
+    w = p - lane.centerline[:-1]
+    t = np.einsum("ij,ij->i", w, lane._seg) / (lane._seg_len ** 2)
+    t = np.clip(t, 0.0, 1.0)
+    proj = lane.centerline[:-1] + t[:, None] * lane._seg
+    diff = p - proj
+    dist2 = np.einsum("ij,ij->i", diff, diff)
+    i = int(np.argmin(dist2))
+    dist = math.sqrt(float(dist2[i]))
+    cross = lane._seg[i, 0] * diff[i, 1] - lane._seg[i, 1] * diff[i, 0]
+    d = dist if cross >= 0.0 else -dist
+    s = float(lane._cum_s[i] + t[i] * lane._seg_len[i])
+    return s, d, dist
+
+
 def rollout_reference(theta, lead_v, v0, gap0, dt):
     """A per-step loop of ``follower_step`` calls: sample k is the state
     after k steps plus the acceleration at that state; stops early when

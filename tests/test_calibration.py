@@ -416,6 +416,16 @@ def test_run_chains_validation():
                    np.array([3.0, 5.0, 35.0, 10.0, 2.0, 11.0]))
 
 
+@pytest.mark.parametrize("dim", [5, 7])
+def test_parameter_vector_of_the_wrong_size_is_an_input_error(dim):
+    td = synthetic_targets([30])[0]
+    with pytest.raises(InputDomainError, match="target has 6"):
+        run_chains([td], [ProposalConfig(np.ones(dim), 10)], np.ones(dim))
+    for call in (td.log_density, td.in_support):
+        with pytest.raises(InputDomainError, match="6-vector"):
+            call(np.ones(dim))
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_one_step_batch_equals_log_density_row_by_row():
     targets = synthetic_targets([70, 70, 70], noise_sigma=0.4)

@@ -557,7 +557,7 @@ def test_config_key_no_verb_declares_reports_cleanly(tmp_path, capsys):
 
 
 def test_config_input_path_gives_way_to_command_line_data(tmp_path, synthetic_dir):
-    # argparse requires --data, so a config value for it is never used.
+    # A --data on the command line wins over the config's value.
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"data": 5}))
     out = tmp_path / "calib"
@@ -565,6 +565,22 @@ def test_config_input_path_gives_way_to_command_line_data(tmp_path, synthetic_di
     rc = run_cli("calibrate", "--data", data, "--n-iter", 20, "--config", config, "--out", out)
     assert rc == 0
     assert RunManifest.load(out / "manifest.json").inputs == (str(data),)
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+def test_config_alone_supplies_calibrate_data(tmp_path, synthetic_dir, as_list):
+    files = sorted(synthetic_dir.glob("*.csv"))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"data": [str(p) for p in files] if as_list
+                                  else str(synthetic_dir)}))
+    out = tmp_path / "calib"
+    assert run_cli("calibrate", "--n-iter", 20, "--config", config, "--out", out) == 0
+    assert RunManifest.load(out / "manifest.json").inputs == tuple(map(str, files))
+    # the same run as with --data on the command line
+    direct = tmp_path / "direct"
+    assert run_cli("calibrate", "--n-iter", 20, "--data", *files, "--out", direct) == 0
+    for name in ("posterior.json", "summary.json", "veh_0000.chain.csv"):
+        assert (out / name).read_bytes() == (direct / name).read_bytes()
 
 
 def test_config_keys_of_other_verbs_are_accepted(tmp_path):
@@ -813,6 +829,8 @@ def test_bad_value_reports_alike_from_command_line_and_config(
     (("simulate", "--scenario", "highway"), {"policy": "psychic"}),
     (("simulate",), {"scenario": 5}),
     (("build-demand",), {"network": 7}),
+    (("calibrate",), {}),
+    (("calibrate",), {"data": []}),
 ])
 def test_rejected_run_leaves_no_output_directory(tmp_path, capsys, monkeypatch,
                                                 argv, config):

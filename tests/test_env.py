@@ -14,6 +14,7 @@ from microtraffic import (Action, DemandSpec, EnvUsageError, InputDomainError,
                           TrafficEnv, VehicleSpec)
 from microtraffic.env import (_END, _GAP, _KEY, _LANE, _LEN, _RANK, _S, _SEQ,
                               _THETA, _V, _ego_key)
+from microtraffic.network import _bundled_library, global_to_road, load_scenario
 
 PARKED = ParamSet(a_max=1e-9, a_comf=5.0, v_des=1e-9, d_min=10.0, T=2.0,
                   delta=4.0)
@@ -586,3 +587,45 @@ def test_lane_index_matches_linear_scans(case):
         assert env.collisions_logged == logged
         if result.terminated:
             break
+
+
+def edge_scenario(network):
+    """A BV-free scenario on ``network``, long enough for a step."""
+    ego_lane = sorted(network.lanes)[0]
+    return Scenario("highway", network, DemandSpec((), ()), 0.1, 10, 0, ego_lane)
+
+
+EDGE_SCENARIOS = (
+    straight_scenario(n_lanes=3, max_steps=10),
+    edge_scenario(RoadNetwork([Lane("bend", [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)], 3.5)])),
+    edge_scenario(load_scenario(_bundled_library() / "highway_curve.scenario.json").network),
+    edge_scenario(load_scenario(_bundled_library() / "urban_grid.scenario.json").network),
+)
+
+
+@st.composite
+def egos_near_lane_edges(draw):
+    """An ego on a lane, at its ends, a vertex or anywhere along it (and a
+    little beyond), within a few times 1e-6 m of either lane edge."""
+    scenario = draw(st.sampled_from(EDGE_SCENARIOS))
+    lane_id = draw(st.sampled_from(sorted(scenario.network.lanes)))
+    lane = scenario.network.lanes[lane_id]
+    s = draw(st.sampled_from(lane._cum_s.tolist()) | st.floats(-1.0, lane.length + 1.0))
+    edge = lane.width / 2.0 + draw(st.sampled_from([-1e-6, 0.0, 1e-6])
+                                   | st.floats(-3e-6, 3e-6))
+    d = draw(st.sampled_from([edge, -edge, lane._held_d, -lane._held_d]))
+    toward = draw(st.sampled_from([None, -math.inf, math.inf]))
+    return scenario, lane_id, s, d if toward is None else math.nextafter(d, toward)
+
+
+@settings(deadline=None, max_examples=300)
+@given(egos_near_lane_edges())
+def test_off_road_decision_agrees_with_global_to_road(case):
+    scenario, lane_id, s, d = case
+    env = TrafficEnv(scenario)
+    env.reset()
+    env._ego_lane, env._ego_s, env._ego_d = lane_id, s, d
+    env._ego_vlong = 0.0
+    result = env.step(ZERO)
+    x, y, _ = env._pose
+    assert (result.info["cause"] == "off_road") == (global_to_road(env.net, x, y) is None)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import straight_network, straight_scenario, write_scenario_files
+from conftest import (project_reference, straight_network, straight_scenario,
+                      write_scenario_files)
 from microtraffic import (ConfigurationError, InputDomainError, NetworkError,
                           RoadCoord, RoadNetwork, Scenario, SchemaError,
                           global_to_road, is_off_road, list_scenarios,
@@ -236,18 +237,101 @@ def test_off_road_early_exit_agrees_with_global_to_road(case):
 # At s = -0.0 on this lane, x = (-0.0 + 0.6 * -0.0) - (-0.8 * 0.0) is +0.0
 # only through the offset term with d = 0.0.
 SIGNED_ZERO_LANE = Lane("down", [(-0.0, -0.0), (3.0, -4.0)], 3.5)
+# Here, at s = 0.0, x = (-0.0 + -0.6 * 0.0) - (0.8 * 0.0) is -0.0: the
+# offset term must subtract +0.0, not add it.
+NEGATIVE_ZERO_LANE = Lane("back", [(-0.0, -0.0), (-3.0, 4.0)], 3.5)
+
+
+def edge_arc_lengths(lane):
+    """-0.0, 0, length and every vertex, with the floats next to each on
+    both sides that lie within [0, length]."""
+    out = [-0.0]
+    for v in lane._cum_s.tolist():
+        out += [x for x in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
+                if 0.0 <= x <= lane.length]
+    return out
+
+
+def assert_network_poses_match_pose_at(net, queries):
+    """One ``RoadNetwork.poses_at`` call for all (lane id, s) ``queries``
+    gives each lane's ``pose_at(s, 0.0)`` bit for bit."""
+    codes = [net._sorted_ids.index(lane_id) for lane_id, _ in queries]
+    s = [s_k for _, s_k in queries]
+    batched = zip(*(a.tolist() for a in net.poses_at(np.array(codes, dtype=float),
+                                                     np.array(s))))
+    for (lane_id, s_k), pose in zip(queries, batched):
+        want = net.lanes[lane_id].pose_at(s_k, 0.0)
+        assert [v.hex() for v in pose] == [v.hex() for v in want], (lane_id, s_k)
 
 
 @pytest.mark.parametrize("name", ["highway_curve", "urban_grid", "signed_zero"])
 def test_batched_poses_match_pose_at_bit_for_bit(name):
-    lanes = [SIGNED_ZERO_LANE] if name == "signed_zero" else bundled_network(name).lanes.values()
+    net = (RoadNetwork([SIGNED_ZERO_LANE, bent_lane(), NEGATIVE_ZERO_LANE])
+           if name == "signed_zero" else bundled_network(name))
     rng = np.random.default_rng(0)
-    for lane in lanes:
-        s = np.concatenate(([-0.0, 0.0, lane.length], lane._cum_s,
-                            rng.uniform(0.0, lane.length, 64)))
-        batched = zip(*(a.tolist() for a in lane.poses_at(s)))
-        for s_k, pose in zip(s.tolist(), batched):
-            assert [v.hex() for v in pose] == [v.hex() for v in lane.pose_at(s_k, 0.0)]
+    queries = [(lane_id, s) for lane_id, lane in net.lanes.items()
+               for s in edge_arc_lengths(lane) + rng.uniform(0.0, lane.length, 64).tolist()]
+    # Lanes interleaved: the lookup must not rely on the query order.
+    assert_network_poses_match_pose_at(net, [queries[k] for k in rng.permutation(len(queries))])
+
+
+COORD = st.floats(-2000.0, 2000.0)
+STEP = st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)).filter(
+    lambda v: math.hypot(*v) > 0.5)
+
+
+@st.composite
+def polyline_lanes(draw, lane_id="p"):
+    """A lane with 1 to 6 segments of random direction and length."""
+    x, y = draw(COORD), draw(COORD)
+    pts = [(x, y)]
+    for dx, dy in draw(st.lists(STEP, min_size=1, max_size=6)):
+        x, y = x + dx, y + dy
+        pts.append((x, y))
+    return Lane(lane_id, pts, draw(st.sampled_from([3.0, 3.5])))
+
+
+@st.composite
+def multi_lane_queries(draw):
+    """A network of 1 to 4 polyline lanes, built in a random id order, and
+    arc lengths on each: its edges and vertices, and random ones."""
+    ids = draw(st.permutations(["a", "b", "c", "d"]))[:draw(st.integers(1, 4))]
+    net = RoadNetwork([draw(polyline_lanes(lane_id)) for lane_id in ids])
+    queries = []
+    for lane_id, lane in net.lanes.items():
+        extra = draw(st.lists(st.floats(0.0, lane.length), max_size=8))
+        queries += [(lane_id, s) for s in edge_arc_lengths(lane) + extra]
+    return net, draw(st.permutations(queries))
+
+
+@settings(deadline=None, max_examples=150)
+@given(multi_lane_queries())
+def test_network_poses_match_pose_at_on_random_networks(case):
+    assert_network_poses_match_pose_at(*case)
+
+
+PROJECT_LANES = ([SIGNED_ZERO_LANE, NEGATIVE_ZERO_LANE, bent_lane()]
+                 + [bundled_network(name).lanes[lane_id]
+                    for name, lane_id in (("highway_curve", "lane_0"), ("urban_grid", "e00_10"))])
+
+
+@st.composite
+def lanes_and_points(draw):
+    """A lane and a point: across it, beyond either end, on a vertex, at
+    signed zeros or anywhere nearby."""
+    lane = draw(st.sampled_from(PROJECT_LANES) | polyline_lanes())
+    s = draw(st.sampled_from(lane._cum_s.tolist()) | st.floats(-30.0, lane.length + 30.0))
+    d = draw(st.sampled_from([-0.0, 0.0, lane.width / 2.0]) | st.floats(-20.0, 20.0))
+    x, y, _ = lane.pose_at(s, d, extrapolate=True)
+    return lane, *draw(st.sampled_from([(x, y), (-0.0, -0.0), (0.0, -0.0), (-0.0, y)]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(lanes_and_points())
+def test_project_matches_reference_bit_for_bit(case):
+    lane, x, y = case
+    assert ([v.hex() for v in lane.project(x, y)]
+            == [v.hex() for v in project_reference(lane, x, y)])
 
 
 def test_global_to_road_prefers_nearest_then_id_order():

@@ -6,11 +6,13 @@ flat box prior on the positive orthant. The proposal kernel is an
 independent Gaussian per coordinate, which is symmetric, so the kernel
 terms cancel exactly in the acceptance ratio.
 
-``run_chains`` is the one sampler; every chain it runs equals the plain
-loop of :func:`mh_step` calls bit for bit. A target needs only a
-``log_density(theta)`` method, so toy targets (see :class:`GaussianTarget`)
-can stand in for the trajectory target when validating the chain
-machinery.
+``run_chains`` is the one sampler. Its chains share one schedule
+(length, burn-in, thinning), and each equals the plain loop of
+:func:`mh_step` calls bit for bit. One-step trajectory targets of equal
+length are scored in one batched call; any other target needs only a
+``log_density(theta)`` method, so toy targets (see
+:class:`GaussianTarget`) can stand in for the trajectory target when
+validating the chain machinery.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ class TargetDensity:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (6,):
             raise InputDomainError(f"theta must be a 6-vector, got shape {theta.shape}")
-        return bool(np.all((theta >= self._lo) & (theta <= self.prior_hi)))
+        return bool(((theta >= self._lo) & (theta <= self.prior_hi)).all())
 
     def rmse(self, theta) -> float:
         """Objective RMSE at ``theta``; ``log_density`` checks the support."""
@@ -302,23 +304,20 @@ class _OneStepBatch:
 
 
 def run_chains(targets, cfgs, theta_init) -> list[Chain]:
-    """Run one chain per (target, config) pair, all advancing together.
+    """Run one chain per (target, config) pair, all on one schedule.
 
-    Every chain starts at ``theta_init`` and is bit for bit the chain it
-    would be on its own: it draws from its own ``Generator`` in the same
+    The configs must share ``n_iter``, ``burn_in`` and ``thin``; seeds and
+    ``pin_delta`` may differ. Every chain starts at ``theta_init``, which
+    needs non-zero target density for each, and is bit for bit the chain
+    it would be alone: it draws from its own ``Generator`` in the same
     order (``standard_normal(dim)``, then one ``random()`` per iteration,
     in or out of support), its target values come from the same
     floating-point operations, and its accept test is ``math.log`` on
-    Python floats. Lockstep changes only the cost: each iteration proposes
-    a K x dim block. One-step ``TargetDensity`` chains of equal length are
-    scored in one batched call (``_OneStepBatch``), a length no other chain
-    has in a batch of one. Rollout-objective chains have their support
-    tested in one stacked comparison and are scored only inside it. Toy
-    targets are scored by ``log_density``.
-
-    The configs must share ``n_iter``; seeds, burn-in, thinning and
-    ``pin_delta`` may differ. The initial point must have non-zero target
-    density for every chain.
+    Python floats. Each iteration proposes a K x dim block. One-step
+    ``TargetDensity`` chains of equal length are scored in one batched
+    call (``_OneStepBatch``), every other chain by its target's
+    ``log_density``. Each kept iteration is one write per block of shape
+    ``(K, n_kept, ...)``; chain c holds row c of each as a contiguous view.
     """
     targets = list(targets)
     cfgs = list(cfgs)
@@ -326,9 +325,10 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
         raise InputDomainError(f"got {len(targets)} targets but {len(cfgs)} configs")
     if not cfgs:
         return []
-    n_iter = cfgs[0].n_iter
-    if any(cfg.n_iter != n_iter for cfg in cfgs):
-        raise InputDomainError("chains run together need the same n_iter")
+    for name in ("n_iter", "burn_in", "thin"):
+        if len({getattr(cfg, name) for cfg in cfgs}) > 1:
+            raise InputDomainError(f"chains run together need the same {name}")
+    n_iter, burn_in, thin = cfgs[0].n_iter, cfgs[0].burn_in, cfgs[0].thin
     theta0 = _theta_of(theta_init)
     dim = theta0.size
     for target, cfg in zip(targets, cfgs):
@@ -348,26 +348,17 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
     rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
     sigma = np.array([cfg.effective_sigma for cfg in cfgs])
     groups: dict[int, list] = {}
-    rollout = []
     others = []
     for c, t in enumerate(targets):
-        if not isinstance(t, TargetDensity):
-            others.append(c)
-        elif t.objective == "one-step":
+        if isinstance(t, TargetDensity) and t.objective == "one-step":
             groups.setdefault(len(t.obs), []).append(c)
         else:
-            rollout.append(c)
+            others.append(c)
     batches = [_OneStepBatch(rows, [targets[c] for c in rows]) for rows in groups.values()]
-    if rollout:
-        rollout_lo = np.stack([targets[c]._lo for c in rollout])
-        rollout_hi = np.stack([targets[c].prior_hi for c in rollout])
-        neg_scale = [-targets[c]._scale for c in rollout]
-    iterations = [np.arange(cfg.burn_in, n_iter, cfg.thin, dtype=np.int64)
-                  for cfg in cfgs]
-    samples = [np.empty((it.size, dim)) for it in iterations]
-    log_targets = [np.empty(it.size) for it in iterations]
-    accepted_at = [np.empty(it.size, dtype=bool) for it in iterations]
-    next_rec = [cfg.burn_in for cfg in cfgs]
+    iterations = np.arange(burn_in, n_iter, thin, dtype=np.int64)
+    samples = np.empty((len(cfgs), iterations.size, dim))
+    log_targets = np.empty((len(cfgs), iterations.size))
+    accepted_at = np.empty((len(cfgs), iterations.size), dtype=bool)
     accept_count = [0] * len(cfgs)
     z = np.empty_like(theta)
     z_rows = list(z)
@@ -379,30 +370,25 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
         for batch in batches:
             logp_prop[batch.rows] = batch.log_densities(prop[batch.rows])
         lp = logp_prop.tolist()
-        if rollout:
-            rows = prop[rollout]
-            ok = ((rows >= rollout_lo) & (rows <= rollout_hi)).all(axis=1).tolist()
-            for c, inside, scale in zip(rollout, ok, neg_scale):
-                rmse = targets[c].rmse(prop[c]) if inside else math.nan
-                lp[c] = scale * rmse * rmse if math.isfinite(rmse) else -math.inf
         for c in others:
             lp[c] = float(targets[c].log_density(prop[c]))
+        accepted = []
         for c, rng in enumerate(rngs):
             u = rng.random()
-            accepted = lp[c] > -math.inf and math.log(u) < lp[c] - logp[c]
-            if accepted:
+            accept = lp[c] > -math.inf and math.log(u) < lp[c] - logp[c]
+            if accept:
                 theta[c] = prop[c]
                 logp[c] = lp[c]
                 accept_count[c] += 1
-            if i == next_rec[c]:
-                j = (i - cfgs[c].burn_in) // cfgs[c].thin
-                samples[c][j] = theta[c]
-                log_targets[c][j] = logp[c]
-                accepted_at[c][j] = accepted
-                next_rec[c] = i + cfgs[c].thin
+            accepted.append(accept)
+        if i >= burn_in and (i - burn_in) % thin == 0:
+            j = (i - burn_in) // thin
+            samples[:, j] = theta
+            log_targets[:, j] = logp
+            accepted_at[:, j] = accepted
     names = PARAM_NAMES if dim == len(PARAM_NAMES) else tuple(f"p{k}" for k in range(dim))
-    return [Chain(*rec, names) for rec in zip(samples, log_targets, iterations,
-                                              accepted_at, accept_count, cfgs)]
+    return [Chain(s, lt, iterations, acc, n, cfg, names) for s, lt, acc, n, cfg
+            in zip(samples, log_targets, accepted_at, accept_count, cfgs)]
 
 
 def run_chain(target, cfg: ProposalConfig, theta_init) -> Chain:

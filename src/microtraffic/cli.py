@@ -44,7 +44,7 @@ from .calibration import (DEFAULT_NOISE_SIGMA, DEFAULT_PRIOR_HI,
                           run_chains, synthetic_trajectory)
 from .env import Action, TrafficEnv
 from .errors import (ConfigurationError, DegenerateSeriesError, InputDomainError,
-                     MicrotrafficError, PolicyProtocolError, checked)
+                     MicrotrafficError, PolicyProtocolError, checked, read_json_object)
 from .histogram import load_histograms, save_histograms
 from .idm import PARAM_NAMES, FollowingState, ParamSet, Trajectory, idm_acceleration
 from .network import SCENARIO_KINDS, load_network, load_scenario
@@ -281,8 +281,9 @@ class BuiltinIdmEgoPolicy:
 
 class ExternalStdioPolicy:
     """Line protocol to a child process: one flattened observation out
-    (comma-separated decimals, LF), one ``a_long,a_lat`` line back within
-    ``POLICY_REPLY_TIMEOUT_S`` seconds."""
+    (comma-separated decimals, LF), one ``a_long,a_lat`` line back. Writing
+    the observation and reading the reply share one deadline of
+    ``POLICY_REPLY_TIMEOUT_S`` seconds per step."""
 
     def __init__(self, command: str):
         try:
@@ -292,17 +293,14 @@ class ExternalStdioPolicy:
         if not argv:
             raise ConfigurationError("external-stdio policy needs --policy-cmd")
         self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        # A child that stops reading must not block the write past the deadline.
+        os.set_blocking(self._proc.stdin.fileno(), False)
         self._pending = b""
         self._stalled = False
 
     def act(self, obs) -> Action:
         line = ",".join(repr(float(x)) for x in np.asarray(obs).ravel())
-        try:
-            self._proc.stdin.write(line.encode() + b"\n")
-            self._proc.stdin.flush()
-        except (OSError, ValueError) as exc:
-            raise PolicyProtocolError(f"pipe to policy process broke: {exc}") from None
-        reply = self._read_reply()
+        reply = self._exchange(line.encode() + b"\n")
         if reply == "":
             raise PolicyProtocolError("policy process closed its output")
         parts = reply.strip().split(",")
@@ -316,21 +314,28 @@ class ExternalStdioPolicy:
             raise PolicyProtocolError(f"non-finite action {reply.strip()!r}")
         return Action(a_long, a_lat)
 
-    def _read_reply(self) -> str:
-        """The next reply line, or what is left ("" if nothing) once the
-        policy closed its output."""
+    def _exchange(self, data: bytes) -> str:
+        """Write ``data``, then return the next reply line, or what is left
+        ("" if nothing) once the policy closed its output."""
         deadline = time.monotonic() + POLICY_REPLY_TIMEOUT_S
-        fd = self._proc.stdout.fileno()
+        stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        data = memoryview(data)
         with selectors.DefaultSelector() as selector:
-            selector.register(fd, selectors.EVENT_READ)
-            while b"\n" not in self._pending:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0.0 or not selector.select(remaining):
-                    self._stalled = True
-                    raise PolicyProtocolError(
-                        f"no reply from policy process within {POLICY_REPLY_TIMEOUT_S:g} s")
+            selector.register(stdin, selectors.EVENT_WRITE)
+            while data:
+                self._wait(selector, deadline, "policy process did not read its observation")
                 try:
-                    chunk = os.read(fd, 65536)
+                    data = data[os.write(stdin, data):]
+                except BlockingIOError:
+                    pass
+                except OSError as exc:
+                    raise PolicyProtocolError(f"pipe to policy process broke: {exc}") from None
+            selector.unregister(stdin)
+            selector.register(stdout, selectors.EVENT_READ)
+            while b"\n" not in self._pending:
+                self._wait(selector, deadline, "no reply from policy process")
+                try:
+                    chunk = os.read(stdout, 65536)
                 except OSError as exc:
                     raise PolicyProtocolError(f"pipe to policy process broke: {exc}") from None
                 if not chunk:
@@ -341,6 +346,13 @@ class ExternalStdioPolicy:
             return (line + newline).decode()
         except UnicodeDecodeError:
             raise PolicyProtocolError(f"reply is not UTF-8 text: {line[:40]!r}") from None
+
+    def _wait(self, selector, deadline: float, stall: str) -> None:
+        """Wait for the pipe; at the deadline mark the child stalled and raise."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0.0 or not selector.select(remaining):
+            self._stalled = True
+            raise PolicyProtocolError(f"{stall} within {POLICY_REPLY_TIMEOUT_S:g} s")
 
     def close(self) -> None:
         """Close the pipes and reap the child; one that stopped answering
@@ -566,12 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(args) -> None:
     if args.config is None:
         return
-    try:
-        config = json.loads(Path(args.config).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{args.config}: not valid JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise ConfigurationError(f"{args.config}: config must be a JSON object")
+    config = read_json_object(args.config, ConfigurationError, "config must be a JSON object")
     # Keys of other verbs are accepted, so one file can serve the pipeline.
     known = {"out", "config", SEED.dest}.union(*(
         [flag[2:].replace("-", "_") for flag in inputs] + [opt.dest for opt in options]

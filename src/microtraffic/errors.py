@@ -1,12 +1,16 @@
-"""Exception types shared across the package, and the one scalar check.
+"""Exception types shared across the package, the one scalar check and
+the one JSON-object reader.
 
 Every scalar from outside (a constructor argument, a JSON field, a flag)
-passes through :func:`checked`, which raises the caller's own error class
-naming the field, so a malformed file or flag ends in one ``error:`` line
-from the command line instead of a traceback.
+passes through :func:`checked`, and every JSON file through
+:func:`read_json_object`. Both raise the caller's own error class naming
+the field or file, so a malformed file or flag ends in one ``error:``
+line from the command line instead of a traceback.
 """
 
+import json
 import math
+from pathlib import Path
 
 
 class MicrotrafficError(Exception):
@@ -74,3 +78,20 @@ def checked(kind, value, name: str, error=InputDomainError, low=None,
             need.append(f"{'>' if strict else '>='} {low:g}")
         raise error(f"{name} must be {' and '.join(need)}, got {x!r}")
     return x
+
+
+def read_json_object(path, error, expected: str) -> dict:
+    """The JSON object in the file at ``path``, else ``error``.
+
+    A file that does not decode, as UTF-8 or as JSON, raises "<path>: not
+    valid JSON: ..." and one holding anything but an object "<path>:
+    <expected>", with ``path`` shown as given. An unreadable file raises
+    its ``OSError``.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise error(f"{path}: {expected}")
+    return payload

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputDomainError, SchemaError
+from .errors import InputDomainError, SchemaError, read_json_object
 
 MASS_TOL = 1e-9
 
@@ -91,12 +91,7 @@ def save_histograms(histograms, path) -> None:
 def load_histograms(path):
     """Read a name -> Histogram mapping written by :func:`save_histograms`."""
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: expected an object mapping names to bin lists")
+    payload = read_json_object(path, SchemaError, "expected an object mapping names to bin lists")
     out = {}
     for name, bins in payload.items():
         if not isinstance(bins, list):

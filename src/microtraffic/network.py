@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, InputDomainError, NetworkError, SchemaError, checked
+from .errors import (ConfigurationError, InputDomainError, NetworkError, SchemaError, checked,
+                     read_json_object)
 
 SCENARIO_KINDS = ("highway", "urban")
 _SCENARIO_SUFFIX = ".scenario.json"
@@ -240,12 +241,10 @@ class RoadNetwork:
 def load_network(path) -> RoadNetwork:
     """Load a network JSON file: {lanes: [...], sources: [...], sinks: [...]}."""
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(payload, dict) or "lanes" not in payload:
-        raise SchemaError(f"{path}: expected an object with a 'lanes' list")
+    expected = "expected an object with a 'lanes' list"
+    payload = read_json_object(path, SchemaError, expected)
+    if "lanes" not in payload:
+        raise SchemaError(f"{path}: {expected}")
     try:
         lanes = [Lane(
             id=entry["id"],
@@ -352,12 +351,7 @@ def _bundled_library() -> Path:
 def _load_scenario_file(path: Path) -> Scenario:
     from .population import DemandSpec, load_demand
 
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: expected a scenario object")
+    payload = read_json_object(path, SchemaError, "expected a scenario object")
     for key in ("kind", "network_file", "dt", "max_steps", "seed"):
         if key not in payload:
             raise SchemaError(f"{path}: missing key {key!r}")

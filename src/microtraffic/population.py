@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, GenerationError, InputDomainError, SchemaError, checked
+from .errors import (ConfigurationError, GenerationError, InputDomainError, SchemaError, checked,
+                     read_json_object)
 from .histogram import Histogram, load_histograms
 from .idm import PARAM_NAMES, ParamSet
 from .network import SCENARIO_KINDS, RoadNetwork, _bundled_library
@@ -231,12 +232,7 @@ def save_demand(demand: DemandSpec, path) -> None:
 
 def load_demand(path) -> DemandSpec:
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: expected an object with routes and vehicles")
+    payload = read_json_object(path, SchemaError, "expected an object with routes and vehicles")
     try:
         routes = tuple(Route(r["id"], tuple(r["lanes"])) for r in payload.get("routes", ()))
         vehicles = tuple(

@@ -346,14 +346,30 @@ def test_run_chains_pinned_exponent_matches_single_chains():
     assert chains[1].samples[:, 5].std() > 0.0
 
 
+def assert_rows_are_contiguous(chains):
+    for chain in chains:
+        for field in ("samples", "log_targets", "accepted"):
+            assert getattr(chain, field).flags.c_contiguous, field
+
+
 def test_run_chains_thinning_and_burn_in_match_single_chains():
+    # Chains run together share one schedule; seeds and pins stay per chain.
     targets = synthetic_targets([40, 40, 40])
-    cfgs = [ProposalConfig(default_proposal_sigma(), 301, seed=1, burn_in=37, thin=3),
-            ProposalConfig(default_proposal_sigma(), 301, seed=2, burn_in=0, thin=7),
-            ProposalConfig(default_proposal_sigma(), 301, seed=3, burn_in=300)]
-    chains = assert_lockstep_matches_alone(targets, cfgs, CENTRE)
+    chains = assert_lockstep_matches_alone(
+        targets, lockstep_configs(3, 301, burn_in=37, thin=3), CENTRE)
     assert chains[0].iterations.tolist() == list(range(37, 301, 3))
-    assert len(chains[2]) == 1
+    assert_rows_are_contiguous(chains)
+    cfgs = lockstep_configs(3, 301, burn_in=0, thin=7)
+    cfgs[1] = ProposalConfig(default_proposal_sigma(), 301, seed=2, burn_in=0, thin=7,
+                             pin_delta=4.0)
+    chains = assert_lockstep_matches_alone(targets, cfgs, CENTRE)
+    assert chains[0].iterations.tolist() == list(range(0, 301, 7))
+    assert np.all(chains[1].samples[:, 5] == 4.0)
+    assert_rows_are_contiguous(chains)
+    chains = assert_lockstep_matches_alone(
+        targets, lockstep_configs(3, 301, burn_in=300), CENTRE)
+    assert [len(c) for c in chains] == [1, 1, 1]
+    assert_rows_are_contiguous(chains)
 
 
 def test_run_chains_tight_prior_box_matches_single_chains():
@@ -408,6 +424,16 @@ def test_run_chains_validation():
     with pytest.raises(InputDomainError, match="n_iter"):
         run_chains(targets, [ProposalConfig(np.ones(1), 10),
                              ProposalConfig(np.ones(1), 11)], np.array([0.0]))
+    with pytest.raises(InputDomainError, match="burn_in"):
+        run_chains(targets, [ProposalConfig(np.ones(1), 10, burn_in=2),
+                             ProposalConfig(np.ones(1), 10, burn_in=3)], np.array([0.0]))
+    with pytest.raises(InputDomainError, match="thin"):
+        run_chains(targets, [ProposalConfig(np.ones(1), 10),
+                             ProposalConfig(np.ones(1), 10, thin=2)], np.array([0.0]))
+    # The default burn-in of 10 iterations is 2, so these share a schedule.
+    assert len(run_chains(targets, [ProposalConfig(np.ones(1), 10),
+                                    ProposalConfig(np.ones(1), 10, burn_in=2)],
+                          np.array([0.0]))) == 2
     with pytest.raises(InputDomainError, match="dim"):
         run_chains(targets, [ProposalConfig(np.ones(1), 10),
                              ProposalConfig(np.ones(2), 10)], np.array([0.0]))
@@ -539,17 +565,21 @@ def test_run_chains_csv_matches_reference(tmp_path):
     theta = THETA_STAR.to_array()
     targets = (synthetic_targets([40, 40, 40])
                + synthetic_targets([40], prior_lo=0.9 * theta, prior_hi=1.1 * theta))
+    # One schedule per call, as chains run together share it; the second
+    # and fourth chains have their exponent pinned.
     sigma = default_proposal_sigma()
-    cfgs = [ProposalConfig(sigma, 301, seed=1, burn_in=0, thin=7),
-            ProposalConfig(sigma, 301, seed=2, pin_delta=4.0),
-            ProposalConfig(sigma, 301, seed=3, burn_in=300),
-            ProposalConfig(sigma, 301, seed=4, burn_in=0, thin=3, pin_delta=4.0)]
-    chains = run_chains(targets, cfgs, theta)
-    assert len(chains[2]) == 1
-    assert np.all(chains[1].samples[:, 5] == 4.0)
+    lengths = []
+    for schedule in ({"burn_in": 0, "thin": 7}, {}, {"burn_in": 300},
+                     {"burn_in": 0, "thin": 3}):
+        cfgs = [ProposalConfig(sigma, 301, seed=k + 1, pin_delta=4.0 if k % 2 else None,
+                               **schedule) for k in range(4)]
+        chains = run_chains(targets, cfgs, theta)
+        assert np.all(chains[1].samples[:, 5] == 4.0)
+        lengths.append(len(chains[0]))
+        for chain in chains:
+            assert_chain_csv_matches_reference(chain, tmp_path)
+    assert lengths == [43, 241, 1, 101]
     assert (chains[3].samples[1:] == chains[3].samples[:-1]).all(axis=1).any()
-    for chain in chains:
-        assert_chain_csv_matches_reference(chain, tmp_path)
 
 
 def test_autocorrelation_lag_zero_and_alternating():

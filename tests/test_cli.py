@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import threading
 import time
 
 import numpy as np
@@ -615,6 +616,15 @@ def test_malformed_config_reports_cleanly(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_config_that_is_not_utf8_reports_cleanly(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_bytes(b'\xff{"seed": 1}')
+    rc = run_cli("simulate", "--config", config, "--out", tmp_path / "run")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: not valid JSON: 'utf-8' codec can't decode")
+
+
 @pytest.mark.parametrize("argv", [
     ("gen-synthetic", "--seed", -1),
     ("calibrate", "--data", "veh.csv", "--seed", -1),
@@ -753,6 +763,37 @@ def test_external_policy_times_out_and_close_kills_it(monkeypatch):
     finally:
         policy.close()
     assert policy._proc.returncode is not None
+
+
+def test_external_policy_that_never_reads_times_out_and_close_kills_it(monkeypatch):
+    # An observation line of about 80 KB does not fit in a pipe buffer, so
+    # the write, not only the wait for a reply, has to give up at the
+    # deadline. ``act`` runs on a worker thread so a blocked write fails
+    # the test instead of hanging it.
+    monkeypatch.setattr(cli, "POLICY_REPLY_TIMEOUT_S", 0.2)
+    policy = ExternalStdioPolicy("sleep 1000")
+    errors = []
+
+    def act():
+        try:
+            policy.act(np.zeros((4000, 5)))
+        except PolicyProtocolError as exc:
+            errors.append(str(exc))
+
+    worker = threading.Thread(target=act, daemon=True)
+    worker.start()
+    try:
+        worker.join(timeout=5.0)
+        assert not worker.is_alive(), "act blocked writing to a policy that never reads"
+        start = time.monotonic()
+        policy.close()
+        # close() kills the stalled child instead of waiting out its 5 s grace
+        assert time.monotonic() - start < 4.0
+        assert policy._proc.returncode is not None
+    finally:
+        policy._proc.kill()
+        worker.join(timeout=5.0)
+    assert errors == ["policy process did not read its observation within 0.2 s"]
 
 
 def test_external_policy_reply_split_across_writes(tmp_path):

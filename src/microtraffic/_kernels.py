@@ -18,15 +18,16 @@ parameter vector for all samples or one per sample: a trajectory rolled
 out at theta scores a one-step RMSE of exactly zero at theta, and a BV in
 the environment moves exactly as a rollout of it would.
 
-A rollout unpacks theta and computes the desired-gap denominator
-``2.0 * math.sqrt(a_max * a_comf)`` once, then takes every Euler step in
-one loop with one call of the law. Hoisting cannot change a bit: each
-step divides by the value the same operations give on the same inputs.
-The loop runs on Python floats, not the slower numpy scalars: ``**`` on
-Python floats is the same libm ``pow`` as on ``np.float64``, and the rest
-is correctly rounded IEEE arithmetic either way. Where Python floats
-raise ``ArithmeticError`` and numpy scalars carry inf or nan on, the
-rollout is rerun on numpy scalars, so its results stay bit-identical.
+Both laws take ``(a_max, b2, v_des, d_min, T, delta)``, the desired-gap
+denominator ``b2 = 2.0 * sqrt(a_max * a_comf)`` in place of ``a_comf``.
+Every caller derives b2 once: per rollout, per RMSE call, per BV at spawn.
+Hoisting cannot change a bit: ``math.sqrt`` and ``np.sqrt`` are both
+correctly rounded. A rollout takes every Euler step in one loop on
+Python floats, not the slower numpy scalars: ``**`` on Python floats is
+the same libm ``pow`` as on ``np.float64``, and the rest is correctly
+rounded IEEE arithmetic either way. Where Python floats raise
+``ArithmeticError`` and numpy scalars carry inf or nan on, the rollout is
+rerun on numpy scalars, so its results stay bit-identical.
 """
 
 import math
@@ -85,30 +86,30 @@ def _rollout_floats(theta, lead_v, v0, gap0, dt):
         return _rollout_loop(theta, np.array(lead_v), v0, gap0, dt)
 
 
-def _accel_series_np(theta, v, dv, gap, out):
+def _accel_series_np(law, v, dv, gap, out):
     """Acceleration law over a batch of samples, written into ``out``.
 
-    ``theta`` is one parameter vector (shape ``(6,)``) shared by every
-    sample, or one column of parameters per sample (shape ``(6, n)``).
-    Same operation per term as ``_idm_accel``: ``np.float_power``, not
+    ``law`` is ``_idm_accel``'s ``(a_max, b2, v_des, d_min, T, delta)``,
+    each a scalar shared by every sample or one value per sample. Same
+    operation per term as ``_idm_accel``: ``np.float_power``, not
     ``np.power``, so the delta term is libm ``pow`` on every CPU.
     """
-    a_max, a_comf, v_des, d_min, T, delta = theta
-    d_des = d_min + v * T + v * dv / (2.0 * np.sqrt(a_max * a_comf))
+    a_max, b2, v_des, d_min, T, delta = law
+    d_des = d_min + v * T + v * dv / b2
     np.maximum(d_des, 0.0, out=d_des)
     q = d_des / gap
     np.multiply(a_max, 1.0 - np.float_power(v / v_des, delta) - q * q, out=out)
 
 
-def _follower_step_np(theta, v, v_lead, gap, dt):
+def _follower_step_np(law, v, v_lead, gap, dt):
     """One forward-Euler step per row, as ``_rollout_loop`` takes it.
 
-    ``theta`` is as in ``_accel_series_np``. Same arithmetic as a rollout
+    ``law`` is as in ``_accel_series_np``. Same arithmetic as a rollout
     step, so every row equals that step on that row bit for bit.
     Returns arrays (accel at the pre-step state, next speed, next gap).
     """
     a = np.empty_like(v)
-    _accel_series_np(theta, v, v - v_lead, gap, a)
+    _accel_series_np(law, v, v - v_lead, gap, a)
     v_next = v + a * dt
     v_next[v_next < 0.0] = 0.0
     gap_next = gap + (v_lead - v) * dt
@@ -124,9 +125,10 @@ def _rmse_np(err):
 
 
 def _rmse_one_step_np(theta, v, dv, gap, a_obs):
-    """One-step prediction RMSE of ``a_obs`` along the last axis; ``theta``
-    as in ``_accel_series_np``, or ``(6, K, 1)`` for ``(K, n)`` samples."""
+    """One-step prediction RMSE of ``a_obs`` along the last axis at
+    ``theta``, shape ``(6,)``, or ``(6, K, 1)`` for ``(K, n)`` samples."""
+    a_max, a_comf, *rest = theta
     pred = np.empty_like(v)
-    _accel_series_np(theta, v, dv, gap, pred)
+    _accel_series_np((a_max, 2.0 * np.sqrt(a_max * a_comf), *rest), v, dv, gap, pred)
     pred -= a_obs
     return _rmse_np(pred)

@@ -32,11 +32,11 @@ or at ``max_steps``. BV-BV contact is logged but does not terminate.
 
 Per-step geometry costs what the BVs and the lanes near the ego cost.
 The off-road test needs no projection while the ego is on its tracked
-lane's stretch within ``Lane._held_d`` of the centre line; otherwise it
-tries the membership lane first. The collision test skips an occupied
-lane whose centerline box is farther from the ego, on either axis, than
-the lateral limit plus ``_WINDOW_SLACK``. A frame and the observation pose
-all their BVs in one ``RoadNetwork.poses_at`` call.
+lane's stretch within ``Lane._held_d`` of the centre line; otherwise its
+membership lane, then ``is_off_road``, decides. The collision test skips
+an occupied lane whose centerline box is farther from the ego, on either
+axis, than the lateral limit plus ``_WINDOW_SLACK``. A frame and the
+observation pose all their BVs in one ``RoadNetwork.poses_at`` call.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ _WINDOW_SLACK = 1.0
 # ``_ego_key(lane code)`` behind the ego, NaN without a leader (NaN equals
 # no key, so a leaderless BV never keeps its previous gap).
 _S, _V, _LEN, _RANK, _GAP, _KEY, _LANE, _END, _SEQ = range(9)
-_THETA = slice(9, 15)
+_THETA = slice(9, 15)  # the law's (a_max, b2, v_des, d_min, T, delta)
 _N_ROWS = 15
 _NO_LEADER = math.nan
 
@@ -206,12 +206,14 @@ class TrafficEnv:
         self._log_bv_contacts()
 
         # At 0 <= s <= length and |d| <= _held_d the pose is on the tracked
-        # lane (which is then the membership lane): no projection needed.
+        # lane: no projection needed. Else a membership lane holding it does.
         lane = self.net.lanes[self._ego_lane]
+        mem = self.net.lanes[self._mem[0]]
         if self.check_collision():
             self._cause = "collision"
         elif ((not 0.0 <= self._ego_s <= lane.length or abs(self._ego_d) > lane._held_d)
-              and is_off_road(self.net, *self._pose[:2], first=self._mem[0])):
+              and self._project_ego(mem.id)[2] > mem.width / 2.0
+              and is_off_road(self.net, *self._pose[:2])):
             self._cause = "off_road"
         elif self._step_idx >= self.scenario.max_steps:
             self._cause = "max_steps"
@@ -448,8 +450,8 @@ class TrafficEnv:
             p = spec.params
             columns.append((s, v0, spec.length, rank, math.inf, _NO_LEADER,
                             self._code[lane_id], self.net.lanes[lane_id].length,
-                            self._n_spawned,
-                            p.a_max, p.a_comf, p.v_des, p.d_min, p.T, p.delta))
+                            self._n_spawned, p.a_max, 2.0 * math.sqrt(p.a_max * p.a_comf),
+                            p.v_des, p.d_min, p.T, p.delta))
             self._n_spawned += 1
             self._routes[rank] = [route.lanes, 0]
             ss, rows = self._staged.setdefault(lane_id, ([], []))

@@ -159,27 +159,31 @@ class Trajectory:
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
         path = Path(path)
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != list(TRAJECTORY_COLUMNS):
+        try:
+            with path.open(newline="") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not valid UTF-8 text: {exc}") from None
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if header != list(TRAJECTORY_COLUMNS):
+            raise SchemaError(
+                f"{path}: expected header {','.join(TRAJECTORY_COLUMNS)}, got {header}"
+            )
+        columns = [[] for _ in TRAJECTORY_COLUMNS]
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(TRAJECTORY_COLUMNS):
                 raise SchemaError(
-                    f"{path}: expected header {','.join(TRAJECTORY_COLUMNS)}, got {header}"
+                    f"{path}: row {lineno}: expected {len(TRAJECTORY_COLUMNS)} fields, got {len(row)}"
                 )
-            columns = [[] for _ in TRAJECTORY_COLUMNS]
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(TRAJECTORY_COLUMNS):
-                    raise SchemaError(
-                        f"{path}: row {lineno}: expected {len(TRAJECTORY_COLUMNS)} fields, got {len(row)}"
-                    )
-                try:
-                    values = [float(x) for x in row]
-                except ValueError as exc:
-                    raise SchemaError(f"{path}: row {lineno}: {exc}") from None
-                for col, value in zip(columns, values):
-                    col.append(value)
+            try:
+                values = [float(x) for x in row]
+            except ValueError as exc:
+                raise SchemaError(f"{path}: row {lineno}: {exc}") from None
+            for col, value in zip(columns, values):
+                col.append(value)
         if len(columns[0]) < 2:
             raise SchemaError(
                 f"{path}: needs at least 2 data rows to fix dt, got {len(columns[0])}"

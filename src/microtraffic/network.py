@@ -10,13 +10,13 @@ Each lane keeps per-segment tables built once: start points, unit
 direction vectors, headings (``math.atan2``, never numpy's possibly
 SIMD-dispatched ``arctan2``) and the bounding box of its centerline.
 ``RoadNetwork.poses_at`` poses vehicles on any lanes with one lookup into
-all lanes' tables and gives the bits of ``Lane.pose_at``. ``is_off_road``
-stops at the first lane that holds the point, trying a given lane first.
+all lanes' tables and gives the bits of ``Lane.pose_at``. A point is on
+the road when ``global_to_road`` finds a lane holding it; ``is_off_road``
+is that rule and nothing else.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -288,22 +288,9 @@ def global_to_road(net: RoadNetwork, x: float, y: float) -> RoadCoord | None:
     return best
 
 
-def is_off_road(net: RoadNetwork, x: float, y: float, first: str | None = None) -> bool:
-    """True when (x, y) is not within any lane's width (closed boundary).
-
-    Lanes are tried ``first`` (a lane id), then the others in id order, and
-    the test stops at the first lane within half its width of the point.
-    Each lane qualifies on its own, so the order never changes the answer:
-    it is always ``global_to_road(net, x, y) is None``.
-    """
-    ids = net._sorted_ids
-    if first is not None:
-        ids = [first] + [lane_id for lane_id in ids if lane_id != first]
-    for lane_id in ids:
-        lane = net.lanes[lane_id]
-        if lane.project(x, y)[2] <= lane.width / 2.0:
-            return False
-    return True
+def is_off_road(net: RoadNetwork, x: float, y: float) -> bool:
+    """True when (x, y) is not within any lane's width (closed boundary)."""
+    return global_to_road(net, x, y) is None
 
 
 @dataclass(frozen=True)
@@ -391,10 +378,9 @@ def list_scenarios(kind: str | None = None, library=None):
     for p in sorted(library.glob(f"*{_SCENARIO_SUFFIX}")):
         if kind is not None:
             try:
-                payload = json.loads(p.read_text())
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(payload, dict) or payload.get("kind") != kind:
+                if read_json_object(p, SchemaError, "").get("kind") != kind:
+                    continue
+            except SchemaError:
                 continue
         out.append(p)
     return out

@@ -984,6 +984,17 @@ def test_malformed_input_file_field_ends_in_one_error_line(tmp_path, capsys, rol
     assert not out.exists()
 
 
+def test_calibrate_csv_that_is_not_utf8_ends_in_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"t,v_ego,v_leader,gap,a_obs\n\xff\n")
+    out = tmp_path / "out"
+    rc = run_cli("calibrate", "--data", bad, "--n-iter", 10, "--out", out)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {bad}: not valid UTF-8 text: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_scenario_field_error_names_the_scenario_file(tmp_path, capsys):
     files = _bundled_copy(tmp_path)
     path, doc = files["scenario"]

@@ -2,6 +2,7 @@
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from conftest import THETA_STAR, follower_step, straight_scenario
 from microtraffic import (Action, DemandSpec, EnvUsageError, InputDomainError,
                           Lane, ParamSet, RoadNetwork, Route, Scenario,
                           TrafficEnv, VehicleSpec)
-from microtraffic.env import (_END, _GAP, _KEY, _LANE, _LEN, _RANK, _S, _SEQ,
-                              _THETA, _V, _ego_key)
-from microtraffic.network import _bundled_library, global_to_road, load_scenario
+from microtraffic.env import (_END, _GAP, _KEY, _LANE, _LEN, _RANK, _S, _SEQ, _V,
+                              _ego_key)
+from microtraffic.network import _bundled_library, global_to_road, is_off_road, load_scenario
 
 PARKED = ParamSet(a_max=1e-9, a_comf=5.0, v_des=1e-9, d_min=10.0, T=2.0,
                   delta=4.0)
@@ -352,14 +353,16 @@ def encode_key(env, key):
 
 
 def live_bvs(env):
-    """The live BVs as plain records, in spawn order."""
+    """The live BVs as plain records, in spawn order, each with its
+    parameters as the scenario demand gives them."""
     F = env._F
+    params = {spec.id: spec.params for spec in env.scenario.demand.vehicles}
     return [SimpleNamespace(id=env._ids[int(F[_RANK, j])],
                             lane=env._lane_ids[int(F[_LANE, j])],
                             s=float(F[_S, j]), v=float(F[_V, j]),
                             length=float(F[_LEN, j]), gap=float(F[_GAP, j]),
                             leader_key=decode_key(env, F[_KEY, j]),
-                            theta=F[_THETA, j].copy())
+                            theta=params[env._ids[int(F[_RANK, j])]].to_array())
             for j in np.argsort(F[_SEQ])]
 
 
@@ -629,3 +632,48 @@ def test_off_road_decision_agrees_with_global_to_road(case):
     result = env.step(ZERO)
     x, y, _ = env._pose
     assert (result.info["cause"] == "off_road") == (global_to_road(env.net, x, y) is None)
+
+
+#: The straight 3-lane road, a bent lane and the urban grid, without BVs.
+OFF_ROAD_SCENARIOS = (EDGE_SCENARIOS[0], EDGE_SCENARIOS[1], EDGE_SCENARIOS[3])
+
+
+@st.composite
+def egos_on_and_off_lanes(draw):
+    """An ego on a lane, along it or beyond either end, at either lane edge,
+    on a neighbour lane's centre or anywhere within three lane widths,
+    optionally moved one ulp in s or d."""
+    scenario = draw(st.sampled_from(OFF_ROAD_SCENARIOS))
+    lane_id = draw(st.sampled_from(sorted(scenario.network.lanes)))
+    lane = scenario.network.lanes[lane_id]
+    w = lane.width
+    s = draw(st.sampled_from([0.0, lane.length]) | st.floats(-5.0, lane.length + 5.0))
+    d = draw(st.sampled_from([w / 2.0, -w / 2.0, w, -w]) | st.floats(-3.0 * w, 3.0 * w))
+    toward = draw(st.sampled_from([None, -math.inf, math.inf]))
+    if toward is not None:
+        if draw(st.booleans()):
+            s = math.nextafter(s, toward)
+        else:
+            d = math.nextafter(d, toward)
+    return scenario, lane_id, s, d
+
+
+@settings(deadline=None, max_examples=300)
+@given(egos_on_and_off_lanes())
+# exactly on the shared edge of two lanes, held by the membership lane
+@example((EDGE_SCENARIOS[0], "lane_1", 1500.0, 1.75))
+# before a lane's start, missed by it and held by the lane leading into it
+@example((EDGE_SCENARIOS[3], "e00_01", -3.0, 0.0))
+def test_off_road_decision_from_membership_lane_then_network(case):
+    scenario, lane_id, s, d = case
+    env = TrafficEnv(scenario)
+    env.reset()
+    env._ego_lane, env._ego_s, env._ego_d = lane_id, s, d
+    env._ego_vlong = 0.0
+    with mock.patch("microtraffic.env.is_off_road", wraps=is_off_road) as spy:
+        result = env.step(ZERO)
+    x, y, _ = env._pose
+    assert (result.info["cause"] == "off_road") == (global_to_road(env.net, x, y) is None)
+    # The network-wide test runs only when the membership lane misses the ego.
+    mem = env.net.lanes[env._mem[0]]
+    assert not spy.called or mem.project(x, y)[2] > mem.width / 2.0

@@ -34,6 +34,13 @@ def _law_args(a_max, a_comf, v_des, d_min, T, delta):
     return (a_max, 2.0 * math.sqrt(a_max * a_comf), v_des, d_min, T, delta)
 
 
+def _law_cols(theta):
+    """``_law_args`` for the batch kernels: ``theta`` one parameter vector
+    or one column per sample, ``b2`` by ``np.sqrt``."""
+    a_max, a_comf, *rest = theta
+    return (a_max, 2.0 * np.sqrt(a_max * a_comf), *rest)
+
+
 def _scalar_args(p, v, dv, gap):
     return (*_law_args(*p.to_array().tolist()), v, dv, gap)
 
@@ -65,10 +72,10 @@ def _batch_results(thetas, v, dv, gap, a_obs):
     accel = np.empty((len(thetas), v.size))
     rmse = np.empty(len(thetas))
     for i, theta in enumerate(thetas):
-        _kernels._accel_series_np(theta, v, dv, gap, accel[i])
+        _kernels._accel_series_np(_law_cols(theta), v, dv, gap, accel[i])
         rmse[i] = _kernels._rmse_one_step_np(theta, v, dv, gap, a_obs)
     steps = np.stack(_kernels._follower_step_np(
-        _per_sample_thetas(thetas, v.size), v, v - dv, gap, 0.1))
+        _law_cols(_per_sample_thetas(thetas, v.size)), v, v - dv, gap, 0.1))
     rollouts = np.full((len(thetas), 3, LEAD.size), np.nan)
     for theta, out in zip(thetas, rollouts):
         rows = np.array(_kernels._rollout_floats(theta, LEAD.tolist(), 25.0, 40.0, 0.1))
@@ -103,7 +110,7 @@ def test_batch_accel_bit_identical_to_scalar_on_grid():
     v, dv, gap = (np.array(col) for col in zip(*STATE_GRID))
     for p in PARAM_GRID:
         got = np.empty(v.size)
-        _kernels._accel_series_np(p.to_array(), v, dv, gap, got)
+        _kernels._accel_series_np(_law_cols(p.to_array()), v, dv, gap, got)
         want = [_kernels._idm_accel(*_scalar_args(p, *state))
                 for state in STATE_GRID]
         _assert_bits_equal(got, want)
@@ -135,7 +142,7 @@ def test_batched_follower_step_bit_identical_to_scalar():
     cases.append((_per_sample_thetas(thetas, pv.size), pv, pv - pdv, pgap))
     floored = collapsed = leaderless = 0
     for theta_cols, v, v_lead, gap in cases:
-        got = _kernels._follower_step_np(theta_cols, v, v_lead, gap, dt)
+        got = _kernels._follower_step_np(_law_cols(theta_cols), v, v_lead, gap, dt)
         want = _scalar_steps(theta_cols, v, v_lead, gap, dt)
         for got_row, want_row in zip(got, zip(*want)):
             _assert_bits_equal(got_row, want_row)

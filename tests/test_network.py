@@ -188,13 +188,12 @@ def test_off_road_boundary_is_closed():
     assert not is_off_road(net, 1500.0, -1.75)
     assert is_off_road(net, 1500.0, math.nextafter(1.75, 2.0))
     assert is_off_road(net, 1500.0, 2.0)
-    # the same edges whichever lane is tried first, and round a lane end
+    # the same edges among several lanes, and round a lane end
     net = straight_network(n_lanes=3)
-    for first in (None, "lane_0", "lane_1", "lane_2"):
-        assert not is_off_road(net, 1500.0, 1.75, first=first)
-        assert is_off_road(net, 1500.0, math.nextafter(1.75, 2.0), first=first)
-        assert not is_off_road(net, 3001.75, -7.0, first=first)
-        assert is_off_road(net, math.nextafter(3001.75, 4000.0), -7.0, first=first)
+    assert not is_off_road(net, 1500.0, 1.75)
+    assert is_off_road(net, 1500.0, math.nextafter(1.75, 2.0))
+    assert not is_off_road(net, 3001.75, -7.0)
+    assert is_off_road(net, math.nextafter(3001.75, 4000.0), -7.0)
 
 
 def bundled_network(name):
@@ -229,9 +228,7 @@ def points_near_lanes(draw):
 @given(points_near_lanes())
 def test_off_road_early_exit_agrees_with_global_to_road(case):
     net, x, y = case
-    expected = global_to_road(net, x, y) is None
-    for first in (None, *sorted(net.lanes)):
-        assert is_off_road(net, x, y, first=first) == expected
+    assert is_off_road(net, x, y) == (global_to_road(net, x, y) is None)
 
 
 # At s = -0.0 on this lane, x = (-0.0 + 0.6 * -0.0) - (-0.8 * 0.0) is +0.0
@@ -394,6 +391,9 @@ def test_list_scenarios_kind_filter():
 
 def test_library_file_that_is_not_an_object_is_skipped(tmp_path):
     (tmp_path / "bad.scenario.json").write_text("[1, 2]")
+    # nor UTF-8 text, nor JSON
+    (tmp_path / "bytes.scenario.json").write_bytes(b"\xff")
+    (tmp_path / "text.scenario.json").write_text("not json")
     with pytest.raises(ConfigurationError, match="no scenarios of kind 'highway'"):
         load_scenario("highway", np.random.default_rng(0), library=tmp_path)
     good = write_scenario_files(tmp_path, max_steps=10)

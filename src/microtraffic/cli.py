@@ -260,7 +260,7 @@ class BuiltinIdmEgoPolicy:
 
     def act(self, obs) -> Action:
         leader = None
-        for row in np.asarray(obs)[0::2]:
+        for row in np.asarray(obs)[0::2].tolist():
             if row[0] != 1.0 or row[1] <= 0.0 or abs(row[2]) >= self.half_width:
                 continue
             if leader is None or row[1] < leader[1]:
@@ -268,9 +268,8 @@ class BuiltinIdmEgoPolicy:
         if leader is None:
             state = FollowingState(v=max(self._v, 0.0), delta_v=0.0, d_front=math.inf)
         else:
-            gap = max(float(leader[1]) - DEFAULT_VEHICLE_LENGTH, 1e-3)
-            state = FollowingState(v=max(self._v, 0.0), delta_v=-float(leader[3]),
-                                   d_front=gap)
+            gap = max(leader[1] - DEFAULT_VEHICLE_LENGTH, 1e-3)
+            state = FollowingState(v=max(self._v, 0.0), delta_v=-leader[3], d_front=gap)
         a = idm_acceleration(self.params, state)
         self._v += a * self.dt
         return Action(a, 0.0)

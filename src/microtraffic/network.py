@@ -6,18 +6,25 @@ optional same-direction left/right neighbours. The road-aligned frame is
 positive to the left of the travel direction. Heading at a polyline vertex
 is taken from the outgoing segment.
 
-Each lane keeps per-segment tables built once: start points, unit
-direction vectors, headings (``math.atan2``, never numpy's possibly
-SIMD-dispatched ``arctan2``) and the bounding box of its centerline.
+Each lane keeps per-segment rows of Python floats, built once: start
+points, unit and segment vectors, arc lengths and headings
+(``math.atan2``, never numpy's possibly SIMD-dispatched ``arctan2``), and
+the bounding box of its centerline. ``Lane.pose_at`` and ``Lane.project``
+read them and call no numpy: at about a microsecond per numpy call, the
+dozen calls of an array projection cost more than the arithmetic of a few
+dozen segments. A projection onto a long lane skips runs of segments
+whose bounding circle is provably farther than the nearest segment found,
+and still returns the first of equally near segments.
 ``RoadNetwork.poses_at`` poses vehicles on any lanes with one lookup into
-all lanes' tables and gives the bits of ``Lane.pose_at``. A point is on
-the road when ``global_to_road`` finds a lane holding it; ``is_off_road``
-is that rule and nothing else.
+all lanes' rows, joined into one numpy table, and gives the bits of
+``Lane.pose_at``. A point is on the road when ``global_to_road`` finds a
+lane holding it; ``is_off_road`` is that rule and nothing else.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +35,11 @@ from .errors import (ConfigurationError, InputDomainError, NetworkError, SchemaE
 
 SCENARIO_KINDS = ("highway", "urban")
 _SCENARIO_SUFFIX = ".scenario.json"
+# Lane.project bounds runs of this many segments at a time. It skips runs
+# only on lanes and points within _FAR of the origin, where no product
+# overflows, so no skipped segment can hide a NaN distance.
+_RUN = 8
+_FAR = 1e100
 
 
 @dataclass(frozen=True)
@@ -50,26 +62,19 @@ class Lane:
             raise NetworkError(f"lane {self.id!r}: centerline has non-finite points")
         seg = np.diff(pts, axis=0)
         seg_len = np.hypot(seg[:, 0], seg[:, 1])
-        if np.any(seg_len <= 0.0):
+        seg_len2 = seg_len * seg_len
+        # project divides by the squared length, so a segment whose square
+        # underflows to 0 counts as zero-length.
+        if np.any(seg_len2 <= 0.0):
             raise NetworkError(f"lane {self.id!r}: centerline has a zero-length segment")
         width = checked(float, self.width, f"lane {self.id!r}: width", NetworkError,
                         low=0.0, strict=True)
         cum = np.concatenate(([0.0], np.cumsum(seg_len)))
-        unit = seg / seg_len[:, None]
+        unit = (seg / seg_len[:, None]).T.tolist()
         object.__setattr__(self, "centerline", pts)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "successors", tuple(self.successors))
-        object.__setattr__(self, "_starts", pts[:-1])
-        object.__setattr__(self, "_seg", seg)
-        object.__setattr__(self, "_seg_len", seg_len)
-        object.__setattr__(self, "_seg_len2", seg_len ** 2)
         object.__setattr__(self, "_cum_s", cum)
-        # Segment i holds s in [cum[i], cum[i + 1]); the first and last
-        # segments extend to -inf and +inf.
-        object.__setattr__(self, "_inner_s", cum[1:-1])
-        object.__setattr__(self, "_unit", unit)
-        object.__setattr__(self, "_heading",
-                           np.array([math.atan2(uy, ux) for ux, uy in unit.tolist()]))
         xs, ys = pts.T.tolist()
         object.__setattr__(self, "_box", (min(xs), min(ys), max(xs), max(ys)))
         # pose_at(s, d) at 0 <= s <= length lies within |d| of the centerline;
@@ -78,7 +83,33 @@ class Lane:
         # with |d| <= _held_d is on this lane.
         object.__setattr__(self, "length", float(cum[-1]))
         scale = max(map(abs, self._box)) + self.length
+        object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_held_d", width / 2.0 - (1e-6 + 1e-9 * scale))
+
+        # Plain-float rows, one per segment. pose_at: start x, y, unit x, y,
+        # start s, heading; segment i holds s in [cum[i], cum[i + 1]), the
+        # first and last extend to -inf and +inf. project: start x, y,
+        # segment x, y, squared length, index, start s, length.
+        cum_s = cum.tolist()
+        starts = (xs[:-1], ys[:-1])
+        object.__setattr__(self, "_inner_s", cum_s[1:-1])
+        heading = [math.atan2(uy, ux) for ux, uy in zip(*unit)]
+        object.__setattr__(self, "_pose_rows", list(zip(*starts, *unit, cum_s, heading)))
+        rows = list(zip(*starts, *seg.T.tolist(), seg_len2.tolist(), range(len(seg)),
+                        cum_s, seg_len.tolist()))
+        object.__setattr__(self, "_rows", rows)
+        # Runs of _RUN segments, each with a circle around its vertices:
+        # centre x, y, radius, rows. Only for lanes of more than one run
+        # whose coordinates keep every product in project finite.
+        runs = []
+        if len(rows) > _RUN and scale <= _FAR:
+            for k in range(0, len(rows), _RUN):
+                vx, vy = xs[k:k + _RUN + 1], ys[k:k + _RUN + 1]
+                cx = (min(vx) + max(vx)) / 2.0
+                cy = (min(vy) + max(vy)) / 2.0
+                rho = max(math.hypot(px - cx, py - cy) for px, py in zip(vx, vy))
+                runs.append((cx, cy, rho, rows[k:k + _RUN]))
+        object.__setattr__(self, "_runs", runs)
 
     def pose_at(self, s: float, d: float = 0.0, extrapolate: bool = False):
         """Global (x, y, heading) at arc length s, offset d to the left.
@@ -90,12 +121,9 @@ class Lane:
             raise InputDomainError(
                 f"lane {self.id!r}: s={s!r} outside [0, {self.length}]"
             )
-        i = int(self._inner_s.searchsorted(s, side="right"))
-        ux, uy = self._unit[i]
-        local = s - self._cum_s[i]
-        x = self.centerline[i, 0] + ux * local - uy * d
-        y = self.centerline[i, 1] + uy * local + ux * d
-        return float(x), float(y), float(self._heading[i])
+        x0, y0, ux, uy, s0, heading = self._pose_rows[bisect_right(self._inner_s, s)]
+        local = s - s0
+        return float(x0 + ux * local - uy * d), float(y0 + uy * local + ux * d), heading
 
     def project(self, x: float, y: float):
         """(s, d, dist) of the closest centerline point to (x, y).
@@ -103,22 +131,60 @@ class Lane:
         ``dist`` is the Euclidean distance to the clamped projection and
         ``d`` carries its sign (left of travel positive). s is clamped to
         [0, length], so points beyond the ends project onto the endpoints
-        and their longitudinal overshoot shows up in ``dist``.
+        and their longitudinal overshoot shows up in ``dist``. Of equally
+        near segments the first wins; a NaN distance counts as nearest.
         """
-        p = np.array([x, y], dtype=np.float64)
-        w = p - self._starts
-        t = np.einsum("ij,ij->i", w, self._seg) / self._seg_len2
-        np.maximum(t, 0.0, out=t)
-        np.minimum(t, 1.0, out=t)
-        proj = self._starts + t[:, None] * self._seg
-        diff = p - proj
-        dist2 = np.einsum("ij,ij->i", diff, diff)
-        i = int(dist2.argmin())
-        dist = math.sqrt(float(dist2[i]))
-        cross = self._seg[i, 0] * diff[i, 1] - self._seg[i, 1] * diff[i, 0]
-        d = dist if cross >= 0.0 else -dist
-        s = float(self._cum_s[i] + t[i] * self._seg_len[i])
-        return s, d, dist
+        x, y = float(x), float(y)
+        runs = self._runs
+        if runs and abs(x) <= _FAR and abs(y) <= _FAR:
+            # Scan the run whose circle is nearest first. Another run is
+            # skipped when its circle's distance, less a margin far above
+            # the rounding of both sides, squares to more than the best
+            # distance found: every segment in it is then strictly farther.
+            bounds = [math.hypot(x - cx, y - cy) - rho for cx, cy, rho, _ in runs]
+            first = bounds.index(min(bounds))
+            best = _nearest(runs[first][3], x, y)
+            margin = 1e-6 + 1e-9 * (self._scale + abs(x) + abs(y))
+            for r, (bound, run) in enumerate(zip(bounds, runs)):
+                bound -= margin
+                if r == first or (bound > 0.0 and bound * bound > best[0]):
+                    continue
+                found = _nearest(run[3], x, y)
+                if found[:2] < best[:2]:
+                    best = found
+        else:
+            best = _nearest(self._rows, x, y)
+        d2, i, t, dx, dy = best
+        _, _, sx, sy, _, _, s0, length = self._rows[i]
+        dist = math.sqrt(d2)
+        d = dist if sx * dy - sy * dx >= 0.0 else -dist
+        return s0 + t * length, d, dist
+
+
+def _nearest(rows, x, y):
+    """(squared distance, index, t, dx, dy) of the first of ``rows``
+    nearest to (x, y), or of the first whose distance is NaN; per segment
+    the same IEEE operations, in the same order, as a numpy pass over all
+    segments followed by ``argmin``."""
+    best = nan = None
+    best_d2 = math.inf
+    # Backwards, so that <= leaves the first of equal distances (all +inf
+    # included) and the last NaN seen is the first.
+    for x0, y0, sx, sy, l2, i, _, _ in reversed(rows):
+        t = ((x - x0) * sx + (y - y0) * sy) / l2
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        dx = x - (x0 + t * sx)
+        dy = y - (y0 + t * sy)
+        d2 = dx * dx + dy * dy
+        if d2 <= best_d2:
+            best_d2 = d2
+            best = (d2, i, t, dx, dy)
+        elif d2 != d2:
+            nan = (d2, i, t, dx, dy)
+    return nan or best
 
 
 @dataclass(frozen=True)
@@ -160,20 +226,18 @@ class RoadNetwork:
                 if ref not in self.lanes:
                     raise NetworkError(f"{name} {ref!r} does not exist")
         self._sorted_ids = sorted(self.lanes)
-        # All lanes' segments in sorted-id order. Rows: start x, y, unit x,
-        # y, pose_at's d terms at d = 0 as -(uy * 0.0), ux * 0.0 (a - b is
-        # a + (-b) bit for bit), start s, heading. Keys: where each segment
-        # ends, lane index + s*1j, +inf for a lane's last; numpy orders
-        # complex by real, then imaginary part, so the segment holding s on
-        # lane c is the number of keys <= c + s*1j.
+        # All lanes' pose_at rows in sorted-id order, one column per
+        # segment: start x, y, unit x, y, pose_at's d terms at d = 0 as
+        # -(uy * 0.0), ux * 0.0 (a - b is a + (-b) bit for bit), start s,
+        # heading. Keys: where each segment ends, lane index + s*1j, +inf
+        # for a lane's last; numpy orders complex by real, then imaginary
+        # part, so the segment holding s on lane c is the number of keys
+        # <= c + s*1j.
         ordered = [self.lanes[lane_id] for lane_id in self._sorted_ids]
-        self._segments = np.concatenate(
-            [np.vstack((lane._starts.T, lane._unit.T, -(lane._unit[:, 1] * 0.0),
-                        lane._unit[:, 0] * 0.0, lane._cum_s[:-1], lane._heading))
-             for lane in ordered], axis=1)
-        self._seg_keys = np.concatenate(
-            [np.column_stack((np.full(len(lane._unit), c), np.append(lane._inner_s, math.inf)))
-             for c, lane in enumerate(ordered)]).view(np.complex128).ravel()
+        rows = np.array([row for lane in ordered for row in lane._pose_rows]).T
+        self._segments = np.vstack((rows[:4], -(rows[3] * 0.0), rows[2] * 0.0, rows[4:]))
+        self._seg_keys = np.array(
+            [complex(c, s) for c, lane in enumerate(ordered) for s in lane._inner_s + [math.inf]])
 
     def __contains__(self, lane_id) -> bool:
         return lane_id in self.lanes

@@ -157,19 +157,38 @@ def project_reference(lane, x, y):
     """``Lane.project`` as first written: the reference the package's
     projection must match bit for bit. (s, d, dist) of the closest
     centerline point to (x, y); s is clamped to [0, length]."""
+    seg = np.diff(lane.centerline, axis=0)
+    seg_len = np.hypot(seg[:, 0], seg[:, 1])
+    cum_s = np.concatenate(([0.0], np.cumsum(seg_len)))
     p = np.array([x, y], dtype=np.float64)
     w = p - lane.centerline[:-1]
-    t = np.einsum("ij,ij->i", w, lane._seg) / (lane._seg_len ** 2)
+    t = np.einsum("ij,ij->i", w, seg) / (seg_len ** 2)
     t = np.clip(t, 0.0, 1.0)
-    proj = lane.centerline[:-1] + t[:, None] * lane._seg
+    proj = lane.centerline[:-1] + t[:, None] * seg
     diff = p - proj
     dist2 = np.einsum("ij,ij->i", diff, diff)
     i = int(np.argmin(dist2))
     dist = math.sqrt(float(dist2[i]))
-    cross = lane._seg[i, 0] * diff[i, 1] - lane._seg[i, 1] * diff[i, 0]
+    cross = seg[i, 0] * diff[i, 1] - seg[i, 1] * diff[i, 0]
     d = dist if cross >= 0.0 else -dist
-    s = float(lane._cum_s[i] + t[i] * lane._seg_len[i])
+    s = float(cum_s[i] + t[i] * seg_len[i])
     return s, d, dist
+
+
+def pose_at_reference(lane, s, d=0.0):
+    """``Lane.pose_at`` as written with numpy scalars: the reference the
+    package's pose must match bit for bit. Global (x, y, heading) at arc
+    length s, offset d, extrapolated past either end."""
+    seg = np.diff(lane.centerline, axis=0)
+    seg_len = np.hypot(seg[:, 0], seg[:, 1])
+    cum_s = np.concatenate(([0.0], np.cumsum(seg_len)))
+    unit = seg / seg_len[:, None]
+    i = int(cum_s[1:-1].searchsorted(s, side="right"))
+    ux, uy = unit[i]
+    local = s - cum_s[i]
+    x = lane.centerline[i, 0] + ux * local - uy * d
+    y = lane.centerline[i, 1] + uy * local + ux * d
+    return float(x), float(y), math.atan2(uy, ux)
 
 
 def rollout_reference(theta, lead_v, v0, gap0, dt):

@@ -134,6 +134,35 @@ def test_lateral_drift_terminates_off_road_at_exact_step():
         env.step(ZERO)
 
 
+def test_ego_that_would_lap_a_lane_cycle_in_one_step_ends_off_road():
+    # urban_grid's first successors form a cycle: without a bound on the
+    # lane ends crossed, the second step would never return.
+    env = TrafficEnv(load_scenario(_bundled_library() / "urban_grid.scenario.json"))
+    env.reset()
+    assert env.step(Action(1e200, 0.0)).info["cause"] == "running"
+    result = env.step(Action(1e200, 0.0))
+    assert result.terminated
+    assert result.info["cause"] == "off_road"
+
+
+@pytest.mark.parametrize("speed, lane, s, cause", [
+    # 45 m crosses a (10 m) and b (30 m): as many lane ends as lanes
+    (450.0, "a", 5.0, "running"),
+    # 85 m would cross a third lane end
+    (850.0, "a", 45.0, "off_road"),
+])
+def test_ego_crosses_at_most_as_many_lane_ends_per_step_as_lanes(speed, lane, s, cause):
+    loop = RoadNetwork([Lane("a", [(0.0, 0.0), (10.0, 0.0)], 3.5, successors=("b",)),
+                        Lane("b", [(10.0, 0.0), (10.0, 10.0), (0.0, 10.0), (0.0, 0.0)], 3.5,
+                             successors=("a",))])
+    env = TrafficEnv(Scenario("urban", loop, DemandSpec((), ()), 0.1, 10, 0, "a",
+                              ego_speed=speed))
+    env.reset()
+    result = env.step(ZERO)
+    assert result.info["cause"] == cause
+    assert (env._ego_lane, env._ego_s) == (lane, s)
+
+
 def test_check_collision_bumper_gap_boundary():
     # Constant 2 m/s approach on a parked car at 100.1: the bumper gap is
     # 35.1 - 0.2 k, so step 175 still has 0.1 m of air and step 176 is the

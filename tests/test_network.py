@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (project_reference, straight_network, straight_scenario,
-                      write_scenario_files)
+from conftest import (pose_at_reference, project_reference, straight_network,
+                      straight_scenario, write_scenario_files)
 from microtraffic import (ConfigurationError, InputDomainError, NetworkError,
                           RoadCoord, RoadNetwork, Scenario, SchemaError,
                           global_to_road, is_off_road, list_scenarios,
@@ -78,6 +78,9 @@ def test_lane_validation():
         Lane("l", [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)], 3.5)
     with pytest.raises(NetworkError):
         Lane("l", [(0.0, 0.0), (1.0, 0.0)], 0.0)
+    # a segment whose squared length underflows to 0 is zero-length too
+    with pytest.raises(NetworkError, match="zero-length"):
+        Lane("l", [(0.0, 0.0), (1e-170, 0.0), (1.0, 0.0)], 3.5)
 
 
 def test_network_reference_validation():
@@ -307,7 +310,26 @@ def test_network_poses_match_pose_at_on_random_networks(case):
     assert_network_poses_match_pose_at(*case)
 
 
-PROJECT_LANES = ([SIGNED_ZERO_LANE, NEGATIVE_ZERO_LANE, bent_lane()]
+# Out along y = 0 in 10 m segments (the first run of Lane.project), a 4 m
+# U-turn, back along y = 4: segments 8-15 form the second run, 16 the third.
+HAIRPIN_LANE = Lane("hairpin", [(x, 0.0) for x in range(0, 90, 10)]
+                    + [(x, 4.0) for x in range(80, -10, -10)], 3.5)
+
+# Whole-metre steps mixed with random ones, so that whole-metre points are
+# often equally near to segments of different runs.
+GRID_STEP = st.sampled_from([(1.0, 0.0), (0.0, 2.0), (-3.0, 0.0), (0.0, -1.0)]) | STEP
+
+
+@st.composite
+def long_polyline_lanes(draw):
+    """A lane of up to 40 segments, many on integer steps."""
+    pts = [(draw(st.integers(-500, 500)) * 1.0, draw(st.integers(-500, 500)) * 1.0)]
+    for dx, dy in draw(st.lists(GRID_STEP, min_size=9, max_size=40)):
+        pts.append((pts[-1][0] + dx, pts[-1][1] + dy))
+    return Lane("long", pts, 3.5)
+
+
+PROJECT_LANES = ([SIGNED_ZERO_LANE, NEGATIVE_ZERO_LANE, bent_lane(), HAIRPIN_LANE]
                  + [bundled_network(name).lanes[lane_id]
                     for name, lane_id in (("highway_curve", "lane_0"), ("urban_grid", "e00_10"))])
 
@@ -315,20 +337,88 @@ PROJECT_LANES = ([SIGNED_ZERO_LANE, NEGATIVE_ZERO_LANE, bent_lane()]
 @st.composite
 def lanes_and_points(draw):
     """A lane and a point: across it, beyond either end, on a vertex, at
-    signed zeros or anywhere nearby."""
-    lane = draw(st.sampled_from(PROJECT_LANES) | polyline_lanes())
+    signed zeros, anywhere nearby or on a whole-metre grid point."""
+    lane = draw(st.sampled_from(PROJECT_LANES) | polyline_lanes() | long_polyline_lanes())
+    if draw(st.integers(0, 4)) == 0:
+        x0, y0, x1, y1 = lane._box
+        return (lane, draw(st.integers(int(x0) - 5, int(x1) + 5)) * 1.0,
+                draw(st.integers(int(y0) - 5, int(y1) + 5)) * 1.0)
     s = draw(st.sampled_from(lane._cum_s.tolist()) | st.floats(-30.0, lane.length + 30.0))
     d = draw(st.sampled_from([-0.0, 0.0, lane.width / 2.0]) | st.floats(-20.0, 20.0))
     x, y, _ = lane.pose_at(s, d, extrapolate=True)
     return lane, *draw(st.sampled_from([(x, y), (-0.0, -0.0), (0.0, -0.0), (-0.0, y)]))
 
 
-@settings(deadline=None, max_examples=300)
+def assert_projects_as_reference(lane, x, y):
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = project_reference(lane, x, y)
+    assert [v.hex() for v in lane.project(x, y)] == [v.hex() for v in want], (x, y)
+
+
+@settings(deadline=None, max_examples=400)
 @given(lanes_and_points())
 def test_project_matches_reference_bit_for_bit(case):
-    lane, x, y = case
-    assert ([v.hex() for v in lane.project(x, y)]
-            == [v.hex() for v in project_reference(lane, x, y)])
+    assert_projects_as_reference(*case)
+
+
+def run_of_first_circle(lane, x, y):
+    """Index of the run whose circle ``Lane.project`` scans first."""
+    bounds = [math.hypot(x - cx, y - cy) - rho for cx, cy, rho, _ in lane._runs]
+    return bounds.index(min(bounds))
+
+
+def test_project_finds_a_segment_outside_the_first_run_scanned():
+    # Nearest: segment 16, 1 m to its left, in the third run; the first
+    # run's circle is nearer, and its segment 0 is 3 m away.
+    lane = HAIRPIN_LANE
+    assert len(lane._runs) == 3
+    assert run_of_first_circle(lane, 5.0, 3.0) == 0
+    s, d, dist = lane.project(5.0, 3.0)
+    assert (s, d, dist) == (lane._cum_s[16] + 5.0, 1.0, 1.0)
+    assert_projects_as_reference(lane, 5.0, 3.0)
+
+
+@pytest.mark.parametrize("x, y, first_run, s", [
+    # segments 0 and 16, 2 m on either side: run 0 is scanned first
+    (5.0, 2.0, 0, 5.0),
+    # segments 7 and 9: run 1 is scanned first, and run 0's segment 7 wins
+    (75.0, 2.0, 1, 75.0),
+])
+def test_project_tie_between_runs_goes_to_the_first_segment(x, y, first_run, s):
+    lane = HAIRPIN_LANE
+    assert run_of_first_circle(lane, x, y) == first_run
+    assert lane.project(x, y) == (s, 2.0, 2.0)
+    assert_projects_as_reference(lane, x, y)
+
+
+NON_FINITE = (math.inf, -math.inf, math.nan, 1e308, -1e308, 1e200, 0.0, -3.0)
+
+
+@pytest.mark.parametrize("lane", PROJECT_LANES, ids=lambda lane: lane.id)
+def test_project_of_non_finite_and_overflowing_points_matches_reference(lane):
+    for x in NON_FINITE:
+        for y in NON_FINITE:
+            assert_projects_as_reference(lane, x, y)
+
+
+@pytest.mark.parametrize("lane", PROJECT_LANES, ids=lambda lane: lane.id)
+def test_pose_at_matches_reference_bit_for_bit(lane):
+    # every vertex and the floats next to it, past both ends, signed zero,
+    # infinities, NaN and random arc lengths
+    arc = [v for c in lane._cum_s.tolist()
+           for v in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))]
+    arc += [-0.0, -50.0, lane.length + 50.0, math.inf, -math.inf, math.nan]
+    arc += np.random.default_rng(0).uniform(-5.0, lane.length + 5.0, 32).tolist()
+    for s in arc:
+        for d in (0.0, -0.0, 1.25, -lane.width / 2.0):
+            for s_in, d_in in ((s, d), (np.float64(s), np.float64(d)), (np.float64(s), d)):
+                with np.errstate(invalid="ignore"):
+                    want = pose_at_reference(lane, s_in, d_in)
+                    got = lane.pose_at(s_in, d_in, extrapolate=True)
+                assert [type(v) for v in got] == [float] * 3
+                assert [v.hex() for v in got] == [v.hex() for v in want], (s, d)
+    with pytest.raises(InputDomainError):
+        lane.pose_at(math.nan)
 
 
 def test_global_to_road_prefers_nearest_then_id_order():

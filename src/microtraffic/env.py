@@ -28,10 +28,10 @@ first.
 
 Episodes terminate on ego collision, on the ego leaving the paved network
 (closed boundary: exactly half a lane width away is still on the road),
-or at ``max_steps``. BV-BV contact is logged but does not terminate. An
-ego that would cross more lane ends in one step than the network has
-lanes is off the road: on a cycle of successor links the crossing would
-otherwise never end.
+or at ``max_steps``, tested in that order. BV-BV contact is logged but
+does not terminate. An ego that would cross more lane ends in one step
+than the network has lanes is off the road: on a cycle of successor links
+the crossing would otherwise never end.
 
 Per-step geometry costs what the BVs and the lanes near the ego cost.
 The off-road test needs no projection while the ego is on its tracked
@@ -42,8 +42,8 @@ axis, than the lateral limit plus ``_WINDOW_SLACK``. A frame and the
 observation pose all their BVs in one ``RoadNetwork.poses_at`` call. The
 ego's pose and its projections onto other lanes (the observation projects
 onto each occupied neighbour lane every step) run on Python floats: a
-projection costs about as much as a few segments' arithmetic, not a dozen
-numpy calls.
+projection costs its segments' scalar arithmetic, not a dozen numpy
+calls.
 """
 
 from __future__ import annotations
@@ -216,13 +216,12 @@ class TrafficEnv:
         # lane: no projection needed. Else a membership lane holding it does.
         lane = self.net.lanes[self._ego_lane]
         mem = self.net.lanes[self._mem[0]]
-        if not rolled:
-            self._cause = "off_road"
-        elif self.check_collision():
+        if self.check_collision():
             self._cause = "collision"
-        elif ((not 0.0 <= self._ego_s <= lane.length or abs(self._ego_d) > lane._held_d)
-              and self._project_ego(mem.id)[2] > mem.width / 2.0
-              and is_off_road(self.net, *self._pose[:2])):
+        elif not rolled or (
+                (not 0.0 <= self._ego_s <= lane.length or abs(self._ego_d) > lane._held_d)
+                and self._project_ego(mem.id)[2] > mem.width / 2.0
+                and is_off_road(self.net, *self._pose[:2])):
             self._cause = "off_road"
         elif self._step_idx >= self.scenario.max_steps:
             self._cause = "max_steps"
@@ -289,8 +288,8 @@ class TrafficEnv:
     def _roll_ego_lane(self) -> bool:
         """Carry the ego across lane ends onto first successors. False when
         it would cross more lanes in one step than the network has, which
-        on a cycle of successor links would never end; the step then ends
-        off the road."""
+        on a cycle of successor links would never end; unless it collides,
+        the step then ends off the road."""
         lane = self.net.lanes[self._ego_lane]
         crossings = len(self.net.lanes)
         while self._ego_s > lane.length and lane.successors:

@@ -12,9 +12,7 @@ points, unit and segment vectors, arc lengths and headings
 the bounding box of its centerline. ``Lane.pose_at`` and ``Lane.project``
 read them and call no numpy: at about a microsecond per numpy call, the
 dozen calls of an array projection cost more than the arithmetic of a few
-dozen segments. A projection onto a long lane skips runs of segments
-whose bounding circle is provably farther than the nearest segment found,
-and still returns the first of equally near segments.
+dozen segments. Of equally near segments a projection returns the first.
 ``RoadNetwork.poses_at`` poses vehicles on any lanes with one lookup into
 all lanes' rows, joined into one numpy table, and gives the bits of
 ``Lane.pose_at``. A point is on the road when ``global_to_road`` finds a
@@ -35,11 +33,6 @@ from .errors import (ConfigurationError, InputDomainError, NetworkError, SchemaE
 
 SCENARIO_KINDS = ("highway", "urban")
 _SCENARIO_SUFFIX = ".scenario.json"
-# Lane.project bounds runs of this many segments at a time. It skips runs
-# only on lanes and points within _FAR of the origin, where no product
-# overflows, so no skipped segment can hide a NaN distance.
-_RUN = 8
-_FAR = 1e100
 
 
 @dataclass(frozen=True)
@@ -83,33 +76,19 @@ class Lane:
         # with |d| <= _held_d is on this lane.
         object.__setattr__(self, "length", float(cum[-1]))
         scale = max(map(abs, self._box)) + self.length
-        object.__setattr__(self, "_scale", scale)
         object.__setattr__(self, "_held_d", width / 2.0 - (1e-6 + 1e-9 * scale))
 
         # Plain-float rows, one per segment. pose_at: start x, y, unit x, y,
         # start s, heading; segment i holds s in [cum[i], cum[i + 1]), the
         # first and last extend to -inf and +inf. project: start x, y,
-        # segment x, y, squared length, index, start s, length.
+        # segment x, y, squared length, start s, length.
         cum_s = cum.tolist()
         starts = (xs[:-1], ys[:-1])
         object.__setattr__(self, "_inner_s", cum_s[1:-1])
         heading = [math.atan2(uy, ux) for ux, uy in zip(*unit)]
         object.__setattr__(self, "_pose_rows", list(zip(*starts, *unit, cum_s, heading)))
-        rows = list(zip(*starts, *seg.T.tolist(), seg_len2.tolist(), range(len(seg)),
-                        cum_s, seg_len.tolist()))
-        object.__setattr__(self, "_rows", rows)
-        # Runs of _RUN segments, each with a circle around its vertices:
-        # centre x, y, radius, rows. Only for lanes of more than one run
-        # whose coordinates keep every product in project finite.
-        runs = []
-        if len(rows) > _RUN and scale <= _FAR:
-            for k in range(0, len(rows), _RUN):
-                vx, vy = xs[k:k + _RUN + 1], ys[k:k + _RUN + 1]
-                cx = (min(vx) + max(vx)) / 2.0
-                cy = (min(vy) + max(vy)) / 2.0
-                rho = max(math.hypot(px - cx, py - cy) for px, py in zip(vx, vy))
-                runs.append((cx, cy, rho, rows[k:k + _RUN]))
-        object.__setattr__(self, "_runs", runs)
+        object.__setattr__(self, "_rows", list(zip(*starts, *seg.T.tolist(), seg_len2.tolist(),
+                                                   cum_s, seg_len.tolist())))
 
     def pose_at(self, s: float, d: float = 0.0, extrapolate: bool = False):
         """Global (x, y, heading) at arc length s, offset d to the left.
@@ -135,56 +114,31 @@ class Lane:
         near segments the first wins; a NaN distance counts as nearest.
         """
         x, y = float(x), float(y)
-        runs = self._runs
-        if runs and abs(x) <= _FAR and abs(y) <= _FAR:
-            # Scan the run whose circle is nearest first. Another run is
-            # skipped when its circle's distance, less a margin far above
-            # the rounding of both sides, squares to more than the best
-            # distance found: every segment in it is then strictly farther.
-            bounds = [math.hypot(x - cx, y - cy) - rho for cx, cy, rho, _ in runs]
-            first = bounds.index(min(bounds))
-            best = _nearest(runs[first][3], x, y)
-            margin = 1e-6 + 1e-9 * (self._scale + abs(x) + abs(y))
-            for r, (bound, run) in enumerate(zip(bounds, runs)):
-                bound -= margin
-                if r == first or (bound > 0.0 and bound * bound > best[0]):
-                    continue
-                found = _nearest(run[3], x, y)
-                if found[:2] < best[:2]:
-                    best = found
-        else:
-            best = _nearest(self._rows, x, y)
-        d2, i, t, dx, dy = best
-        _, _, sx, sy, _, _, s0, length = self._rows[i]
+        best = nan = None
+        best_d2 = math.inf
+        # The IEEE operations of a numpy pass over all segments, in the same
+        # order. Backwards, so that <= leaves the first of equal distances
+        # (all +inf included) and the last NaN seen is the first, as with
+        # argmin.
+        for row in reversed(self._rows):
+            x0, y0, sx, sy, l2, _, _ = row
+            t = ((x - x0) * sx + (y - y0) * sy) / l2
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            dx = x - (x0 + t * sx)
+            dy = y - (y0 + t * sy)
+            d2 = dx * dx + dy * dy
+            if d2 <= best_d2:
+                best_d2 = d2
+                best = (d2, t, dx, dy, row)
+            elif d2 != d2:
+                nan = (d2, t, dx, dy, row)
+        d2, t, dx, dy, (_, _, sx, sy, _, s0, length) = nan or best
         dist = math.sqrt(d2)
         d = dist if sx * dy - sy * dx >= 0.0 else -dist
         return s0 + t * length, d, dist
-
-
-def _nearest(rows, x, y):
-    """(squared distance, index, t, dx, dy) of the first of ``rows``
-    nearest to (x, y), or of the first whose distance is NaN; per segment
-    the same IEEE operations, in the same order, as a numpy pass over all
-    segments followed by ``argmin``."""
-    best = nan = None
-    best_d2 = math.inf
-    # Backwards, so that <= leaves the first of equal distances (all +inf
-    # included) and the last NaN seen is the first.
-    for x0, y0, sx, sy, l2, i, _, _ in reversed(rows):
-        t = ((x - x0) * sx + (y - y0) * sy) / l2
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-        dx = x - (x0 + t * sx)
-        dy = y - (y0 + t * sy)
-        d2 = dx * dx + dy * dy
-        if d2 <= best_d2:
-            best_d2 = d2
-            best = (d2, i, t, dx, dy)
-        elif d2 != d2:
-            nan = (d2, i, t, dx, dy)
-    return nan or best
 
 
 @dataclass(frozen=True)

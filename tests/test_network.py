@@ -310,13 +310,14 @@ def test_network_poses_match_pose_at_on_random_networks(case):
     assert_network_poses_match_pose_at(*case)
 
 
-# Out along y = 0 in 10 m segments (the first run of Lane.project), a 4 m
-# U-turn, back along y = 4: segments 8-15 form the second run, 16 the third.
+# Out along y = 0 in eight 10 m segments, a 4 m U-turn (segment 8), back
+# along y = 4 (segments 9-16): points between the legs are often equally
+# near to two segments.
 HAIRPIN_LANE = Lane("hairpin", [(x, 0.0) for x in range(0, 90, 10)]
                     + [(x, 4.0) for x in range(80, -10, -10)], 3.5)
 
 # Whole-metre steps mixed with random ones, so that whole-metre points are
-# often equally near to segments of different runs.
+# often equally near to two segments.
 GRID_STEP = st.sampled_from([(1.0, 0.0), (0.0, 2.0), (-3.0, 0.0), (0.0, -1.0)]) | STEP
 
 
@@ -361,32 +362,14 @@ def test_project_matches_reference_bit_for_bit(case):
     assert_projects_as_reference(*case)
 
 
-def run_of_first_circle(lane, x, y):
-    """Index of the run whose circle ``Lane.project`` scans first."""
-    bounds = [math.hypot(x - cx, y - cy) - rho for cx, cy, rho, _ in lane._runs]
-    return bounds.index(min(bounds))
-
-
-def test_project_finds_a_segment_outside_the_first_run_scanned():
-    # Nearest: segment 16, 1 m to its left, in the third run; the first
-    # run's circle is nearer, and its segment 0 is 3 m away.
-    lane = HAIRPIN_LANE
-    assert len(lane._runs) == 3
-    assert run_of_first_circle(lane, 5.0, 3.0) == 0
-    s, d, dist = lane.project(5.0, 3.0)
-    assert (s, d, dist) == (lane._cum_s[16] + 5.0, 1.0, 1.0)
-    assert_projects_as_reference(lane, 5.0, 3.0)
-
-
-@pytest.mark.parametrize("x, y, first_run, s", [
-    # segments 0 and 16, 2 m on either side: run 0 is scanned first
-    (5.0, 2.0, 0, 5.0),
-    # segments 7 and 9: run 1 is scanned first, and run 0's segment 7 wins
-    (75.0, 2.0, 1, 75.0),
+@pytest.mark.parametrize("x, y, s", [
+    # segments 0 and 16, 2 m on either side
+    (5.0, 2.0, 5.0),
+    # segments 7 and 9, 2 m on either side
+    (75.0, 2.0, 75.0),
 ])
-def test_project_tie_between_runs_goes_to_the_first_segment(x, y, first_run, s):
+def test_project_tie_goes_to_the_first_segment(x, y, s):
     lane = HAIRPIN_LANE
-    assert run_of_first_circle(lane, x, y) == first_run
     assert lane.project(x, y) == (s, 2.0, 2.0)
     assert_projects_as_reference(lane, x, y)
 

@@ -38,12 +38,11 @@ The off-road test needs no projection while the ego is on its tracked
 lane's stretch within ``Lane._held_d`` of the centre line; otherwise its
 membership lane, then ``is_off_road``, decides. The collision test skips
 an occupied lane whose centerline box is farther from the ego, on either
-axis, than the lateral limit plus ``_WINDOW_SLACK``. A frame and the
-observation pose all their BVs in one ``RoadNetwork.poses_at`` call. The
-ego's pose and its projections onto other lanes (the observation projects
-onto each occupied neighbour lane every step) run on Python floats: a
-projection costs its segments' scalar arithmetic, not a dozen numpy
-calls.
+axis, than the lateral limit plus ``_WINDOW_SLACK``. The ego and every
+BV a frame or the observation shows are posed by ``Lane.pose_at``, and
+the ego's projections onto other lanes (the observation projects onto
+each occupied neighbour lane every step) run on Python floats: a pose or
+a projection costs its scalar arithmetic, not a dozen numpy calls.
 """
 
 from __future__ import annotations
@@ -134,6 +133,7 @@ class TrafficEnv:
         self._rank = {vid: r for r, vid in enumerate(self._ids)}
         self._lane_ids = self.net._sorted_ids
         self._code = {lane_id: c for c, lane_id in enumerate(self._lane_ids)}
+        self._lanes = [self.net.lanes[lane_id] for lane_id in self._lane_ids]
         self._codes = np.arange(len(self._lane_ids) + 1, dtype=np.float64)
         self._live = False
         self._terminated = False
@@ -242,14 +242,13 @@ class TrafficEnv:
         lane = self.net.lanes[self._ego_lane]
         return lane.pose_at(self._ego_s, self._ego_d, extrapolate=True)
 
-    def _ego_membership(self, pose=None):
+    def _ego_membership(self):
         """(lane_id, s, d) of the lane the ego currently counts as being on.
 
         Walks left/right neighbour links from the tracked lane until the
         lateral offset falls inside a lane's width. While the membership
         lane equals the tracked lane, s is the tracked value exactly; on a
-        neighbour it comes from projecting the global position (``pose``,
-        when the caller already has it).
+        neighbour it comes from projecting the cached pose ``_pose``.
         """
         lane_id = self._ego_lane
         d = self._ego_d
@@ -266,16 +265,14 @@ class TrafficEnv:
                 break
         if lane_id == self._ego_lane:
             return lane_id, self._ego_s, d
-        x, y, _ = pose if pose is not None else self._ego_pose()
-        s, _, _ = self.net.lanes[lane_id].project(x, y)
-        return lane_id, s, d
+        return lane_id, self._project_ego(lane_id)[0], d
 
     def _locate_ego(self):
         """Cache the ego's pose and membership for the current state; the
         predicates, the observation and the next step's BV update read it."""
         self._pose = self._ego_pose()
-        self._mem = self._ego_membership(self._pose)
         self._projections = {}
+        self._mem = self._ego_membership()
 
     def _project_ego(self, lane_id):
         """(s, d, dist) of the ego on ``lane_id``, projected once per state."""
@@ -596,10 +593,9 @@ class TrafficEnv:
         nx, ny = -ty, tx
         evx = self._ego_vlong * tx + self._ego_vlat * nx
         evy = self._ego_vlong * ty + self._ego_vlat * ny
-        G = self._F.take(cols, axis=1)
-        poses = self.net.poses_at(G[_LANE], G[_S])
-        for slot, bx, by, bh, bv_v in zip(slots, *(a.tolist() for a in poses),
-                                          G[_V].tolist()):
+        G = self._F.take(cols, axis=1)[[_LANE, _S, _V]]
+        for slot, c, s, bv_v in zip(slots, *G.tolist()):
+            bx, by, bh = self._lanes[int(c)].pose_at(s, 0.0, extrapolate=True)
             bvx = bv_v * math.cos(bh)
             bvy = bv_v * math.sin(bh)
             dx, dy = bx - ex, by - ey
@@ -635,11 +631,10 @@ class TrafficEnv:
         step = self._step_idx
         x, y, heading = self._pose
         rows = [(step, "ego", x, y, heading, math.hypot(self._ego_vlong, self._ego_vlat))]
-        G = self._F.take(self._F[_RANK].argsort(), axis=1)
-        poses = self.net.poses_at(G[_LANE], G[_S])
-        for rank, bx, by, bh, v in zip(G[_RANK].tolist(), *(a.tolist() for a in poses),
-                                       G[_V].tolist()):
-            rows.append((step, self._ids[int(rank)], bx, by, bh, v))
+        G = self._F[[_RANK, _LANE, _S, _V]]
+        for rank, c, s, v in zip(*G.take(G[0].argsort(), axis=1).tolist()):
+            rows.append((step, self._ids[int(rank)],
+                         *self._lanes[int(c)].pose_at(s, 0.0, extrapolate=True), v))
         if self._trace_fh is not None:
             self._trace_fh.write("".join(f"{step},{vid},{rx!r},{ry!r},{rh!r},{rv!r}\n"
                                          for step, vid, rx, ry, rh, rv in rows))

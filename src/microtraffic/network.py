@@ -13,8 +13,7 @@ the bounding box of its centerline. ``Lane.pose_at`` and ``Lane.project``
 read them and call no numpy: at about a microsecond per numpy call, the
 dozen calls of an array projection cost more than the arithmetic of a few
 dozen segments. Of equally near segments a projection returns the first.
-``RoadNetwork.poses_at`` poses vehicles on any lanes with one lookup into
-all lanes' rows, joined into one numpy table, and gives the bits of
+Every vehicle, the ego and each background vehicle, is posed by
 ``Lane.pose_at``. A point is on the road when ``global_to_road`` finds a
 lane holding it; ``is_off_road`` is that rule and nothing else.
 """
@@ -67,7 +66,6 @@ class Lane:
         object.__setattr__(self, "centerline", pts)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "successors", tuple(self.successors))
-        object.__setattr__(self, "_cum_s", cum)
         xs, ys = pts.T.tolist()
         object.__setattr__(self, "_box", (min(xs), min(ys), max(xs), max(ys)))
         # pose_at(s, d) at 0 <= s <= length lies within |d| of the centerline;
@@ -180,35 +178,9 @@ class RoadNetwork:
                 if ref not in self.lanes:
                     raise NetworkError(f"{name} {ref!r} does not exist")
         self._sorted_ids = sorted(self.lanes)
-        # All lanes' pose_at rows in sorted-id order, one column per
-        # segment: start x, y, unit x, y, pose_at's d terms at d = 0 as
-        # -(uy * 0.0), ux * 0.0 (a - b is a + (-b) bit for bit), start s,
-        # heading. Keys: where each segment ends, lane index + s*1j, +inf
-        # for a lane's last; numpy orders complex by real, then imaginary
-        # part, so the segment holding s on lane c is the number of keys
-        # <= c + s*1j.
-        ordered = [self.lanes[lane_id] for lane_id in self._sorted_ids]
-        rows = np.array([row for lane in ordered for row in lane._pose_rows]).T
-        self._segments = np.vstack((rows[:4], -(rows[3] * 0.0), rows[2] * 0.0, rows[4:]))
-        self._seg_keys = np.array(
-            [complex(c, s) for c, lane in enumerate(ordered) for s in lane._inner_s + [math.inf]])
 
     def __contains__(self, lane_id) -> bool:
         return lane_id in self.lanes
-
-    def poses_at(self, codes: np.ndarray, s: np.ndarray):
-        """Arrays (x, y, heading) at arc lengths ``s`` (within [0, length])
-        on lanes ``codes`` (indices in sorted-id order): element for element
-        the bits of that lane's ``pose_at(s, 0.0)``, signs of zero included."""
-        q = np.empty(len(s), dtype=np.complex128)
-        q.real = codes
-        q.imag = s
-        seg = self._segments.take(self._seg_keys.searchsorted(q, side="right"), axis=1)
-        # pose_at's sums, reordered: IEEE addition commutes bit for bit.
-        xy = seg[2:4] * (s - seg[6])
-        xy += seg[0:2]
-        xy += seg[4:6]
-        return xy[0], xy[1], seg[7]
 
     def shortest_path(self, src: str, dst: str):
         """Fewest-lanes path src -> dst over successor links, or None."""

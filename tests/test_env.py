@@ -262,6 +262,31 @@ def test_ego_membership_shift_releases_follower():
     assert env.vehicle_states()["chaser"][3] == math.inf
 
 
+def test_drifting_ego_is_projected_once_per_lane_and_step():
+    # The ego drifts onto the curved neighbour lane and stays there: its
+    # membership, the off-road test, the collision test and the
+    # observation share one projection per lane.
+    env = TrafficEnv(load_scenario(_bundled_library() / "highway_curve.scenario.json"))
+    env.reset()
+    project = Lane.project
+    calls = []
+
+    def counted(lane, x, y):
+        calls.append(lane.id)
+        return project(lane, x, y)
+
+    neighbour_steps = 0
+    with mock.patch.object(Lane, "project", counted):
+        for k in range(120):
+            calls.clear()
+            a_lat = 1.0 if 20 <= k < 30 else -1.0 if 50 <= k < 60 else 0.0
+            result = env.step(Action(0.0, a_lat))
+            assert not result.terminated
+            assert len(calls) == len(set(calls)), (k, calls)
+            neighbour_steps += env._mem[0] != env._ego_lane
+    assert neighbour_steps > 60
+
+
 def test_spawn_blocked_by_occupied_slot():
     vehicles = (bv("first", "r0", 100.0, PARKED),
                 bv("second", "r0", 103.0, PARKED))
@@ -642,7 +667,8 @@ def egos_near_lane_edges(draw):
     scenario = draw(st.sampled_from(EDGE_SCENARIOS))
     lane_id = draw(st.sampled_from(sorted(scenario.network.lanes)))
     lane = scenario.network.lanes[lane_id]
-    s = draw(st.sampled_from(lane._cum_s.tolist()) | st.floats(-1.0, lane.length + 1.0))
+    s = draw(st.sampled_from([0.0, *lane._inner_s, lane.length])
+             | st.floats(-1.0, lane.length + 1.0))
     edge = lane.width / 2.0 + draw(st.sampled_from([-1e-6, 0.0, 1e-6])
                                    | st.floats(-3e-6, 3e-6))
     d = draw(st.sampled_from([edge, -edge, lane._held_d, -lane._held_d]))

@@ -242,72 +242,20 @@ SIGNED_ZERO_LANE = Lane("down", [(-0.0, -0.0), (3.0, -4.0)], 3.5)
 NEGATIVE_ZERO_LANE = Lane("back", [(-0.0, -0.0), (-3.0, 4.0)], 3.5)
 
 
-def edge_arc_lengths(lane):
-    """-0.0, 0, length and every vertex, with the floats next to each on
-    both sides that lie within [0, length]."""
-    out = [-0.0]
-    for v in lane._cum_s.tolist():
-        out += [x for x in (math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf))
-                if 0.0 <= x <= lane.length]
-    return out
-
-
-def assert_network_poses_match_pose_at(net, queries):
-    """One ``RoadNetwork.poses_at`` call for all (lane id, s) ``queries``
-    gives each lane's ``pose_at(s, 0.0)`` bit for bit."""
-    codes = [net._sorted_ids.index(lane_id) for lane_id, _ in queries]
-    s = [s_k for _, s_k in queries]
-    batched = zip(*(a.tolist() for a in net.poses_at(np.array(codes, dtype=float),
-                                                     np.array(s))))
-    for (lane_id, s_k), pose in zip(queries, batched):
-        want = net.lanes[lane_id].pose_at(s_k, 0.0)
-        assert [v.hex() for v in pose] == [v.hex() for v in want], (lane_id, s_k)
-
-
-@pytest.mark.parametrize("name", ["highway_curve", "urban_grid", "signed_zero"])
-def test_batched_poses_match_pose_at_bit_for_bit(name):
-    net = (RoadNetwork([SIGNED_ZERO_LANE, bent_lane(), NEGATIVE_ZERO_LANE])
-           if name == "signed_zero" else bundled_network(name))
-    rng = np.random.default_rng(0)
-    queries = [(lane_id, s) for lane_id, lane in net.lanes.items()
-               for s in edge_arc_lengths(lane) + rng.uniform(0.0, lane.length, 64).tolist()]
-    # Lanes interleaved: the lookup must not rely on the query order.
-    assert_network_poses_match_pose_at(net, [queries[k] for k in rng.permutation(len(queries))])
-
-
 COORD = st.floats(-2000.0, 2000.0)
 STEP = st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)).filter(
     lambda v: math.hypot(*v) > 0.5)
 
 
 @st.composite
-def polyline_lanes(draw, lane_id="p"):
+def polyline_lanes(draw):
     """A lane with 1 to 6 segments of random direction and length."""
     x, y = draw(COORD), draw(COORD)
     pts = [(x, y)]
     for dx, dy in draw(st.lists(STEP, min_size=1, max_size=6)):
         x, y = x + dx, y + dy
         pts.append((x, y))
-    return Lane(lane_id, pts, draw(st.sampled_from([3.0, 3.5])))
-
-
-@st.composite
-def multi_lane_queries(draw):
-    """A network of 1 to 4 polyline lanes, built in a random id order, and
-    arc lengths on each: its edges and vertices, and random ones."""
-    ids = draw(st.permutations(["a", "b", "c", "d"]))[:draw(st.integers(1, 4))]
-    net = RoadNetwork([draw(polyline_lanes(lane_id)) for lane_id in ids])
-    queries = []
-    for lane_id, lane in net.lanes.items():
-        extra = draw(st.lists(st.floats(0.0, lane.length), max_size=8))
-        queries += [(lane_id, s) for s in edge_arc_lengths(lane) + extra]
-    return net, draw(st.permutations(queries))
-
-
-@settings(deadline=None, max_examples=150)
-@given(multi_lane_queries())
-def test_network_poses_match_pose_at_on_random_networks(case):
-    assert_network_poses_match_pose_at(*case)
+    return Lane("p", pts, draw(st.sampled_from([3.0, 3.5])))
 
 
 # Out along y = 0 in eight 10 m segments, a 4 m U-turn (segment 8), back
@@ -344,7 +292,8 @@ def lanes_and_points(draw):
         x0, y0, x1, y1 = lane._box
         return (lane, draw(st.integers(int(x0) - 5, int(x1) + 5)) * 1.0,
                 draw(st.integers(int(y0) - 5, int(y1) + 5)) * 1.0)
-    s = draw(st.sampled_from(lane._cum_s.tolist()) | st.floats(-30.0, lane.length + 30.0))
+    s = draw(st.sampled_from([0.0, *lane._inner_s, lane.length])
+             | st.floats(-30.0, lane.length + 30.0))
     d = draw(st.sampled_from([-0.0, 0.0, lane.width / 2.0]) | st.floats(-20.0, 20.0))
     x, y, _ = lane.pose_at(s, d, extrapolate=True)
     return lane, *draw(st.sampled_from([(x, y), (-0.0, -0.0), (0.0, -0.0), (-0.0, y)]))
@@ -384,24 +333,41 @@ def test_project_of_non_finite_and_overflowing_points_matches_reference(lane):
             assert_projects_as_reference(lane, x, y)
 
 
-@pytest.mark.parametrize("lane", PROJECT_LANES, ids=lambda lane: lane.id)
-def test_pose_at_matches_reference_bit_for_bit(lane):
-    # every vertex and the floats next to it, past both ends, signed zero,
-    # infinities, NaN and random arc lengths
-    arc = [v for c in lane._cum_s.tolist()
-           for v in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))]
-    arc += [-0.0, -50.0, lane.length + 50.0, math.inf, -math.inf, math.nan]
-    arc += np.random.default_rng(0).uniform(-5.0, lane.length + 5.0, 32).tolist()
+def vertex_arc_lengths(lane):
+    """Every vertex's arc length and the floats next to it on both sides."""
+    return [v for c in [0.0, *lane._inner_s, lane.length]
+            for v in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))]
+
+
+def assert_poses_as_reference(lane, arc, offsets):
     for s in arc:
-        for d in (0.0, -0.0, 1.25, -lane.width / 2.0):
+        for d in offsets:
             for s_in, d_in in ((s, d), (np.float64(s), np.float64(d)), (np.float64(s), d)):
                 with np.errstate(invalid="ignore"):
                     want = pose_at_reference(lane, s_in, d_in)
                     got = lane.pose_at(s_in, d_in, extrapolate=True)
                 assert [type(v) for v in got] == [float] * 3
                 assert [v.hex() for v in got] == [v.hex() for v in want], (s, d)
+
+
+@pytest.mark.parametrize("lane", PROJECT_LANES, ids=lambda lane: lane.id)
+def test_pose_at_matches_reference_bit_for_bit(lane):
+    # every vertex and the floats next to it, past both ends, signed zero,
+    # infinities, NaN and random arc lengths
+    arc = vertex_arc_lengths(lane)
+    arc += [-0.0, -50.0, lane.length + 50.0, math.inf, -math.inf, math.nan]
+    arc += np.random.default_rng(0).uniform(-5.0, lane.length + 5.0, 32).tolist()
+    assert_poses_as_reference(lane, arc, (0.0, -0.0, 1.25, -lane.width / 2.0))
     with pytest.raises(InputDomainError):
         lane.pose_at(math.nan)
+
+
+@settings(deadline=None, max_examples=150)
+@given(polyline_lanes())
+def test_pose_at_on_the_centre_line_matches_reference_on_random_lanes(lane):
+    # Background vehicles are posed at d = 0.0, where the offset terms
+    # decide the sign of a zero coordinate.
+    assert_poses_as_reference(lane, vertex_arc_lengths(lane), (0.0,))
 
 
 def test_global_to_road_prefers_nearest_then_id_order():

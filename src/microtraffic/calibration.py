@@ -139,14 +139,22 @@ class TargetDensity:
             self._rollout = (*rollout_start(obs), obs.dt, self._a_obs)
         self._scale = len(obs) / (2.0 * noise_sigma ** 2)
 
-    def in_support(self, theta) -> bool:
-        theta = np.asarray(theta, dtype=np.float64)
+    @staticmethod
+    def _row(theta) -> np.ndarray:
+        theta = np.ascontiguousarray(theta, dtype=np.float64)
         if theta.shape != (6,):
             raise InputDomainError(f"theta must be a 6-vector, got shape {theta.shape}")
-        return bool(((theta >= self._lo) & (theta <= self.prior_hi)).all())
+        return theta
+
+    def _inside(self, row) -> bool:
+        return bool(((row >= self._lo) & (row <= self.prior_hi)).all())
+
+    def in_support(self, theta) -> bool:
+        return self._inside(self._row(theta))
 
     def rmse(self, theta) -> float:
         """Objective RMSE at ``theta``; ``log_density`` checks the support."""
+        # A row that ``log_density`` checked passes through without a copy.
         theta = np.ascontiguousarray(theta, dtype=np.float64)
         if self.objective == "one-step":
             return float(_kernels._rmse_one_step_np(
@@ -154,13 +162,10 @@ class TargetDensity:
         return rollout_rmse(theta, *self._rollout)
 
     def log_density(self, theta) -> float:
-        theta = np.asarray(theta, dtype=np.float64)
-        if not self.in_support(theta):
-            return -math.inf
-        rmse = self.rmse(theta)
-        if not math.isfinite(rmse):
-            return -math.inf
-        return -self._scale * rmse * rmse
+        """The log-density of ``theta``, converted and checked once."""
+        row = self._row(theta)
+        rmse = self.rmse(row) if self._inside(row) else math.nan
+        return -self._scale * rmse * rmse if math.isfinite(rmse) else -math.inf
 
 
 class GaussianTarget:

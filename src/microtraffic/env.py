@@ -631,8 +631,9 @@ class TrafficEnv:
         step = self._step_idx
         x, y, heading = self._pose
         rows = [(step, "ego", x, y, heading, math.hypot(self._ego_vlong, self._ego_vlat))]
-        G = self._F[[_RANK, _LANE, _S, _V]]
-        for rank, c, s, v in zip(*G.take(G[0].argsort(), axis=1).tolist()):
+        F = self._F  # ranks are unique, so the sort is by rank alone
+        for rank, c, s, v in sorted(zip(F[_RANK].tolist(), F[_LANE].tolist(),
+                                        F[_S].tolist(), F[_V].tolist())):
             rows.append((step, self._ids[int(rank)],
                          *self._lanes[int(c)].pose_at(s, 0.0, extrapolate=True), v))
         if self._trace_fh is not None:

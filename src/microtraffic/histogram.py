@@ -21,7 +21,7 @@ MASS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Histogram:
-    """Contiguous bins [lo_i, hi_i) with probability masses summing to 1."""
+    """Contiguous bins [lo_i, hi_i) with masses summing to 1, as read-only copies."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -29,7 +29,7 @@ class Histogram:
 
     def __post_init__(self):
         try:
-            lo, hi, mass = (np.ascontiguousarray(a, dtype=np.float64)
+            lo, hi, mass = (np.array(a, dtype=np.float64, ndmin=1)
                             for a in (self.lo, self.hi, self.mass))
         except (TypeError, ValueError):
             raise InputDomainError("bin edges and masses must be numbers") from None
@@ -49,9 +49,13 @@ class Histogram:
         total = float(mass.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise InputDomainError(f"masses must sum to 1 within {MASS_TOL}, got {total!r}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "mass", mass)
+        for name, a in (("lo", lo), ("hi", hi), ("mass", mass)):
+            a.flags.writeable = False  # so the sampling table below stays true
+            object.__setattr__(self, name, a)
+        # Sampling table of floats: total mass, cumulative masses of all bins
+        # but the last (a draw past them lands in the last), (lo, hi) per bin.
+        cum = np.cumsum(mass)[:-1].tolist()
+        object.__setattr__(self, "_table", (total, cum, list(zip(lo.tolist(), hi.tolist()))))
 
     @classmethod
     def from_bins(cls, bins) -> "Histogram":

@@ -1,8 +1,10 @@
 """Per-vehicle parameter sampling and traffic demand generation.
 
 Vehicle parameter sets are drawn coordinate-wise from marginal histograms
-(bin chosen by mass, value uniform within the bin). Demand couples those
-draws with random source-to-sink routes and exponential inter-departure
+(bin chosen by mass, value uniform within the bin). A draw reads the table
+each ``Histogram`` builds once (total mass, cumulative masses and bin edges
+as Python floats): one ``bisect_right`` and float arithmetic. Demand couples
+those draws with random source-to-sink routes and exponential departure
 headways.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,40 +27,36 @@ from .network import SCENARIO_KINDS, RoadNetwork, _bundled_library
 DEFAULT_VEHICLE_LENGTH = 5.0
 DEFAULT_MEAN_HEADWAY = 4.0
 _ROUTE_RETRIES = 100
+_TINY = math.nextafter(0.0, 1.0)
+
+
+def _draw(table, u_bin: float, u_in: float) -> float:
+    """The value that uniforms ``u_bin`` and ``u_in`` pick from a histogram's table."""
+    total, cum, bins = table
+    lo, hi = bins[bisect_right(cum, u_bin * total)]
+    v = lo + u_in * (hi - lo)
+    return v if v < hi else math.nextafter(hi, lo)  # keep the bin right-open
 
 
 def sample_from_histogram(h: Histogram, rng: np.random.Generator) -> float:
     """Draw one value: bin by probability mass, uniform within the bin."""
-    total = float(h.mass.sum())
-    if total <= 0.0:
-        raise InputDomainError("histogram has no mass to sample from")
-    cum = np.cumsum(h.mass)
-    idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
-    idx = min(idx, h.n_bins - 1)
-    lo = float(h.lo[idx])
-    hi = float(h.hi[idx])
-    v = lo + rng.random() * (hi - lo)
-    if v >= hi:  # guard the right-open bin against rounding
-        v = math.nextafter(hi, lo)
-    return float(v)
+    return _draw(h._table, rng.random(), rng.random())
 
 
 def sample_param_set(histograms, rng: np.random.Generator) -> ParamSet:
     """Draw an independent ParamSet from per-parameter histograms.
 
     Requires a histogram for every parameter name. Coordinates are drawn
-    independently, in the canonical parameter order.
+    independently, in the canonical parameter order, from one block of
+    two uniforms per coordinate (the values of as many scalar draws).
     """
-    values = {}
-    for name in PARAM_NAMES:
-        h = histograms.get(name)
-        if h is None:
-            raise ConfigurationError(f"missing histogram for parameter {name!r}")
-        v = sample_from_histogram(h, rng)
-        if v <= 0.0:  # zero-edge bin; parameters must stay positive
-            v = math.nextafter(0.0, 1.0)
-        values[name] = v
-    return ParamSet(**values)
+    try:
+        tables = [histograms[name]._table for name in PARAM_NAMES]
+    except KeyError as exc:
+        raise ConfigurationError(f"missing histogram for parameter {exc.args[0]!r}") from None
+    u = rng.random(2 * len(tables)).tolist()
+    # A zero-edge bin can give 0.0, and parameters must stay positive.
+    return ParamSet(*[max(_draw(t, a, b), _TINY) for t, a, b in zip(tables, u[::2], u[1::2])])
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import microtraffic
-from microtraffic import (DemandSpec, Lane, ParamSet, RoadNetwork, Route,
-                          Scenario)
+from microtraffic import (PARAM_NAMES, ConfigurationError, DemandSpec, InputDomainError,
+                          Lane, ParamSet, RoadNetwork, Route, Scenario)
 
 #: Ground-truth driver parameters used across recovery and rollout tests.
 THETA_STAR = ParamSet(a_max=3.0, a_comf=5.0, v_des=35.0, d_min=10.0,
@@ -189,6 +189,39 @@ def pose_at_reference(lane, s, d=0.0):
     x = lane.centerline[i, 0] + ux * local - uy * d
     y = lane.centerline[i, 1] + uy * local + ux * d
     return float(x), float(y), math.atan2(uy, ux)
+
+
+def sample_from_histogram_reference(h, rng):
+    """``sample_from_histogram`` as first written, summing and accumulating
+    the masses on every draw: the reference the package's sampler must
+    match bit for bit, in its values and in the generator state it leaves."""
+    total = float(h.mass.sum())
+    if total <= 0.0:
+        raise InputDomainError("histogram has no mass to sample from")
+    cum = np.cumsum(h.mass)
+    idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
+    idx = min(idx, h.n_bins - 1)
+    lo = float(h.lo[idx])
+    hi = float(h.hi[idx])
+    v = lo + rng.random() * (hi - lo)
+    if v >= hi:  # guard the right-open bin against rounding
+        v = math.nextafter(hi, lo)
+    return float(v)
+
+
+def sample_param_set_reference(histograms, rng):
+    """``sample_param_set`` as first written: one reference draw per
+    parameter, in canonical order, nudged off a zero edge."""
+    values = {}
+    for name in PARAM_NAMES:
+        h = histograms.get(name)
+        if h is None:
+            raise ConfigurationError(f"missing histogram for parameter {name!r}")
+        v = sample_from_histogram_reference(h, rng)
+        if v <= 0.0:
+            v = math.nextafter(0.0, 1.0)
+        values[name] = v
+    return ParamSet(**values)
 
 
 def rollout_reference(theta, lead_v, v0, gap0, dt):

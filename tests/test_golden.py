@@ -1,13 +1,15 @@
-"""Golden digests of whole episodes and calibration runs, so a refactor of
-the environment or of the objectives can be checked to leave every trace,
-summary, vehicle state and chain byte-identical.
+"""Golden digests of whole episodes, calibration runs and parameter draws,
+so a refactor of the environment, the objectives or the sampler can be
+checked to leave every trace, summary, vehicle state, chain and draw
+byte-identical.
 
 The digests are SHA-256 of output bytes and of ``float.hex`` renderings,
 so they hold for the numpy and libm builds they were recorded with
 (numpy 2.4 on x86-64 glibc); another math library may legitimately
 differ in the last bit and then needs the digests re-recorded from an
 unchanged tree. Regenerate by printing ``_cli_digests``, ``_drift_digests``,
-``_dense_digest`` and ``_calib_digests`` with the assertions removed.
+``_dense_digest``, ``_calib_digests`` and ``_sampling_digests`` with the
+assertions removed.
 """
 
 import dataclasses
@@ -94,6 +96,16 @@ GOLDEN_CALIB = {
     },
 }
 
+#: Digests of ``sample-params --seed 3 --n 100`` (params.csv) on each kind's
+#: default histograms and of ``build-demand --seed 3`` (demand.json) on two
+#: bundled networks, so the sampler can be checked to draw the same values.
+GOLDEN_SAMPLING = {
+    "params_highway": "5a1343273f5f21a0d0243f4136aa2361bd348774fc074857b8fc5d3e39f4ba76",
+    "params_urban": "ee5a3c71277af7066b883b8911718ad77ed9a6c3103b8bb63c6e433f7fd80ae4",
+    "demand_highway_plain": "c106e4c30cfef393a8fd73bf91e26b54120856db347842c1332aac4412796d14",
+    "demand_urban_grid": "7c6a708930ddee200f78c781d820ae2417bc3d05a0c99f6e375a64a5437b6e9a",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -171,6 +183,21 @@ def _calib_digests(tmp_path):
     return out
 
 
+def _sampling_digests(tmp_path):
+    out = {}
+    for kind in ("highway", "urban"):
+        run = tmp_path / kind
+        assert main(["sample-params", "--histograms", kind, "--n", "100",
+                     "--seed", "3", "--out", str(run)]) == 0
+        out[f"params_{kind}"] = _sha256((run / "params.csv").read_bytes())
+    for name, kind in (("highway_plain", "highway"), ("urban_grid", "urban")):
+        run = tmp_path / name
+        assert main(["build-demand", "--network", str(_bundled_library() / f"{name}.network.json"),
+                     "--histograms", kind, "--seed", "3", "--out", str(run)]) == 0
+        out[f"demand_{name}"] = _sha256((run / "demand.json").read_bytes())
+    return out
+
+
 def dense_scenario(per_lane=DENSE_PER_LANE, seed=0):
     """highway_plain with ``per_lane`` BVs on every lane, all departing at
     t=0 from seeded random positions; the ones that start too close to a
@@ -230,6 +257,10 @@ def test_dense_highway_state_matches_golden():
 
 def test_calibration_outputs_match_golden(tmp_path):
     assert _calib_digests(tmp_path) == GOLDEN_CALIB
+
+
+def test_sampling_outputs_match_golden(tmp_path):
+    assert _sampling_digests(tmp_path) == GOLDEN_SAMPLING
 
 
 def _wide_dispatch_targets():

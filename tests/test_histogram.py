@@ -34,6 +34,18 @@ def test_single_bin_mean_is_midpoint():
     assert h.mean() == pytest.approx(29.7, rel=1e-12)
 
 
+def test_arrays_are_read_only_copies():
+    lo, hi, mass = np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([0.25, 0.75])
+    h = Histogram(lo, hi, mass)
+    for a in (h.lo, h.hi, h.mass):
+        with pytest.raises(ValueError):
+            a[0] = 0.5
+    # The caller's arrays are neither aliased nor frozen.
+    mass[0] = 0.5
+    assert h.mass[0] == 0.25
+    assert all(a.flags.writeable for a in (lo, hi, mass))
+
+
 def test_zero_mass_bins_are_allowed():
     h = Histogram.from_bins([(0.0, 1.0, 0.0), (1.0, 2.0, 1.0)])
     assert h.mass[0] == 0.0

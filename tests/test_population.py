@@ -1,13 +1,16 @@
 """Parameter sampling from marginals and demand generation."""
 
+import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import THETA_STAR, straight_network
-from microtraffic import (ConfigurationError, DemandSpec, GenerationError,
+from conftest import (THETA_STAR, sample_from_histogram_reference, sample_param_set_reference,
+                      straight_network)
+from microtraffic import (PARAM_NAMES, ConfigurationError, DemandSpec, GenerationError,
                           Histogram, InputDomainError, ParamSet, RoadNetwork,
                           Route, SchemaError, VehicleSpec, build_demand,
                           default_histograms, generate_random_trips,
@@ -25,11 +28,18 @@ TABLE_HISTOGRAMS = {
 }
 
 
-class ZeroRng:
-    """Duck-typed generator whose uniform draws are always 0.0."""
+class ScriptedRng:
+    """Duck-typed generator that hands out the given uniforms in order."""
 
-    def random(self):
-        return 0.0
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out = np.array(self.values[:size])
+        del self.values[:size]
+        return out
 
 
 def fork_network():
@@ -73,10 +83,84 @@ def test_sample_from_histogram_tiny_bin_respects_open_edge():
 
 
 def test_sample_from_histogram_rejects_zero_total_mass():
-    fake = SimpleNamespace(lo=np.array([0.0]), hi=np.array([1.0]),
-                           mass=np.array([0.0]), n_bins=1)
-    with pytest.raises(InputDomainError):
-        sample_from_histogram(fake, np.random.default_rng(0))
+    # A histogram's mass is checked when it is built, so no histogram
+    # without mass ever reaches the sampler.
+    with pytest.raises(InputDomainError, match="sum to 1"):
+        Histogram.from_bins([(0.0, 1.0, 0.0)])
+
+
+@st.composite
+def sampling_histograms(draw):
+    """1 to 40 contiguous bins, some of zero mass and some 1e-9 wide,
+    starting at 0.0 or at a random edge."""
+    n = draw(st.integers(1, 40))
+    start = draw(st.one_of(st.just(0.0), st.floats(-100.0, 100.0)))
+    widths = draw(st.lists(st.one_of(st.just(1e-9), st.floats(1e-6, 10.0)),
+                           min_size=n, max_size=n))
+    weights = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any))
+    edges = start + np.concatenate(([0.0], np.cumsum(widths)))
+    mass = np.array(weights, dtype=np.float64)
+    return Histogram(edges[:-1], edges[1:], mass / mass.sum())
+
+
+def assert_same_draws(draw, reference, seed, n=200):
+    """``n`` draws (lists of floats) bit for bit equal to the reference's,
+    and the generator left in the same state."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(n):
+        got, want = draw(rng), reference(ref_rng)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+#: Uniforms on the cumulative masses below, 0.0 and the largest draw below 1.
+EDGE_UNIFORMS = (0.0, 0.25, 0.5, 0.75, 0.5 - 2.0**-54, 1.0 - 2.0**-53)
+
+#: Masses whose running sum ends one ulp below their (pairwise) total.
+ROUNDED_TOTAL = Histogram.from_bins(
+    [(k, k + 1.0, m) for k, m in enumerate([0.1001, 0.0999] + [0.1] * 8)])
+
+
+def test_largest_draw_can_pass_the_last_cumulative_mass():
+    h = ROUNDED_TOTAL
+    assert EDGE_UNIFORMS[-1] * float(h.mass.sum()) >= np.cumsum(h.mass)[-1]
+
+
+@pytest.mark.parametrize("h", [
+    # Zero-mass bins at both ends, and cumulative masses a draw can equal.
+    Histogram.from_bins([(0.0, 1.0, 0.0), (1.0, 2.0, 0.25), (2.0, 3.0, 0.25),
+                         (3.0, 4.0, 0.5), (4.0, 5.0, 0.0)]),
+    # A bin so narrow that ``lo + u * (hi - lo)`` can round up to ``hi``.
+    Histogram.from_bins([(100.0, 100.0 + 1e-9, 1.0)]),
+    ROUNDED_TOTAL,
+], ids=["zero-mass-ends", "narrow", "rounded-total"])
+def test_sampler_matches_reference_on_bin_edges(h):
+    uniforms = [u for pair in itertools.product(EDGE_UNIFORMS, repeat=2) for u in pair]
+    for k in range(0, len(uniforms), 2):
+        got = sample_from_histogram(h, ScriptedRng(uniforms[k:k + 2]))
+        want = sample_from_histogram_reference(h, ScriptedRng(uniforms[k:k + 2]))
+        assert got.hex() == want.hex(), uniforms[k:k + 2]
+    hists = dict.fromkeys(PARAM_NAMES, h)
+    for k in range(0, len(uniforms), 12):
+        got = sample_param_set(hists, ScriptedRng(uniforms[k:k + 12]))
+        want = sample_param_set_reference(hists, ScriptedRng(uniforms[k:k + 12]))
+        assert got == want, uniforms[k:k + 12]
+
+
+@settings(deadline=None, max_examples=80)
+@given(sampling_histograms(), st.integers(0, 2**32 - 1))
+def test_sample_from_histogram_matches_reference_bit_for_bit(h, seed):
+    assert_same_draws(lambda rng: [sample_from_histogram(h, rng)],
+                      lambda rng: [sample_from_histogram_reference(h, rng)], seed)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(sampling_histograms(), min_size=6, max_size=6), st.integers(0, 2**32 - 1))
+def test_sample_param_set_matches_reference_bit_for_bit(hists, seed):
+    hists = dict(zip(PARAM_NAMES, hists))
+    assert_same_draws(lambda rng: sample_param_set(hists, rng).to_array().tolist(),
+                      lambda rng: sample_param_set_reference(hists, rng).to_array().tolist(),
+                      seed)
 
 
 def test_sample_param_set_lands_in_bins():
@@ -97,14 +181,18 @@ def test_sample_param_set_consumes_draws_in_canonical_order():
 
 def test_sample_param_set_missing_marginal():
     partial = {k: v for k, v in TABLE_HISTOGRAMS.items() if k != "T"}
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     with pytest.raises(ConfigurationError, match="T"):
-        sample_param_set(partial, np.random.default_rng(0))
+        sample_param_set(partial, rng)
+    # Every histogram is looked up before the first draw.
+    assert rng.bit_generator.state == state
 
 
 def test_sample_param_set_zero_edge_bin_stays_positive():
     hists = dict(TABLE_HISTOGRAMS)
     hists["a_max"] = Histogram.from_bins([(0.0, 0.5, 1.0)])
-    p = sample_param_set(hists, ZeroRng())
+    p = sample_param_set(hists, ScriptedRng([0.0] * 12))
     assert p.a_max > 0.0
 
 

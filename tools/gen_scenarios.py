@@ -1,24 +1,29 @@
 """Regenerate the bundled scenario data under src/microtraffic/scenarios/.
 
 Everything here is deterministic, so rerunning the script reproduces the
-committed files byte for byte. Run from the repository root after an
-editable install:
+committed files byte for byte. It imports the package from the checkout's
+own ``src/``, so it runs from a plain checkout, without an install:
 
-    python3 tools/gen_scenarios.py
+    python tools/gen_scenarios.py
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from microtraffic import (Histogram, build_demand, default_histograms,
+SRC = Path(__file__).resolve().parent.parent / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
+
+from microtraffic import (Histogram, build_demand, default_histograms,  # noqa: E402
                           load_network, save_demand, save_histograms)
 
-OUT = Path(__file__).resolve().parent.parent / "src" / "microtraffic" / "scenarios"
+OUT = SRC / "microtraffic" / "scenarios"
 
 HIGHWAY_LANE_WIDTH = 3.5
 URBAN_LANE_WIDTH = 3.0

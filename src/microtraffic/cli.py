@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from .calibration import (DEFAULT_NOISE_SIGMA, DEFAULT_PRIOR_HI,
                           DEFAULT_PRIOR_LO, Chain, ProposalConfig,
                           TargetDensity, autocorrelation,
@@ -250,6 +250,11 @@ class BuiltinIdmEgoPolicy:
     applies, hence no drift). The leader is the nearest ahead-row within
     half a lane width laterally; bumper gap assumes the default 5 m
     vehicle length on both sides.
+
+    The law runs on the floats the policy holds. Where they raise, give a
+    non-finite acceleration or hold a non-finite closing speed, ``act``
+    takes the checked path (``FollowingState``, ``idm_acceleration``),
+    which gives the same value or raises its error.
     """
 
     def __init__(self, params: ParamSet, v0: float, dt: float, half_lane_width: float):
@@ -257,6 +262,8 @@ class BuiltinIdmEgoPolicy:
         self.dt = float(dt)
         self.half_width = float(half_lane_width)
         self._v = float(v0)
+        self._law = (params.a_max, 2.0 * math.sqrt(params.a_max * params.a_comf),
+                     params.v_des, params.d_min, params.T, params.delta)
 
     def act(self, obs) -> Action:
         leader = None
@@ -265,12 +272,17 @@ class BuiltinIdmEgoPolicy:
                 continue
             if leader is None or row[1] < leader[1]:
                 leader = row
+        v = max(self._v, 0.0)
         if leader is None:
-            state = FollowingState(v=max(self._v, 0.0), delta_v=0.0, d_front=math.inf)
+            dv, gap = 0.0, math.inf
         else:
-            gap = max(leader[1] - DEFAULT_VEHICLE_LENGTH, 1e-3)
-            state = FollowingState(v=max(self._v, 0.0), delta_v=-leader[3], d_front=gap)
-        a = idm_acceleration(self.params, state)
+            dv, gap = -leader[3], max(leader[1] - DEFAULT_VEHICLE_LENGTH, 1e-3)
+        try:
+            a = _kernels._idm_accel(*self._law, v, dv, gap)
+        except ArithmeticError:
+            a = math.nan
+        if not (math.isfinite(a) and math.isfinite(dv)):
+            a = idm_acceleration(self.params, FollowingState(v=v, delta_v=dv, d_front=gap))
         self._v += a * self.dt
         return Action(a, 0.0)
 

@@ -19,9 +19,12 @@ from .errors import InputDomainError, SchemaError, read_json_object
 MASS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
-    """Contiguous bins [lo_i, hi_i) with masses summing to 1, as read-only copies."""
+    """Contiguous bins [lo_i, hi_i) with masses summing to 1, as read-only copies.
+
+    Equality and hashing are by identity, as the arrays define no truth value.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
@@ -31,7 +34,7 @@ class Histogram:
         try:
             lo, hi, mass = (np.array(a, dtype=np.float64, ndmin=1)
                             for a in (self.lo, self.hi, self.mass))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InputDomainError("bin edges and masses must be numbers") from None
         if not (lo.ndim == hi.ndim == mass.ndim == 1):
             raise InputDomainError("histogram arrays must be 1-D")

@@ -47,6 +47,14 @@ class ParamSet:
             value = checked(float, getattr(self, name), name, low=0.0, strict=True)
             object.__setattr__(self, name, value)
 
+    @classmethod
+    def _trusted(cls, values) -> "ParamSet":
+        """The set of ``values``, floats the package has already bounded
+        to be finite and positive, without the checks."""
+        p = object.__new__(cls)
+        p.__dict__.update(zip(PARAM_NAMES, values))
+        return p
+
     def to_array(self) -> np.ndarray:
         return np.array([getattr(self, n) for n in PARAM_NAMES], dtype=np.float64)
 
@@ -98,7 +106,7 @@ class FollowingState:
         return math.isfinite(self.d_front)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Uniformly sampled follower trajectory.
 
@@ -106,6 +114,8 @@ class Trajectory:
     is bumper-to-bumper and stays strictly positive at every sample (+inf
     allowed for leaderless stretches). ``gap_collapsed`` marks a rollout
     that stopped early because the next state would have had gap <= 0.
+    Equality and hashing are by identity, as the arrays define no truth
+    value.
     """
 
     dt: float

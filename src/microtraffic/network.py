@@ -12,7 +12,13 @@ points, unit and segment vectors, arc lengths and headings
 the bounding box of its centerline. ``Lane.pose_at`` and ``Lane.project``
 read them and call no numpy: at about a microsecond per numpy call, the
 dozen calls of an array projection cost more than the arithmetic of a few
-dozen segments. Of equally near segments a projection returns the first.
+dozen segments. A lane of n >= 9 segments is also cut into runs of
+ceil(sqrt(n)) consecutive segments, each with a bounding circle, and a
+projection scans the run nearest by its circle first, then only the runs
+whose circle could still hold a nearer point: about 2 * sqrt(n) steps in
+place of n, with every segment's arithmetic, and so every result, that of
+a scan over all of them. Of equally near segments a projection returns the
+first, whichever run it lies in.
 Every vehicle, the ego and each background vehicle, is posed by
 ``Lane.pose_at``. A point is on the road when ``global_to_road`` finds a
 lane holding it; ``is_off_road`` is that rule and nothing else.
@@ -32,10 +38,17 @@ from .errors import (ConfigurationError, InputDomainError, NetworkError, SchemaE
 
 SCENARIO_KINDS = ("highway", "urban")
 _SCENARIO_SUFFIX = ".scenario.json"
+# Lanes of fewer segments are one run: one pass over them is as fast.
+_RUNS_FROM = 9
+# Coordinates up to this size keep every step of a projection finite.
+_FAR = 1e100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lane:
+    """A directed centerline polyline with a width; equality and hashing
+    are by identity, as the centerline array defines no truth value."""
+
     id: str
     centerline: np.ndarray
     width: float
@@ -46,7 +59,7 @@ class Lane:
     def __post_init__(self):
         try:
             pts = np.ascontiguousarray(self.centerline, dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise NetworkError(f"lane {self.id!r}: centerline must be numbers") from None
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise NetworkError(f"lane {self.id!r}: centerline must be (k, 2) with k >= 2")
@@ -79,14 +92,32 @@ class Lane:
         # Plain-float rows, one per segment. pose_at: start x, y, unit x, y,
         # start s, heading; segment i holds s in [cum[i], cum[i + 1]), the
         # first and last extend to -inf and +inf. project: start x, y,
-        # segment x, y, squared length, start s, length.
+        # segment x, y, squared length, start s, length, last segment first.
         cum_s = cum.tolist()
         starts = (xs[:-1], ys[:-1])
         object.__setattr__(self, "_inner_s", cum_s[1:-1])
         heading = [math.atan2(uy, ux) for ux, uy in zip(*unit)]
         object.__setattr__(self, "_pose_rows", list(zip(*starts, *unit, cum_s, heading)))
-        object.__setattr__(self, "_rows", list(zip(*starts, *seg.T.tolist(), seg_len2.tolist(),
-                                                   cum_s, seg_len.tolist())))
+        rows = list(zip(*starts, *seg.T.tolist(), seg_len2.tolist(), cum_s, seg_len.tolist()))
+        object.__setattr__(self, "_rows", rows[::-1])
+
+        # Runs for project: (centre x, y, radius, rows) of ceil(sqrt(n))
+        # consecutive segments. The circle about the middle of the run's
+        # vertex box holds the vertices, so their hull and each segment;
+        # the point a segment's arithmetic finds lies within a few ulps of
+        # scale of it, and the radius itself is rounded. Both are far below
+        # the pad 1e-6 + 1e-9 * scale (as for _held_d). A short lane, or
+        # one past _FAR, has none: project scans all its rows at once.
+        runs = []
+        n = len(rows)
+        if _RUNS_FROM <= n and scale <= _FAR:
+            k = math.isqrt(n - 1) + 1
+            for i in range(0, n, k):
+                vx, vy = xs[i:i + k + 1], ys[i:i + k + 1]
+                cx, cy = (min(vx) + max(vx)) / 2.0, (min(vy) + max(vy)) / 2.0
+                r = max(math.hypot(px - cx, py - cy) for px, py in zip(vx, vy))
+                runs.append((cx, cy, r + 1e-6 + 1e-9 * scale, rows[i:i + k][::-1]))
+        object.__setattr__(self, "_runs", runs)
 
     def pose_at(self, s: float, d: float = 0.0, extrapolate: bool = False):
         """Global (x, y, heading) at arc length s, offset d to the left.
@@ -112,31 +143,61 @@ class Lane:
         near segments the first wins; a NaN distance counts as nearest.
         """
         x, y = float(x), float(y)
-        best = nan = None
-        best_d2 = math.inf
-        # The IEEE operations of a numpy pass over all segments, in the same
-        # order. Backwards, so that <= leaves the first of equal distances
-        # (all +inf included) and the last NaN seen is the first, as with
-        # argmin.
-        for row in reversed(self._rows):
-            x0, y0, sx, sy, l2, _, _ = row
-            t = ((x - x0) * sx + (y - y0) * sy) / l2
-            if t < 0.0:
-                t = 0.0
-            elif t > 1.0:
-                t = 1.0
-            dx = x - (x0 + t * sx)
-            dy = y - (y0 + t * sy)
-            d2 = dx * dx + dy * dy
-            if d2 <= best_d2:
-                best_d2 = d2
-                best = (d2, t, dx, dy, row)
-            elif d2 != d2:
-                nan = (d2, t, dx, dy, row)
-        d2, t, dx, dy, (_, _, sx, sy, _, s0, length) = nan or best
+        runs = self._runs
+        if runs and abs(x) + abs(y) <= _FAR:
+            # Best first: the run whose circle is nearest, then each run
+            # whose circle's lower bound |p - c| - r on its distance does
+            # not exceed the nearest distance found, plus the pad 1e-9 *
+            # (|x| + |y|). That and the radius pad cover the rounding of
+            # the bound, of the square root and of the segments' distances
+            # (a few ulps of |x| + |y| + scale), so a skipped run holds no
+            # segment as near as the best. Below _FAR no distance is inf or
+            # NaN. A tie between runs goes to the lower, so to the first
+            # segment.
+            pad = 1e-9 * (abs(x) + abs(y))
+            lows = [math.hypot(x - cx, y - cy) - r for cx, cy, r, _ in runs]
+            first = at = lows.index(min(lows))
+            hit = _nearest(runs[at][3], x, y)
+            bound = math.sqrt(hit[0]) + pad
+            for k, low in enumerate(lows):
+                if low <= bound and k != first:
+                    found = _nearest(runs[k][3], x, y)
+                    if found[0] < hit[0] or found[0] == hit[0] and k < at:
+                        hit, at = found, k
+                        bound = math.sqrt(hit[0]) + pad
+        else:
+            hit = _nearest(self._rows, x, y)
+        d2, t, dx, dy, (_, _, sx, sy, _, s0, length) = hit
         dist = math.sqrt(d2)
         d = dist if sx * dy - sy * dx >= 0.0 else -dist
         return s0 + t * length, d, dist
+
+
+def _nearest(rows, x, y):
+    """(d2, t, dx, dy, row) of the segment nearest to (x, y) among ``rows``,
+    given last segment first: the first of equally near ones, or the first
+    whose distance is NaN."""
+    best = nan = None
+    best_d2 = math.inf
+    # The IEEE operations of a numpy pass over the segments, in the same
+    # order. Backwards, so that <= leaves the first of equal distances (all
+    # +inf included) and the last NaN seen is the first, as with argmin.
+    for row in rows:
+        x0, y0, sx, sy, l2, _, _ = row
+        t = ((x - x0) * sx + (y - y0) * sy) / l2
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        dx = x - (x0 + t * sx)
+        dy = y - (y0 + t * sy)
+        d2 = dx * dx + dy * dy
+        if d2 <= best_d2:
+            best_d2 = d2
+            best = (d2, t, dx, dy, row)
+        elif d2 != d2:
+            nan = (d2, t, dx, dy, row)
+    return nan or best
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,11 @@ def sample_param_set(histograms, rng: np.random.Generator) -> ParamSet:
     except KeyError as exc:
         raise ConfigurationError(f"missing histogram for parameter {exc.args[0]!r}") from None
     u = rng.random(2 * len(tables)).tolist()
-    # A zero-edge bin can give 0.0, and parameters must stay positive.
-    return ParamSet(*[max(_draw(t, a, b), _TINY) for t, a, b in zip(tables, u[::2], u[1::2])])
+    # A zero-edge bin can give 0.0, and parameters must stay positive. Each
+    # value is a float in a histogram's finite edges, at least _TINY: what
+    # ParamSet's checks would pass unchanged.
+    return ParamSet._trusted([max(_draw(t, a, b), _TINY)
+                              for t, a, b in zip(tables, u[::2], u[1::2])])
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,8 @@ class VehicleSpec:
     depart_s: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise TypeError(f"vehicle id must be a string, got {self.id!r}")
         try:
             depart = checked(float, self.depart, "depart", low=0.0)
             length = checked(float, self.length, "length", low=0.0, strict=True)

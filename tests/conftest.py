@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import microtraffic
-from microtraffic import (PARAM_NAMES, ConfigurationError, DemandSpec, InputDomainError,
-                          Lane, ParamSet, RoadNetwork, Route, Scenario)
+from microtraffic import (PARAM_NAMES, Action, ConfigurationError, DemandSpec, FollowingState,
+                          InputDomainError, Lane, ParamSet, RoadNetwork, Route, Scenario,
+                          idm_acceleration)
+from microtraffic.population import DEFAULT_VEHICLE_LENGTH
 
 #: Ground-truth driver parameters used across recovery and rollout tests.
 THETA_STAR = ParamSet(a_max=3.0, a_comf=5.0, v_des=35.0, d_min=10.0,
@@ -222,6 +224,34 @@ def sample_param_set_reference(histograms, rng):
             v = math.nextafter(0.0, 1.0)
         values[name] = v
     return ParamSet(**values)
+
+
+class IdmEgoPolicyReference:
+    """``cli.BuiltinIdmEgoPolicy`` as first written, through ``FollowingState``
+    and ``idm_acceleration`` on every step: the reference the policy's
+    actions, speeds and errors must match."""
+
+    def __init__(self, params, v0, dt, half_lane_width):
+        self.params = params
+        self.dt = float(dt)
+        self.half_width = float(half_lane_width)
+        self._v = float(v0)
+
+    def act(self, obs):
+        leader = None
+        for row in np.asarray(obs)[0::2].tolist():
+            if row[0] != 1.0 or row[1] <= 0.0 or abs(row[2]) >= self.half_width:
+                continue
+            if leader is None or row[1] < leader[1]:
+                leader = row
+        if leader is None:
+            state = FollowingState(v=max(self._v, 0.0), delta_v=0.0, d_front=math.inf)
+        else:
+            gap = max(leader[1] - DEFAULT_VEHICLE_LENGTH, 1e-3)
+            state = FollowingState(v=max(self._v, 0.0), delta_v=-leader[3], d_front=gap)
+        a = idm_acceleration(self.params, state)
+        self._v += a * self.dt
+        return Action(a, 0.0)
 
 
 def rollout_reference(theta, lead_v, v0, gap0, dt):

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from microtraffic import ParamSet, Trajectory, cli
+from microtraffic import Action, ParamSet, TrafficEnv, Trajectory, cli
 from microtraffic.cli import (DEFAULT_PARAMS, POLICY_NAMES, BuiltinIdmEgoPolicy,
                               ExternalStdioPolicy, RunManifest, ZeroActionPolicy,
                               _parse_params, _parse_pin, main)
@@ -17,10 +17,10 @@ from microtraffic.errors import ConfigurationError, PolicyProtocolError
 from microtraffic.histogram import load_histograms, save_histograms
 from microtraffic.idm import (PARAM_NAMES, FollowingState, idm_acceleration,
                               rmse_objective)
-from microtraffic.network import _bundled_library, load_network
+from microtraffic.network import _bundled_library, load_network, load_scenario
 from microtraffic.population import default_histograms, load_demand
 
-from conftest import THETA_STAR, write_scenario_files
+from conftest import THETA_STAR, IdmEgoPolicyReference, write_scenario_files
 
 TABLE_MEANS = {"a_max": 1.2, "a_comf": 2.0, "v_des": 29.7,
                "d_min": 63.9, "T": 2.0, "delta": 4.0}
@@ -722,6 +722,74 @@ def test_builtin_policy_floors_tiny_gap():
     assert action.a_long == expected
 
 
+def _act_outcome(policy, obs):
+    """The action and the speed the policy keeps after it, as hex, or the
+    type and message of its error."""
+    try:
+        action = policy.act(obs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return action.a_long.hex(), action.a_lat.hex(), policy._v.hex()
+
+
+def test_builtin_policy_matches_checked_path_over_bundled_episodes():
+    params = _parse_params(DEFAULT_PARAMS)
+    followed = 0
+    for name in ("highway_plain", "highway_curve", "urban_block", "urban_grid"):
+        scenario = load_scenario(_bundled_library() / f"{name}.scenario.json")
+        half_width = scenario.network.lanes[scenario.ego_lane].width / 2.0
+        policy, reference = (cls(params, v0=scenario.ego_speed, dt=scenario.dt,
+                                 half_lane_width=half_width)
+                             for cls in (BuiltinIdmEgoPolicy, IdmEgoPolicyReference))
+        env = TrafficEnv(scenario)
+        obs = env.reset()
+        while True:
+            want = _act_outcome(reference, obs)
+            assert _act_outcome(policy, obs) == want, name
+            followed += any(row[0] == 1.0 and row[1] > 0.0 and abs(row[2]) < half_width
+                            for row in obs[0::2].tolist())
+            result = env.step(Action(float.fromhex(want[0]), 0.0))
+            if result.terminated:
+                break
+            obs = result.observation
+    # urban_block's ego follows a leader for about a hundred steps
+    assert followed > 50
+
+
+# ParamSet with a_max * a_comf underflowing to 0, so that b2 is 0.
+TINY_PARAMS = ParamSet(1e-200, 1e-200, 30.0, 2.0, 1.5, 4.0)
+
+
+@pytest.mark.parametrize("params, v0, leader", [
+    (THETA_STAR, 10.0, (20.0, math.inf)),      # closing speed -inf
+    (THETA_STAR, 10.0, (20.0, -math.inf)),
+    (THETA_STAR, 10.0, (20.0, math.nan)),
+    (THETA_STAR, 0.0, (20.0, math.inf)),
+    (THETA_STAR, 10.0, (20.0, 1e308)),         # desired gap -inf, clamped to 0
+    (THETA_STAR, 10.0, (20.0, -1e308)),        # desired gap +inf
+    (THETA_STAR, 10.0, (math.nan, 0.0)),       # gap NaN
+    (THETA_STAR, 10.0, (math.inf, 3.0)),       # leader at infinity
+    (THETA_STAR, 1e308, None),                 # (v / v_des) ** delta overflows
+    (THETA_STAR, 1e300, (20.0, 0.0)),
+    (THETA_STAR, math.inf, None),
+    (THETA_STAR, math.nan, None),
+    (THETA_STAR, -5.0, (20.0, 1.0)),           # speed floored at 0
+    (TINY_PARAMS, 10.0, (20.0, 2.0)),          # 0 / 0 law: numpy scalars give a value
+    (TINY_PARAMS, 10.0, (20.0, -2.0)),
+    (TINY_PARAMS, 10.0, (20.0, 0.0)),
+    (TINY_PARAMS, 10.0, None),
+])
+def test_builtin_policy_matches_checked_path_on_extreme_observations(params, v0, leader):
+    obs = np.zeros((6, 5))
+    if leader is not None:
+        obs[2] = (1.0, leader[0], 0.0, leader[1], 0.0)
+    policy, reference = (cls(params, v0=v0, dt=0.1, half_lane_width=1.75)
+                         for cls in (BuiltinIdmEgoPolicy, IdmEgoPolicyReference))
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            assert _act_outcome(policy, obs) == _act_outcome(reference, obs)
+
+
 def test_external_policy_round_trip(tmp_path):
     policy = ExternalStdioPolicy(_policy_script(tmp_path, ECHO_BODY))
     try:
@@ -962,7 +1030,10 @@ def _set(doc, keys, value):
     ("demand", ("vehicles", 0, "id"), ["veh_0000"], "highway_plain.demand.json: malformed"),
     ("demand", ("routes", 0, "id"), ["route_0"], "highway_plain.demand.json: malformed"),
     ("histograms", ("a_max", 0, "lo"), "a", "'a_max': bin edges and masses must be numbers"),
-    ("histograms", ("a_max", 0, "mass"), "x", "'a_max': bin edges and masses must be numbers"),
+    ("histograms", ("a_max", 0, "mass"), "x", "'a_max': bin edges and masses must be numbers"),    ("demand", ("vehicles", 0, "id"), 7, "vehicle id must be a string, got 7"),
+    ("network", ("lanes", 0, "centerline", 0, 0), 10**400, "centerline must be numbers"),
+    ("histograms", ("a_max", 0, "lo"), 10**400,
+     "'a_max': bin edges and masses must be numbers"),
 ])
 def test_malformed_input_file_field_ends_in_one_error_line(tmp_path, capsys, role, keys,
                                                            value, named):

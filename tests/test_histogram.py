@@ -128,3 +128,9 @@ def test_load_rejects_bad_payloads(tmp_path):
     bad_mass.write_text('{"v_des": [{"lo": 0.0, "hi": 1.0, "mass": 0.5}]}')
     with pytest.raises(SchemaError, match="v_des"):
         load_histograms(bad_mass)
+
+
+def test_histograms_compare_and_hash_by_identity():
+    a, b = (Histogram.from_bins([(0.0, 1.0, 0.25), (1.0, 2.0, 0.75)]) for _ in range(2))
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2 and {a: 1}[a] == 1

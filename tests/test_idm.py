@@ -358,3 +358,11 @@ def test_trajectory_csv_needs_two_rows_for_dt(tmp_path, rows):
     path.write_text("t,v_ego,v_leader,gap,a_obs\n" + rows)
     with pytest.raises(SchemaError, match="at least 2 data rows"):
         Trajectory.from_csv(path)
+
+
+def test_trajectories_compare_and_hash_by_identity():
+    t = np.arange(4) * 0.1
+    ones = np.ones(4)
+    a, b = (Trajectory(0.1, t, ones, ones, ones, ones) for _ in range(2))
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2 and {a: 1}[a] == 1

@@ -278,16 +278,42 @@ def long_polyline_lanes(draw):
     return Lane("long", pts, 3.5)
 
 
-PROJECT_LANES = ([SIGNED_ZERO_LANE, NEGATIVE_ZERO_LANE, bent_lane(), HAIRPIN_LANE]
+@st.composite
+def many_run_lanes(draw):
+    """A lane of 100 to 400 segments, so of 10 to 20 runs: a seeded walk of
+    the whole-metre steps of GRID_STEP and random ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(100, 400))
+    grid = np.array([(1.0, 0.0), (0.0, 2.0), (-3.0, 0.0), (0.0, -1.0)])
+    steps = np.where(rng.random((n, 1)) < 0.5, grid[rng.integers(4, size=n)],
+                     rng.uniform(-60.0, 60.0, (n, 2)))
+    start = (float(draw(st.integers(-500, 500))), float(draw(st.integers(-500, 500))))
+    return Lane("many_runs", np.cumsum(np.vstack([start, steps]), axis=0), 3.5)
+
+
+# Out along y = 0 in sixty 1 m segments, a U-turn of two 2 m segments (60
+# and 61), back along y = 4 (segments 62-121): runs of 12 segments, so the
+# two segments 2 m from a point between the legs lie in different runs,
+# whose circles are 2 m apart along x.
+RUNS_HAIRPIN_LANE = Lane("runs_hairpin", [(x, 0.0) for x in range(61)] + [(60.0, 2.0)]
+                         + [(x, 4.0) for x in range(60, -1, -1)], 3.5)
+# 400 segments on a 1 km arc, 2 radians long.
+ARC_LANE = Lane("arc", [(1000.0 * math.cos(i / 200.0), 1000.0 * math.sin(i / 200.0))
+                        for i in range(401)], 3.5)
+
+PROJECT_LANES = ([SIGNED_ZERO_LANE, NEGATIVE_ZERO_LANE, bent_lane(), HAIRPIN_LANE,
+                  RUNS_HAIRPIN_LANE, ARC_LANE]
                  + [bundled_network(name).lanes[lane_id]
                     for name, lane_id in (("highway_curve", "lane_0"), ("urban_grid", "e00_10"))])
 
+ANY_LANE = st.sampled_from(PROJECT_LANES) | polyline_lanes() | long_polyline_lanes()
+
 
 @st.composite
-def lanes_and_points(draw):
+def lanes_and_points(draw, lanes=ANY_LANE):
     """A lane and a point: across it, beyond either end, on a vertex, at
     signed zeros, anywhere nearby or on a whole-metre grid point."""
-    lane = draw(st.sampled_from(PROJECT_LANES) | polyline_lanes() | long_polyline_lanes())
+    lane = draw(lanes)
     if draw(st.integers(0, 4)) == 0:
         x0, y0, x1, y1 = lane._box
         return (lane, draw(st.integers(int(x0) - 5, int(x1) + 5)) * 1.0,
@@ -323,11 +349,58 @@ def test_project_tie_goes_to_the_first_segment(x, y, s):
     assert_projects_as_reference(lane, x, y)
 
 
+@settings(deadline=None, max_examples=150)
+@given(lanes_and_points(many_run_lanes()))
+def test_project_over_many_runs_matches_reference_bit_for_bit(case):
+    lane, x, y = case
+    assert len(lane._runs) >= 10
+    assert_projects_as_reference(lane, x, y)
+
+
+def test_lanes_are_cut_into_runs_of_about_root_n_segments():
+    assert [len(lane._runs) for lane in (bent_lane(), HAIRPIN_LANE)] == [0, 4]
+    assert [len(run[3]) for run in RUNS_HAIRPIN_LANE._runs] == [12] * 10 + [2]
+    assert [len(run[3]) for run in ARC_LANE._runs] == [20] * 20
+    curve = bundled_network("highway_curve").lanes["lane_0"]
+    assert [len(run[3]) for run in curve._runs] == [9] * 8 + [8]
+
+
+def test_project_tie_across_runs_goes_to_the_first_segment():
+    lane = RUNS_HAIRPIN_LANE
+    later_run_first = 0
+    for x in np.arange(0.5, 58.0, 0.5).tolist():
+        assert lane.project(x, 2.0) == (x, 2.0, 2.0)
+        assert_projects_as_reference(lane, x, 2.0)
+        lows = [math.hypot(x - cx, 2.0 - cy) - r for cx, cy, r, _ in lane._runs]
+        later_run_first += lows.index(min(lows)) > 5
+    # the tie is met with the back leg's run scanned first, too
+    assert later_run_first > 10
+
+
 NON_FINITE = (math.inf, -math.inf, math.nan, 1e308, -1e308, 1e200, 0.0, -3.0)
 
 
 @pytest.mark.parametrize("lane", PROJECT_LANES, ids=lambda lane: lane.id)
 def test_project_of_non_finite_and_overflowing_points_matches_reference(lane):
+    for x in NON_FINITE:
+        for y in NON_FINITE:
+            assert_projects_as_reference(lane, x, y)
+
+
+# Either side of the size past which a projection skips no run.
+FAR = (1e100, -1e100, math.nextafter(1e100, 0.0), 5e99, 1e101, 1e50, -1e50, 1e15, 3.0)
+
+
+@pytest.mark.parametrize("lane", [RUNS_HAIRPIN_LANE, ARC_LANE], ids=lambda lane: lane.id)
+def test_project_of_far_points_matches_reference(lane):
+    for x in FAR:
+        for y in FAR:
+            assert_projects_as_reference(lane, x, y)
+
+
+def test_lane_past_the_far_limit_is_one_run():
+    lane = Lane("far", [(2e100 + i * 1e90, 2e100) for i in range(20)], 3.5)
+    assert lane._runs == []
     for x in NON_FINITE:
         for y in NON_FINITE:
             assert_projects_as_reference(lane, x, y)
@@ -458,3 +531,9 @@ def test_load_scenario_by_kind_picks_uniformly(tmp_path):
         load_scenario("urban", rng, library=tmp_path)
     with pytest.raises(ConfigurationError):
         load_scenario("no-such-thing", rng)
+
+
+def test_lanes_compare_and_hash_by_identity():
+    a, b = bent_lane(), bent_lane()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2 and {a: 1}[a] == 1

@@ -16,7 +16,7 @@ from microtraffic import (PARAM_NAMES, ConfigurationError, DemandSpec, Generatio
                           default_histograms, generate_random_trips,
                           load_demand, sample_from_histogram,
                           sample_param_set, save_demand)
-from microtraffic.network import Lane
+from microtraffic.network import Lane, _bundled_library, load_network
 from microtraffic.population import DEFAULT_VEHICLE_LENGTH
 
 TABLE_HISTOGRAMS = {
@@ -161,6 +161,25 @@ def test_sample_param_set_matches_reference_bit_for_bit(hists, seed):
     assert_same_draws(lambda rng: sample_param_set(hists, rng).to_array().tolist(),
                       lambda rng: sample_param_set_reference(hists, rng).to_array().tolist(),
                       seed)
+
+
+@pytest.mark.parametrize("kind, network", [("highway", "highway_plain"),
+                                           ("urban", "urban_grid")])
+def test_sample_param_set_equals_the_checked_construction(kind, network):
+    # The draws pinned by GOLDEN_SAMPLING: sample-params --n 100 and
+    # build-demand at their defaults, seed 3.
+    hists = default_histograms(kind)
+    rng = np.random.default_rng(3)
+    drawn = [sample_param_set(hists, rng) for _ in range(100)]
+    net = load_network(_bundled_library() / f"{network}.network.json")
+    demand = build_demand(net, hists, 50, np.random.default_rng(3))
+    drawn += [v.params for v in demand.vehicles]
+    for p in drawn:
+        values = [getattr(p, name) for name in PARAM_NAMES]
+        checked = ParamSet(*values)
+        assert [type(v) for v in values] == [float] * len(PARAM_NAMES)
+        assert [getattr(checked, name).hex() for name in PARAM_NAMES] == [v.hex() for v in values]
+        assert p == checked
 
 
 def test_sample_param_set_lands_in_bins():

@@ -19,15 +19,14 @@ out at theta scores a one-step RMSE of exactly zero at theta, and a BV in
 the environment moves exactly as a rollout of it would.
 
 Both laws take ``(a_max, b2, v_des, d_min, T, delta)``, the desired-gap
-denominator ``b2 = 2.0 * sqrt(a_max * a_comf)`` in place of ``a_comf``.
-Every caller derives b2 once: per rollout, per RMSE call, per BV at spawn.
-Hoisting cannot change a bit: ``math.sqrt`` and ``np.sqrt`` are both
-correctly rounded. A rollout takes every Euler step in one loop on
-Python floats, not the slower numpy scalars: ``**`` on Python floats is
-the same libm ``pow`` as on ``np.float64``, and the rest is correctly
-rounded IEEE arithmetic either way. Where Python floats raise
-``ArithmeticError`` and numpy scalars carry inf or nan on, the rollout is
-rerun on numpy scalars, so its results stay bit-identical.
+denominator ``b2 = 2.0 * sqrt(a_max * a_comf)`` in place of ``a_comf``:
+``_law`` builds it from six floats (``ParamSet.law``), ``_rmse_one_step_np``
+from arrays; ``math.sqrt`` and ``np.sqrt`` are both correctly rounded. The
+scalar law runs on Python floats, not the slower numpy scalars: ``**`` on
+them is the same libm ``pow`` as on ``np.float64``, and the rest is
+correctly rounded IEEE arithmetic either way. Where Python floats raise
+(``**`` overflow, division by zero), ``_idm_accel`` evaluates the same
+expression on numpy scalars, which carry inf or nan on: the law is total.
 """
 
 import math
@@ -40,18 +39,29 @@ import numpy as np
 ACTIVE = SimpleNamespace(name="numpy")
 
 
+def _law(theta):
+    """``_idm_accel``'s first six arguments of the six floats ``theta``."""
+    a_max, a_comf, v_des, d_min, T, delta = theta
+    return a_max, 2.0 * math.sqrt(a_max * a_comf), v_des, d_min, T, delta
+
+
 def _idm_accel(a_max, b2, v_des, d_min, T, delta, v, dv, gap):
-    """The scalar law; ``b2`` is ``2.0 * math.sqrt(a_max * a_comf)``."""
-    # Desired gap is clamped at zero before squaring so a fast-opening gap
-    # (large negative dv) cannot turn the interaction term into a push.
-    d_des = d_min + v * T + v * dv / b2
-    if d_des < 0.0:
-        d_des = 0.0
-    q = d_des / gap
-    return a_max * (1.0 - (v / v_des) ** delta - q * q)
+    """The scalar law on ``_law``'s tuple; inf or nan, never an exception."""
+    try:
+        # Desired gap is clamped at zero before squaring so a fast-opening
+        # gap (large negative dv) cannot turn the interaction term into a push.
+        d_des = d_min + v * T + v * dv / b2
+        if d_des < 0.0:
+            d_des = 0.0
+        q = d_des / gap
+        return a_max * (1.0 - (v / v_des) ** delta - q * q)
+    except ArithmeticError:
+        with np.errstate(all="ignore"):
+            args = map(np.float64, (a_max, b2, v_des, d_min, T, delta, v, dv, gap))
+            return float(_idm_accel(*args))
 
 
-def _rollout_loop(theta, lead_v, v0, gap0, dt):
+def _rollout_loop(law, lead_v, v0, gap0, dt):
     """Roll a follower behind leader speeds ``lead_v`` with forward Euler.
 
     Sample k holds the state after k steps plus the acceleration at that
@@ -59,8 +69,7 @@ def _rollout_loop(theta, lead_v, v0, gap0, dt):
     zero. Returns lists (speed, gap, accel) of the samples; fewer samples
     than leader speeds means the gap collapsed to zero or below.
     """
-    a_max, a_comf, v_des, d_min, T, delta = theta
-    b2 = 2.0 * math.sqrt(a_max * a_comf)
+    a_max, b2, v_des, d_min, T, delta = law
     vs, gaps, accs = [], [], []
     v, gap = v0, gap0
     for v_lead in lead_v:
@@ -75,15 +84,6 @@ def _rollout_loop(theta, lead_v, v0, gap0, dt):
         if gap <= 0.0:
             break
     return vs, gaps, accs
-
-
-def _rollout_floats(theta, lead_v, v0, gap0, dt):
-    """``_rollout_loop`` on Python floats (``lead_v`` a list), rerun on
-    numpy scalars where Python floats raise (see the module docstring)."""
-    try:
-        return _rollout_loop(theta.tolist(), lead_v, v0, gap0, dt)
-    except ArithmeticError:
-        return _rollout_loop(theta, np.array(lead_v), v0, gap0, dt)
 
 
 def _accel_series_np(law, v, dv, gap, out):

@@ -115,6 +115,9 @@ class TargetDensity:
         if len(obs) == 0:
             raise InputDomainError("target density needs a non-empty trajectory")
         noise_sigma = checked(float, noise_sigma, "noise_sigma", low=0.0, strict=True)
+        # The likelihood's noise_sigma ** 2 must be a float > 0: 1.5e-162 to 1.3e154.
+        if not 0.0 < noise_sigma * noise_sigma < math.inf:
+            raise InputDomainError(f"noise_sigma must have a finite, nonzero square, got {noise_sigma!r}")
         lo = DEFAULT_PRIOR_LO.copy() if prior_lo is None else np.ascontiguousarray(prior_lo, dtype=np.float64)
         hi = DEFAULT_PRIOR_HI.copy() if prior_hi is None else np.ascontiguousarray(prior_hi, dtype=np.float64)
         if lo.shape != (6,) or hi.shape != (6,):
@@ -473,7 +476,8 @@ def synthetic_trajectory(params: ParamSet, rng, n_obs: int = 200,
         raise InputDomainError(f"need n_obs >= 2 and finite dt > 0, got {n_obs}, {dt!r}")
     noise_sigma = checked(float, noise_sigma, "noise_sigma", low=0.0)
     n = int(n_obs)
-    per_piece = max(int(round(piece_duration / dt)), 1)
+    # A tiny dt must not ask for an enormous (or infinite) leader profile.
+    per_piece = max(int(round(min(piece_duration / dt, n))), 1)
     n_pieces = -(-n // per_piece)
     lo, hi = speed_range
     pieces = rng.uniform(lo, hi, n_pieces)

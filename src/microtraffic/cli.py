@@ -120,6 +120,9 @@ SEED = Option("--seed", int, 0, low=0, help="master RNG seed")
 #: Ceiling of ``calibrate --n-bins``: the histogram allocates every bin
 #: edge, so a huge count would exhaust memory instead of failing cleanly.
 MAX_N_BINS = 10_000
+#: Ceiling of ``gen-synthetic --n-obs``: a trajectory takes about 450 bytes
+#: a sample in memory, so a huge count would fail only after --out exists.
+MAX_N_OBS = 1_000_000
 
 #: Per verb: its help line, its input flags (the paths it reads, with their
 #: argparse keywords) and its options, which the manifest records as
@@ -127,7 +130,8 @@ MAX_N_BINS = 10_000
 VERBS = {
     "gen-synthetic": ("generate follower trajectories from known parameters", {}, (
         Option("--n-vehicles", int, 50, low=0),
-        Option("--n-obs", int, 200),
+        Option("--n-obs", int, 200, high=MAX_N_OBS,
+               help=f"samples per trajectory, at most {MAX_N_OBS}"),
         Option("--dt", float, 0.1),
         Option("--noise-sigma", float, DEFAULT_NOISE_SIGMA, low=0),
         Option("--params", _parse_params, DEFAULT_PARAMS,
@@ -251,10 +255,10 @@ class BuiltinIdmEgoPolicy:
     half a lane width laterally; bumper gap assumes the default 5 m
     vehicle length on both sides.
 
-    The law runs on the floats the policy holds. Where they raise, give a
-    non-finite acceleration or hold a non-finite closing speed, ``act``
-    takes the checked path (``FollowingState``, ``idm_acceleration``),
-    which gives the same value or raises its error.
+    The law runs on the floats the policy holds (``_kernels._idm_accel``
+    on ``ParamSet.law``). Where it gives a non-finite acceleration or the
+    closing speed is not finite, ``act`` raises the error of the checked
+    path (``FollowingState``, ``idm_acceleration``).
     """
 
     def __init__(self, params: ParamSet, v0: float, dt: float, half_lane_width: float):
@@ -262,8 +266,7 @@ class BuiltinIdmEgoPolicy:
         self.dt = float(dt)
         self.half_width = float(half_lane_width)
         self._v = float(v0)
-        self._law = (params.a_max, 2.0 * math.sqrt(params.a_max * params.a_comf),
-                     params.v_des, params.d_min, params.T, params.delta)
+        self._law = params.law
 
     def act(self, obs) -> Action:
         leader = None
@@ -277,10 +280,7 @@ class BuiltinIdmEgoPolicy:
             dv, gap = 0.0, math.inf
         else:
             dv, gap = -leader[3], max(leader[1] - DEFAULT_VEHICLE_LENGTH, 1e-3)
-        try:
-            a = _kernels._idm_accel(*self._law, v, dv, gap)
-        except ArithmeticError:
-            a = math.nan
+        a = _kernels._idm_accel(*self._law, v, dv, gap)
         if not (math.isfinite(a) and math.isfinite(dv)):
             a = idm_acceleration(self.params, FollowingState(v=v, delta_v=dv, d_front=gap))
         self._v += a * self.dt

@@ -461,11 +461,9 @@ class TrafficEnv:
             v_des = spec.params.v_des
             v0 = v_des if v_lead is None else min(v_des, v_lead)
             rank = self._rank[spec.id]
-            p = spec.params
             columns.append((s, v0, spec.length, rank, math.inf, _NO_LEADER,
                             self._code[lane_id], self.net.lanes[lane_id].length,
-                            self._n_spawned, p.a_max, 2.0 * math.sqrt(p.a_max * p.a_comf),
-                            p.v_des, p.d_min, p.T, p.delta))
+                            self._n_spawned, *spec.params.law))
             self._n_spawned += 1
             self._routes[rank] = [route.lanes, 0]
             ss, rows = self._staged.setdefault(lane_id, ([], []))

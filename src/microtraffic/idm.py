@@ -55,6 +55,12 @@ class ParamSet:
         p.__dict__.update(zip(PARAM_NAMES, values))
         return p
 
+    @property
+    def law(self) -> tuple:
+        """``_kernels._law`` of these parameters: (a_max, b2, v_des, d_min, T, delta)."""
+        return _kernels._law((self.a_max, self.a_comf, self.v_des, self.d_min,
+                              self.T, self.delta))
+
     def to_array(self) -> np.ndarray:
         return np.array([getattr(self, n) for n in PARAM_NAMES], dtype=np.float64)
 
@@ -206,18 +212,10 @@ def idm_acceleration(p: ParamSet, s: FollowingState) -> float:
     """Longitudinal acceleration for state ``s`` under parameters ``p``.
 
     With no leader (``d_front == +inf``) the interaction term is exactly
-    zero. The result is never silently non-finite: inputs extreme enough
-    to overflow raise instead.
+    zero. The result is never silently non-finite: where the law gives inf
+    or nan (``_kernels._idm_accel``), this raises instead.
     """
-    b2 = 2.0 * math.sqrt(p.a_max * p.a_comf)
-    args = (p.a_max, b2, p.v_des, p.d_min, p.T, p.delta, s.v, s.delta_v, s.d_front)
-    try:
-        a = _kernels._idm_accel(*args)
-    except ArithmeticError:
-        # Python floats raise where numpy scalars give inf or nan (which
-        # the law may still clamp to a finite result).
-        a = _kernels._idm_accel(*map(np.float64, args))
-    a = float(a)
+    a = _kernels._idm_accel(*p.law, s.v, s.delta_v, s.d_front)
     if not math.isfinite(a):
         raise InputDomainError(
             f"acceleration overflowed for v={s.v}, delta_v={s.delta_v}, gap={s.d_front}"
@@ -235,7 +233,7 @@ def desired_gap(p: ParamSet, v: float, delta_v: float) -> float:
     v = checked(float, v, "speed", low=0.0)
     delta_v = checked(float, delta_v, "delta_v")
     try:
-        gap = p.d_min + v * p.T + v * delta_v / (2.0 * math.sqrt(p.a_max * p.a_comf))
+        gap = p.d_min + v * p.T + v * delta_v / p.law[1]
     except ZeroDivisionError:
         gap = math.nan
     if not math.isfinite(gap):
@@ -273,8 +271,7 @@ def rollout_follower(p: ParamSet, leader_speeds, init: FollowingState,
     if not np.all(np.isfinite(lead)) or np.any(lead < 0.0):
         raise InputDomainError("leader speeds must be finite and >= 0")
 
-    v, gap, a = _kernels._rollout_floats(p.to_array(), lead.tolist(), float(init.v),
-                                         float(init.d_front), dt)
+    v, gap, a = _kernels._rollout_loop(p.law, lead.tolist(), init.v, init.d_front, dt)
     n = len(a)
     return Trajectory(dt, np.arange(n) * dt, v, lead[:n].copy(), gap, a,
                       gap_collapsed=n < n_steps)
@@ -302,7 +299,7 @@ def rollout_start(obs: Trajectory):
 def rollout_rmse(theta, lead, v0: float, gap0: float, dt: float, a_obs) -> float:
     """RMSE between ``a_obs`` and a rollout at ``theta``; +inf when the gap
     collapses before the horizon or an acceleration is not finite."""
-    a = _kernels._rollout_floats(theta, lead, v0, gap0, dt)[2]
+    a = _kernels._rollout_loop(_kernels._law(theta.tolist()), lead, v0, gap0, dt)[2]
     if len(a) < len(lead):
         return math.inf
     rmse = float(_kernels._rmse_np(np.subtract(a, a_obs)))

@@ -286,15 +286,20 @@ def chain_csv_reference(chain, path):
                      f"{int(accepted)}\n")
 
 
-def dispatch_disabled_env(targets):
-    """Environment for a child Python with numpy's dispatch ``targets``
-    switched off. The child imports ``microtraffic`` from where this process
-    did, so it need not be installed."""
+def child_env():
+    """Environment for a child Python that imports ``microtraffic`` from
+    where this process did, so it need not be installed."""
     env = dict(os.environ)
-    env.pop("NPY_ENABLE_CPU_FEATURES", None)
-    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
     src = str(Path(microtraffic.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def dispatch_disabled_env(targets):
+    """``child_env`` with numpy's dispatch ``targets`` switched off."""
+    env = child_env()
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join(targets)
     return env
 
 

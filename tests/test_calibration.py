@@ -681,6 +681,14 @@ def test_synthetic_trajectory_piecewise_leader():
     assert len(np.unique(tr.v_leader)) == 4
 
 
+def test_synthetic_trajectory_with_tiny_dt_holds_one_leader_speed():
+    # piece_duration / dt asks for 2e201 leader samples at 1e-200, and for
+    # inf at the least dt; only n_obs of them are used.
+    for dt in (1e-200, 5e-324):
+        tr = synthetic_trajectory(THETA_STAR, np.random.default_rng(3), n_obs=20, dt=dt)
+        assert len(tr) == 20 and len(np.unique(tr.v_leader)) == 1
+
+
 def test_synthetic_trajectory_validation_and_collapse():
     rng = np.random.default_rng(0)
     with pytest.raises(InputDomainError):

@@ -1,13 +1,20 @@
 """End-to-end checks of the command-line verbs and the policy classes."""
 
+import contextlib
+import io
 import json
 import math
+import subprocess
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from microtraffic import Action, ParamSet, TrafficEnv, Trajectory, cli
 from microtraffic.cli import (DEFAULT_PARAMS, POLICY_NAMES, BuiltinIdmEgoPolicy,
@@ -20,7 +27,7 @@ from microtraffic.idm import (PARAM_NAMES, FollowingState, idm_acceleration,
 from microtraffic.network import _bundled_library, load_network, load_scenario
 from microtraffic.population import default_histograms, load_demand
 
-from conftest import THETA_STAR, IdmEgoPolicyReference, write_scenario_files
+from conftest import THETA_STAR, IdmEgoPolicyReference, child_env, write_scenario_files
 
 TABLE_MEANS = {"a_max": 1.2, "a_comf": 2.0, "v_des": 29.7,
                "d_min": 63.9, "T": 2.0, "delta": 4.0}
@@ -133,6 +140,7 @@ def test_gen_synthetic_bad_input_reports_cleanly(tmp_path, capsys, flags, messag
     (("--n-obs", 1), "need n_obs >= 2 and finite dt > 0, got 1, 0.1"),
     (("--noise-sigma", -1), "noise_sigma must be >= 0, got -1.0"),
     (("--noise-sigma", "nan"), "noise_sigma must be finite and >= 0, got nan"),
+    (("--n-obs", 10**23), f"n_obs must be <= 1000000, got {10**23}"),
 ])
 def test_gen_synthetic_bad_generation_input_makes_no_out_dir(tmp_path, capsys, flags,
                                                              message):
@@ -253,6 +261,19 @@ def test_calibrate_checks_diagnostic_options_before_any_chain(
                  "--out", out)
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["1e308", "1e-200"])
+def test_calibrate_noise_sigma_without_a_positive_float_square_reports_cleanly(
+        tmp_path, synthetic_dir, capsys, sigma):
+    # sigma ** 2 overflows, or underflows to 0, in the likelihood's scale.
+    out = tmp_path / "calib"
+    rc = run_cli("calibrate", "--data", synthetic_dir, "--n-iter", 10,
+                 "--noise-sigma", sigma, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: noise_sigma must have a finite, nonzero square, got {float(sigma)!r}\n")
     assert not out.exists()
 
 
@@ -392,6 +413,23 @@ def test_simulate_builtin_idm_params_flag(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["cause"] == "max_steps"
     assert 7.5 < summary["ego_final"]["v"] <= 8.0
+
+
+@pytest.mark.parametrize("params", [
+    "1,1,1e-35,2,1,10",        # (v / v_des) ** delta overflows
+    "1e-170,1e-170,30,2,1,4",  # a_max * a_comf underflows, b2 is 0
+])
+def test_simulate_builtin_idm_overflow_prints_only_the_error(tmp_path, params):
+    # A child process, so that stderr holds what a user sees, warnings
+    # included.
+    out = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "microtraffic.cli", "simulate",
+         "--scenario", "highway", "--max-steps", "5", "--policy", "builtin-idm-ego",
+         "--params", params, "--out", str(tmp_path / "run")],
+        env=child_env(), capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: acceleration overflowed ")
+    assert out.stderr.count("\n") == 1
 
 
 def _policy_script(tmp_path, body):
@@ -1152,3 +1190,117 @@ def test_policy_cmd_that_does_not_split_reports_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: --policy-cmd 'python3 -c \"unbalanced': No closing quotation\n")
     assert not out.exists()
+
+
+# -- fuzzed input files ------------------------------------------------------
+
+#: Stands for "delete this leaf" among the fuzzed values.
+DELETE = object()
+FUZZ_VALUES = st.one_of(
+    st.sampled_from(["abc", "", True, None, [], {}, [1.0], {"x": 1}, 10**400, -10**400,
+                     1e308, -1e308, math.nan, math.inf, -math.inf, 0, -1, DELETE]),
+    st.floats(), st.integers(-3, 3))
+
+#: Options every fuzzed config file starts from, for all five verbs.
+FUZZ_CONFIG = {"seed": 1, "dt": 0.1, "noise_sigma": 0.3, "params": "3,5,35,10,2,4",
+               "burn_in": 2, "thin": 1, "objective": "rollout", "pin_delta": None,
+               "max_lag": 5, "n_bins": 4, "histograms": "urban", "mean_headway": 2.0,
+               "policy": "builtin-idm-ego", "scenario": "highway"}
+
+#: The flags that fix every count a verb loops over, so that no fuzzed
+#: value can make a run as long as it asks; the command line wins over
+#: ``--config``.
+FUZZ_SIZES = {"gen-synthetic": ("--n-vehicles", 1, "--n-obs", 20),
+              "calibrate": ("--n-iter", 20),
+              "sample-params": ("--n", 3),
+              "build-demand": ("--n-vehicles", 3, "--n-routes", 2),
+              "simulate": ("--max-steps", 5)}
+
+
+def _leaves(doc, path=()):
+    """Paths of the non-container values in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and value:
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def _fuzz(data, doc):
+    """Replace or delete one to three leaves of ``doc`` in place."""
+    leaves = list(_leaves(doc))
+    paths = data.draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3,
+                               unique=True))
+    for path in paths:
+        node = doc
+        try:
+            for key in path[:-1]:
+                node = node[key]
+            value = data.draw(FUZZ_VALUES)
+            if value is DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed or replaced the path
+
+
+@pytest.fixture(scope="module")
+def fuzz_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz_csv")
+    run_cli("gen-synthetic", "--seed", 2, *FUZZ_SIZES["gen-synthetic"], "--out", out)
+    return (out / "veh_0000.csv").read_text()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_input_exits_0_or_ends_in_one_error_line(data, fuzz_csv):
+    role = data.draw(st.sampled_from(
+        ["scenario", "network", "demand", "histograms", "trajectory", "config"]))
+    name = data.draw(st.sampled_from(
+        ["highway_plain", "highway_curve", "urban_block", "urban_grid"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        src = _bundled_library()
+        docs = {role_: (tmp / f"{name}.{role_}.json",
+                        json.loads((src / f"{name}.{role_}.json").read_text()))
+                for role_ in ("scenario", "network", "demand")}
+        kind = name.split("_")[0]
+        docs["histograms"] = (tmp / "hist.json",
+                              json.loads((src / f"defaults_{kind}.json").read_text()))
+        csv_path = tmp / "veh.csv"
+        docs["config"] = (tmp / "config.json", dict(
+            FUZZ_CONFIG, data=str(csv_path), network=str(docs["network"][0])))
+        rows = [line.split(",") for line in fuzz_csv.splitlines()]
+        _fuzz(data, rows if role == "trajectory" else docs[role][1])
+        csv_path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+        for path, doc in docs.values():
+            path.write_text(json.dumps(doc))
+        inputs = {"simulate": ("--scenario", docs["scenario"][0]),
+                  "build-demand": ("--network", docs["network"][0],
+                                   "--histograms", docs["histograms"][0]),
+                  "sample-params": ("--histograms", docs["histograms"][0]),
+                  "calibrate": ("--data", csv_path),
+                  "gen-synthetic": ()}
+        verbs = {"scenario": ["simulate"], "network": ["simulate", "build-demand"],
+                 "demand": ["simulate"], "histograms": ["sample-params", "build-demand"],
+                 "trajectory": ["calibrate"], "config": sorted(inputs)}[role]
+        verb = data.draw(st.sampled_from(verbs))
+        argv = [verb, *FUZZ_SIZES[verb], "--out", tmp / "out"]
+        if role == "config":
+            argv += ["--config", docs["config"][0]]
+        else:
+            argv += inputs[verb]
+            if verb == "simulate":
+                argv += ["--policy", data.draw(st.sampled_from(["zero-action",
+                                                                 "builtin-idm-ego"]))]
+            if verb == "calibrate":
+                argv += ["--objective", data.draw(st.sampled_from(["one-step", "rollout"]))]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = run_cli(*argv)
+    err = err.getvalue()
+    assert rc == 0 or (rc == 2 and err.startswith("error: ") and err.count("\n") == 1), \
+        (argv, rc, err)

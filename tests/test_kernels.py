@@ -28,21 +28,15 @@ STATE_GRID = list(itertools.product(
 ))
 
 
-def _law_args(a_max, a_comf, v_des, d_min, T, delta):
-    """Parameters as ``_idm_accel`` takes them: ``a_comf`` folded into the
-    desired-gap denominator."""
-    return (a_max, 2.0 * math.sqrt(a_max * a_comf), v_des, d_min, T, delta)
-
-
 def _law_cols(theta):
-    """``_law_args`` for the batch kernels: ``theta`` one parameter vector
+    """``_kernels._law`` for the batch kernels: ``theta`` one parameter vector
     or one column per sample, ``b2`` by ``np.sqrt``."""
     a_max, a_comf, *rest = theta
     return (a_max, 2.0 * np.sqrt(a_max * a_comf), *rest)
 
 
 def _scalar_args(p, v, dv, gap):
-    return (*_law_args(*p.to_array().tolist()), v, dv, gap)
+    return (*p.law, v, dv, gap)
 
 
 def _prior_batch(n_theta=16, n_states=500, seed=2109):
@@ -78,7 +72,7 @@ def _batch_results(thetas, v, dv, gap, a_obs):
         _law_cols(_per_sample_thetas(thetas, v.size)), v, v - dv, gap, 0.1))
     rollouts = np.full((len(thetas), 3, LEAD.size), np.nan)
     for theta, out in zip(thetas, rollouts):
-        rows = np.array(_kernels._rollout_floats(theta, LEAD.tolist(), 25.0, 40.0, 0.1))
+        rows = np.array(_float_rollout(theta, LEAD, 25.0, 40.0))
         out[:, :rows.shape[1]] = rows
     return accel, rmse, steps, rollouts
 
@@ -121,7 +115,7 @@ def test_batch_accel_bit_identical_to_scalar_on_prior_draws():
     accel = _batch_results(thetas, v, dv, gap, a_obs)[0]
     states = list(zip(v.tolist(), dv.tolist(), gap.tolist()))
     for theta, row in zip(thetas, accel):
-        want = [_kernels._idm_accel(*_law_args(*theta), *state)
+        want = [_kernels._idm_accel(*_kernels._law(theta.tolist()), *state)
                 for state in states]
         _assert_bits_equal(row, want)
 
@@ -154,17 +148,16 @@ def test_batched_follower_step_bit_identical_to_scalar():
     assert floored and collapsed and leaderless
 
 
-#: Parameters a rollout on Python floats cannot finish: the free-road term
+#: Parameters the law on Python floats cannot evaluate: the free-road term
 #: overflows, and ``a_max * a_comf`` underflows to 0, so the desired-gap
 #: term divides by zero. Both are inside the default prior box.
 EXTREME_THETAS = (np.array([1.0, 1.0, 1e-35, 2.0, 1.0, 10.0]),
                   np.array([1e-170, 1e-170, 30.0, 2.0, 1.0, 4.0]))
 
 
-def _rollout(rollout, theta, lead, gap0):
-    """(samples, collapsed, rows v/gap/a) of one 25 m/s start behind ``lead``."""
-    rows = np.array(rollout(theta, lead, 25.0, gap0, 0.1))
-    return rows.shape[1], rows.shape[1] < len(lead), rows
+def _float_rollout(theta, lead, v0, gap0):
+    """``_rollout_loop`` on Python floats, as ``rollout_rmse`` runs it."""
+    return _kernels._rollout_loop(_kernels._law(theta.tolist()), lead.tolist(), v0, gap0, 0.1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -176,21 +169,19 @@ def test_float_rollout_bit_identical_to_numpy_scalar_rollout():
     for theta in thetas + list(EXTREME_THETAS):
         for gap0 in (0.25, 8.0, 300.0, math.inf):
             want_n, want_c, want_rows = rollout_reference(theta, LEAD, 25.0, gap0, 0.1)
-            for rollout, lead in ((_kernels._rollout_floats, LEAD.tolist()),
-                                  (_kernels._rollout_loop, LEAD)):
-                n, c, rows = _rollout(rollout, theta, lead, gap0)
-                assert (n, c) == (want_n, want_c)
-                _assert_bits_equal(rows, want_rows)
+            rows = np.array(_float_rollout(theta, LEAD, 25.0, gap0))
+            assert (rows.shape[1], rows.shape[1] < LEAD.size) == (want_n, want_c)
+            _assert_bits_equal(rows, want_rows)
             collapsed += want_c
             completed += not want_c
     # The cases reach a collapsing gap and complete horizons.
     assert collapsed and completed
     for theta in EXTREME_THETAS:
-        # Python floats raise here, so these cases ran the array rerun...
+        # Python floats raise on these parameters, so the law fell back to
+        # numpy scalars, whose non-finite values the rollout carries on.
         with pytest.raises(ArithmeticError):
-            _rollout(_kernels._rollout_loop, theta.tolist(), LEAD.tolist(), 40.0)
-        # ...which carries numpy's non-finite values on, as before.
-        assert not np.isfinite(_rollout(_kernels._rollout_loop, theta, LEAD, 40.0)[2]).all()
+            follower_step(*theta.tolist(), 25.0, float(LEAD[0]), 40.0, 0.1)
+        assert not np.isfinite(_float_rollout(theta, LEAD, 25.0, 40.0)[2]).all()
 
 
 def _avx512_dispatch_targets():

@@ -86,8 +86,8 @@ def _rollout_loop(law, lead_v, v0, gap0, dt):
     return vs, gaps, accs
 
 
-def _accel_series_np(law, v, dv, gap, out):
-    """Acceleration law over a batch of samples, written into ``out``.
+def _accel_series_np(law, v, dv, gap):
+    """Acceleration law over a batch of samples.
 
     ``law`` is ``_idm_accel``'s ``(a_max, b2, v_des, d_min, T, delta)``,
     each a scalar shared by every sample or one value per sample. Same
@@ -98,7 +98,7 @@ def _accel_series_np(law, v, dv, gap, out):
     d_des = d_min + v * T + v * dv / b2
     np.maximum(d_des, 0.0, out=d_des)
     q = d_des / gap
-    np.multiply(a_max, 1.0 - np.float_power(v / v_des, delta) - q * q, out=out)
+    return a_max * (1.0 - np.float_power(v / v_des, delta) - q * q)
 
 
 def _follower_step_np(law, v, v_lead, gap, dt):
@@ -108,8 +108,7 @@ def _follower_step_np(law, v, v_lead, gap, dt):
     step, so every row equals that step on that row bit for bit.
     Returns arrays (accel at the pre-step state, next speed, next gap).
     """
-    a = np.empty_like(v)
-    _accel_series_np(law, v, v - v_lead, gap, a)
+    a = _accel_series_np(law, v, v - v_lead, gap)
     v_next = v + a * dt
     v_next[v_next < 0.0] = 0.0
     gap_next = gap + (v_lead - v) * dt
@@ -128,7 +127,6 @@ def _rmse_one_step_np(theta, v, dv, gap, a_obs):
     """One-step prediction RMSE of ``a_obs`` along the last axis at
     ``theta``, shape ``(6,)``, or ``(6, K, 1)`` for ``(K, n)`` samples."""
     a_max, a_comf, *rest = theta
-    pred = np.empty_like(v)
-    _accel_series_np((a_max, 2.0 * np.sqrt(a_max * a_comf), *rest), v, dv, gap, pred)
+    pred = _accel_series_np((a_max, 2.0 * np.sqrt(a_max * a_comf), *rest), v, dv, gap)
     pred -= a_obs
     return _rmse_np(pred)

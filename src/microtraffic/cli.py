@@ -605,12 +605,16 @@ def _apply_config(args) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Huge but finite inputs can overflow inside numpy, whose warnings would
+    # reach stderr ahead of the one error line. Silencing them changes no
+    # value; the library itself keeps numpy's default.
     try:
-        _apply_config(args)
-        _resolve(args)
-        # Looked up by name at call time, so a replaced module attribute
-        # (a tracer's wrapper, a test double) is the function that runs.
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        with np.errstate(all="ignore"):
+            _apply_config(args)
+            _resolve(args)
+            # Looked up by name at call time, so a replaced module attribute
+            # (a tracer's wrapper, a test double) is the function that runs.
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (MicrotrafficError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,9 @@ car-following update is one batched evaluation of the acceleration law,
 bit-identical on every row to a step of ``_rollout_loop``. Python loops
 run only over the few BVs that cross a lane end or share an ``s`` and
 the BV contacts that get logged. At equal ``s`` the lowest id comes
-first.
+first. Spawn checks read that order too: each lane a spawn is tried on
+gives one sorted list of rows per spawning pass, and an accepted spawn is
+inserted into it, so later spawns of the pass see it.
 
 Episodes terminate on ego collision, on the ego leaving the paved network
 (closed boundary: exactly half a lane width away is still on the road),
@@ -48,7 +50,7 @@ a projection costs its scalar arithmetic, not a dozen numpy calls.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,7 +169,6 @@ class TrafficEnv:
         self._F = np.empty((_N_ROWS, 0))
         self._routes = {}  # id rank -> [route lanes, position on the route]
         self._n_spawned = 0
-        self._staged = {}
         self._pending = sorted(sc.demand.vehicles, key=lambda v: (v.depart, v.id))
         self._sort()
         self._locate_ego()
@@ -440,13 +441,17 @@ class TrafficEnv:
 
     def _spawn_due(self):
         """Spawn every pending BV whose departure is due and whose slot is
-        free. Spawns of one call see each other through ``_staged`` and
-        join the state array together, with one re-sort."""
+        free. Each lane a spawn is tried on gets one list of ``(s, rank, v,
+        length)`` rows per call, built from its slice and sorted as it is;
+        an accepted spawn is inserted into it, so the spawns of one call
+        see each other. They join the state array together, with one
+        re-sort."""
         if not self._pending:
             return
         mem_lane, mem_s, _ = self._mem
         still_pending = []
         columns = []
+        lane_rows = {}
         for spec in self._pending:
             if spec.depart > self._time:
                 still_pending.append(spec)
@@ -454,10 +459,17 @@ class TrafficEnv:
             route = self.scenario.demand.route_by_id(spec.route)
             lane_id = route.lanes[0]
             s = spec.depart_s
-            if self._spawn_blocked(lane_id, s, spec.length, mem_lane, mem_s):
+            rows = lane_rows.get(lane_id)
+            if rows is None:
+                lo, hi = self._run(lane_id)
+                rows = lane_rows[lane_id] = list(zip(
+                    self._s[lo:hi], self._F[_RANK, lo:hi].tolist(),
+                    self._F[_V, lo:hi].tolist(), self._len[lo:hi]))
+            ego_s = mem_s if mem_lane == lane_id else None
+            if self._spawn_blocked(rows, s, spec.length, ego_s):
                 still_pending.append(spec)
                 continue
-            v_lead, _ = self._spawn_leader(lane_id, s, mem_lane, mem_s)
+            v_lead = self._spawn_leader(rows, s, ego_s)
             v_des = spec.params.v_des
             v0 = v_des if v_lead is None else min(v_des, v_lead)
             rank = self._rank[spec.id]
@@ -466,54 +478,31 @@ class TrafficEnv:
                             self._n_spawned, *spec.params.law))
             self._n_spawned += 1
             self._routes[rank] = [route.lanes, 0]
-            ss, rows = self._staged.setdefault(lane_id, ([], []))
-            i = bisect_left(rows, (s, rank))
-            ss.insert(i, s)
-            rows.insert(i, (s, rank, v0, spec.length))
+            insort(rows, (s, rank, v0, spec.length))
         self._pending = still_pending
-        self._staged = {}
         if columns:
             self._F = np.concatenate((self._F, np.array(columns).T), axis=1)
             self._sort()
 
-    def _near(self, lane_id, s, reach):
-        """(s, length) of the BVs on ``lane_id`` within ``reach`` of ``s``."""
-        lo, hi = self._run(lane_id)
-        i = bisect_left(self._s, s - reach, lo, hi)
-        j = bisect_right(self._s, s + reach, lo, hi)
-        near = list(zip(self._s[i:j], self._len[i:j]))
-        ss, rows = self._staged.get(lane_id, ((), ()))
-        near += [(bs, blen) for bs, _, _, blen in
-                 rows[bisect_left(ss, s - reach):bisect_right(ss, s + reach)]]
-        return near
-
-    def _spawn_blocked(self, lane_id, s, length, mem_lane, mem_s) -> bool:
+    def _spawn_blocked(self, rows, s, length, ego_s) -> bool:
+        """True when a vehicle of ``rows`` or the ego (at ``ego_s``, None
+        off this lane) is too close to a spawn of ``length`` at ``s``."""
         reach = (self._max_length + length) / 2.0 + _SPAWN_CLEARANCE + _WINDOW_SLACK
-        for bs, blen in self._near(lane_id, s, reach):
+        i = bisect_left(rows, (s - reach,))
+        j = bisect_right(rows, (s + reach, math.inf))
+        for bs, _, _, blen in rows[i:j]:
             if abs(bs - s) < (blen + length) / 2.0 + _SPAWN_CLEARANCE:
                 return True
-        if mem_lane == lane_id and abs(mem_s - s) < (self.ego_length + length) / 2.0 + _SPAWN_CLEARANCE:
-            return True
-        return False
+        return (ego_s is not None
+                and abs(ego_s - s) < (self.ego_length + length) / 2.0 + _SPAWN_CLEARANCE)
 
-    def _spawn_leader(self, lane_id, s, mem_lane, mem_s):
-        """(speed, centre distance) of the nearest vehicle ahead of a spawn
-        point, or (None, inf); a BV wins a tie with the ego, the lowest id
-        a tie between BVs."""
-        best = None
-        lo, hi = self._run(lane_id)
-        j = bisect_right(self._s, s, lo, hi)
-        if j < hi:
-            best = tuple(self._F[[_S, _RANK, _V], j].tolist())
-        ss, rows = self._staged.get(lane_id, ((), ()))
-        j = bisect_right(ss, s)
-        if j < len(rows) and (best is None or rows[j][:2] < best[:2]):
-            best = rows[j][:3]
-        if mem_lane == lane_id and mem_s > s and (best is None or mem_s < best[0]):
-            return self._ego_vlong, mem_s - s
-        if best is None:
-            return None, math.inf
-        return best[2], best[0] - s
+    def _spawn_leader(self, rows, s, ego_s):
+        """Speed of the nearest vehicle ahead of a spawn at ``s``, or None;
+        a BV wins a tie with the ego, the lowest id a tie between BVs."""
+        j = bisect_right(rows, (s, math.inf))
+        if ego_s is not None and ego_s > s and (j == len(rows) or ego_s < rows[j][0]):
+            return self._ego_vlong
+        return rows[j][2] if j < len(rows) else None
 
     def _log_bv_contacts(self):
         """Log each newly touching BV pair (rear, front) once per contact.
@@ -560,7 +549,9 @@ class TrafficEnv:
                 s_ego, lat, _ = self._project_ego(lane_id)
             if not abs(lat) < lat_limit:
                 continue
-            for bs, blen in self._near(lane_id, s_ego, reach):
+            i = bisect_left(self._s, s_ego - reach, lo, hi)
+            j = bisect_right(self._s, s_ego + reach, lo, hi)
+            for bs, blen in zip(self._s[i:j], self._len[i:j]):
                 if abs(s_ego - bs) - (self.ego_length + blen) / 2.0 <= 0.0:
                     return True
         return False

@@ -65,13 +65,19 @@ class Lane:
             raise NetworkError(f"lane {self.id!r}: centerline must be (k, 2) with k >= 2")
         if not np.all(np.isfinite(pts)):
             raise NetworkError(f"lane {self.id!r}: centerline has non-finite points")
-        seg = np.diff(pts, axis=0)
-        seg_len = np.hypot(seg[:, 0], seg[:, 1])
-        seg_len2 = seg_len * seg_len
+        # Far-apart points overflow here; the check below rejects them.
+        with np.errstate(all="ignore"):
+            seg = np.diff(pts, axis=0)
+            seg_len = np.hypot(seg[:, 0], seg[:, 1])
+            seg_len2 = seg_len * seg_len
         # project divides by the squared length, so a segment whose square
-        # underflows to 0 counts as zero-length.
+        # underflows to 0 counts as zero-length, and one whose square
+        # overflows cannot be projected onto.
         if np.any(seg_len2 <= 0.0):
             raise NetworkError(f"lane {self.id!r}: centerline has a zero-length segment")
+        if not np.all(np.isfinite(seg_len2)):
+            raise NetworkError(
+                f"lane {self.id!r}: centerline has a segment too long to project onto")
         width = checked(float, self.width, f"lane {self.id!r}: width", NetworkError,
                         low=0.0, strict=True)
         cum = np.concatenate(([0.0], np.cumsum(seg_len)))

@@ -452,7 +452,6 @@ def test_parameter_vector_of_the_wrong_size_is_an_input_error(dim):
             call(np.ones(dim))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_one_step_batch_equals_log_density_row_by_row():
     targets = synthetic_targets([70, 70, 70], noise_sigma=0.4)
     rng = np.random.default_rng(11)

@@ -420,16 +420,45 @@ def test_simulate_builtin_idm_params_flag(tmp_path):
     "1e-170,1e-170,30,2,1,4",  # a_max * a_comf underflows, b2 is 0
 ])
 def test_simulate_builtin_idm_overflow_prints_only_the_error(tmp_path, params):
-    # A child process, so that stderr holds what a user sees, warnings
-    # included.
-    out = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "microtraffic.cli", "simulate",
-         "--scenario", "highway", "--max-steps", "5", "--policy", "builtin-idm-ego",
-         "--params", params, "--out", str(tmp_path / "run")],
-        env=child_env(), capture_output=True, text=True)
+    out = _child_cli("simulate", "--scenario", "highway", "--max-steps", 5,
+                     "--policy", "builtin-idm-ego", "--params", params,
+                     "--out", tmp_path / "run")
     assert out.returncode == 2
     assert out.stderr.startswith("error: acceleration overflowed ")
     assert out.stderr.count("\n") == 1
+
+
+def test_calibrate_on_a_huge_csv_value_prints_only_the_error(tmp_path):
+    run_cli("gen-synthetic", "--seed", 2, "--n-vehicles", 1, "--n-obs", 20,
+            "--out", tmp_path / "syn")
+    lines = (tmp_path / "syn" / "veh_0000.csv").read_text().splitlines()
+    row = lines[3].split(",")
+    row[lines[0].split(",").index("v_ego")] = "1e308"
+    lines[3] = ",".join(row)
+    data = tmp_path / "huge.csv"
+    data.write_text("\n".join(lines) + "\n")
+    out = _child_cli("calibrate", "--data", data, "--n-iter", 20, "--out", tmp_path / "cal")
+    assert (out.returncode, out.stderr) == (
+        2, "error: initial point has zero target density\n")
+
+
+def test_simulate_with_overflowing_background_law_prints_nothing(tmp_path):
+    files = _bundled_copy(tmp_path)
+    for vehicle in files["demand"][1]["vehicles"]:
+        vehicle["params"]["a_max"] = 1e300
+    for target, payload in files.values():
+        target.write_text(json.dumps(payload))
+    out = _child_cli("simulate", "--scenario", files["scenario"][0], "--max-steps", 50,
+                     "--out", tmp_path / "run")
+    assert (out.returncode, out.stderr) == (0, "")
+
+
+def _child_cli(*argv):
+    """Run the CLI in a child process, so that stderr holds what a user
+    sees, numpy's warnings included."""
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-m", "microtraffic.cli", *map(str, argv)],
+        env=child_env(), capture_output=True, text=True)
 
 
 def _policy_script(tmp_path, body):
@@ -1072,6 +1101,8 @@ def _set(doc, keys, value):
     ("network", ("lanes", 0, "centerline", 0, 0), 10**400, "centerline must be numbers"),
     ("histograms", ("a_max", 0, "lo"), 10**400,
      "'a_max': bin edges and masses must be numbers"),
+    ("network", ("lanes", 0, "centerline", -1, 0), 1e308,
+     "lane 'lane_0': centerline has a segment too long to project onto"),
 ])
 def test_malformed_input_file_field_ends_in_one_error_line(tmp_path, capsys, role, keys,
                                                            value, named):

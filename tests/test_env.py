@@ -449,10 +449,8 @@ def ref_spawn_leader(env, bvs, lane_id, s, mem_lane, mem_s):
     ahead = [(b.s, b.id, b.v) for b in bvs if b.lane == lane_id and b.s > s]
     best = min(ahead, default=None)
     if mem_lane == lane_id and mem_s > s and (best is None or mem_s < best[0]):
-        return env._ego_vlong, mem_s - s
-    if best is None:
-        return None, math.inf
-    return best[2], best[0] - s
+        return env._ego_vlong
+    return None if best is None else best[2]
 
 
 def ref_contacts(bvs, step):
@@ -606,9 +604,13 @@ def test_lane_index_matches_linear_scans(case):
     assert env.check_collision() == ref_collision(env, bvs)
     for lane, s, length in case["queries"]:
         lane_id = f"lane_{lane}"
-        assert (env._spawn_blocked(lane_id, s, length, mem_lane, mem_s)
+        lo, hi = env._run(lane_id)
+        rows = list(zip(env._s[lo:hi], env._F[_RANK, lo:hi].tolist(),
+                        env._F[_V, lo:hi].tolist(), env._len[lo:hi]))
+        ego_s = mem_s if mem_lane == lane_id else None
+        assert (env._spawn_blocked(rows, s, length, ego_s)
                 == ref_spawn_blocked(env, bvs, lane_id, s, length, mem_lane, mem_s))
-        assert (env._spawn_leader(lane_id, s, mem_lane, mem_s)
+        assert (env._spawn_leader(rows, s, ego_s)
                 == ref_spawn_leader(env, bvs, lane_id, s, mem_lane, mem_s))
 
     logged = ref_contacts(bvs, env._step_idx)

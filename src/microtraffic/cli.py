@@ -11,15 +11,16 @@ Verbs:
 All verbs share ``--seed``, ``--out`` (an output directory) and
 ``--config`` (a JSON file supplying values for flags not given on the
 command line; its keys are the other flags of any verb, with dashes or
-underscores). Every flag a verb takes is declared once, in ``VERBS``:
-its inputs (the required ``--data``, ``--network`` or ``--scenario``)
-and its options alike. ``_resolve`` reads them all in one pass, so a
-value is converted and checked the same way from either source, and
-every verb checks its flags, its inputs and the counts it would hold
-in memory before it creates ``--out``. Every run writes
-``manifest.json`` listing its inputs and every resolved option, so a
-run can be reproduced from it alone. Manifests carry no timestamps:
-repeating a command bit-reproduces its output files.
+underscores, but not both for one flag). Every flag a verb takes is
+declared once, in ``VERBS``: its inputs (the required ``--data``,
+``--network`` or ``--scenario``) and its options alike. ``_resolve``
+reads them all in one pass, so a value is converted and checked the
+same way from either source, and every verb checks its flags, its
+inputs and the counts it would hold in memory before it creates
+``--out``. Every run writes ``manifest.json`` listing its inputs and
+every resolved option, so a run can be reproduced from it alone.
+Manifests carry no timestamps: repeating a command bit-reproduces its
+output files.
 """
 
 from __future__ import annotations
@@ -187,11 +188,16 @@ def _resolve(args) -> None:
         # Keys of other verbs are accepted, so one file can serve the pipeline.
         known = {SEED.dest} | {opt.dest for _, inputs, options in VERBS.values()
                                for opt in inputs + options}
+        spelling = {}
         for key, value in raw.items():
             dest = key.replace("-", "_")
             if dest not in known:
                 raise ConfigurationError(f"{args.config}: no verb has an option {key!r}")
-            config.setdefault(dest, value)
+            if dest in spelling:
+                raise ConfigurationError(f"{args.config}: keys {spelling[dest]!r} and "
+                                         f"{key!r} set the same option")
+            spelling[dest] = key
+            config[dest] = value
     _, inputs, options = VERBS[args.command]
     for opt in (SEED,) + inputs + options:
         value = getattr(args, opt.dest)

@@ -20,8 +20,13 @@ passed the BV ahead. Each lane's BVs are therefore one contiguous slice,
 and "who is near whom" is a neighbouring column or a ``searchsorted``
 into that slice. Leaders are resolved for all BVs at once (the next
 larger ``s`` on the lane, the ego merged in and winning ties) and the
-car-following update is one batched evaluation of the acceleration law,
-bit-identical on every row to a step of ``_rollout_loop``. Python loops
+car-following update is one call of ``_kernels._follower_step``,
+bit-identical on every row to a step of ``_rollout_loop``. Up to its
+crossover of 16 BVs that call loops the scalar law over Python floats,
+above it the batch law runs once over all of them: a numpy call costs
+about as much as the scalar law on one row, and the batch law makes about
+twenty of them, so a handful of BVs (the bundled scenarios hold at most
+12) step faster on floats and hundreds faster in one batch. Python loops
 run only over the few BVs that cross a lane end or share an ``s`` and
 the BV contacts that get logged. At equal ``s`` the lowest id comes
 first. Spawn checks read that order too: each lane a spawn is tried on
@@ -81,6 +86,9 @@ _N_ROWS = 15
 _NO_LEADER = math.nan
 
 TRACE_COLUMNS = ("step", "id", "x", "y", "heading", "v")
+# A vehicle's (x, y, heading, v) and their text in the last frame written;
+# NaN values equal nothing, so a vehicle new to the trace gets ``repr``.
+_UNWRITTEN = (math.nan,) * 4 + ("",) * 4
 
 
 def _ego_key(lane_code):
@@ -177,6 +185,7 @@ class TrafficEnv:
             if self._trace_fh is not None:
                 self._trace_fh.close()
             self._trace_fh = self._trace_path.open("w", newline="")
+            self._trace_text = {}  # vehicle id -> its row of _UNWRITTEN's form
             self._trace_fh.write(",".join(TRACE_COLUMNS) + "\n")
         return self.build_observation()
 
@@ -392,8 +401,7 @@ class TrafficEnv:
         key, v_lead, gap = self._leaders(mem_lane, mem_s)
         F = self._F
         v = F[_V]
-        _, v_next, gap_next = _kernels._follower_step_np(
-            F[_THETA], v, v_lead, gap, dt)
+        _, v_next, gap_next = _kernels._follower_step(F[_THETA], v, v_lead, gap, dt)
         F[_S] += v * dt
         F[_V] = v_next
         F[_GAP] = np.where(gap_next > 0.0, gap_next, _GAP_EPS)
@@ -472,6 +480,8 @@ class TrafficEnv:
             v_lead = self._spawn_leader(rows, s, ego_s)
             v_des = spec.params.v_des
             v0 = v_des if v_lead is None else min(v_des, v_lead)
+            if v0 < 0.0:  # behind a reversing ego; the Euler step floors speed too
+                v0 = 0.0
             rank = self._rank[spec.id]
             columns.append((s, v0, spec.length, rank, math.inf, _NO_LEADER,
                             self._code[lane_id], self.net.lanes[lane_id].length,
@@ -559,7 +569,8 @@ class TrafficEnv:
     def build_observation(self) -> np.ndarray:
         obs = np.zeros(self.observation_shape)
         mem_lane, mem_s, _ = self._mem
-        slots, cols = [], []
+        ss = self._s
+        found = []  # (slot, lane, column) of each present row
         for j, lane_id in enumerate(self._obs_lanes[mem_lane]):
             lo, hi = self._run(lane_id)
             if lo == hi:
@@ -567,24 +578,24 @@ class TrafficEnv:
             s_ref = mem_s if lane_id == mem_lane else self._project_ego(lane_id)[0]
             # Nearest BV strictly ahead and strictly behind s_ref; the
             # lowest id wins a tie in s.
-            ahead = bisect_right(self._s, s_ref, lo, hi)
-            behind = bisect_left(self._s, s_ref, lo, hi)
+            ahead = bisect_right(ss, s_ref, lo, hi)
+            behind = bisect_left(ss, s_ref, lo, hi)
+            lane = self.net.lanes[lane_id]
             if ahead < hi:
-                slots.append(2 * j)
-                cols.append(ahead)
+                found.append((2 * j, lane, ahead))
             if behind > lo:
-                slots.append(2 * j + 1)
-                cols.append(bisect_left(self._s, self._s[behind - 1], lo, behind))
-        if not slots:
+                found.append((2 * j + 1, lane, bisect_left(ss, ss[behind - 1], lo, behind)))
+        if not found:
             return obs
         ex, ey, eh = self._pose
         tx, ty = math.cos(eh), math.sin(eh)
         nx, ny = -ty, tx
         evx = self._ego_vlong * tx + self._ego_vlat * nx
         evy = self._ego_vlong * ty + self._ego_vlat * ny
-        G = self._F.take(cols, axis=1)[[_LANE, _S, _V]]
-        for slot, c, s, bv_v in zip(slots, *G.tolist()):
-            bx, by, bh = self._lanes[int(c)].pose_at(s, 0.0, extrapolate=True)
+        speeds = self._F[_V]
+        for slot, lane, c in found:
+            bv_v = float(speeds[c])
+            bx, by, bh = lane.pose_at(ss[c], 0.0, extrapolate=True)
             bvx = bv_v * math.cos(bh)
             bvy = bv_v * math.sin(bh)
             dx, dy = bx - ex, by - ey
@@ -613,7 +624,10 @@ class TrafficEnv:
         y, heading, v).
 
         Appends the rows to the trace file, in one write, when tracing is
-        enabled and returns them either way.
+        enabled and returns them either way. A value that repeats the same
+        vehicle's value in the previous frame (a heading along a straight
+        segment, a coordinate along an axis-parallel lane) reuses that
+        frame's text instead of another ``repr``.
         """
         if not self._live:
             raise EnvUsageError("render_frame() before reset()")
@@ -626,8 +640,22 @@ class TrafficEnv:
             rows.append((step, self._ids[int(rank)],
                          *self._lanes[int(c)].pose_at(s, 0.0, extrapolate=True), v))
         if self._trace_fh is not None:
-            self._trace_fh.write("".join(f"{step},{vid},{rx!r},{ry!r},{rh!r},{rv!r}\n"
-                                         for step, vid, rx, ry, rh, rv in rows))
+            # Equal nonzero floats have equal bits, so a value equal to the
+            # same vehicle's value in the previous frame reuses its text;
+            # +-0.0 (equal, but not the same text) and NaN (never equal)
+            # always go through ``repr``.
+            last, memo = self._trace_text, {}
+            lines = []
+            for step, vid, x, y, h, v in rows:
+                px, py, ph, pv, tx, ty, th, tv = last.get(vid, _UNWRITTEN)
+                memo[vid] = t = (x, y, h, v,
+                                 tx if x == px and x else repr(x),
+                                 ty if y == py and y else repr(y),
+                                 th if h == ph and h else repr(h),
+                                 tv if v == pv and v else repr(v))
+                lines.append(f"{step},{vid},{t[4]},{t[5]},{t[6]},{t[7]}\n")
+            self._trace_text = memo
+            self._trace_fh.write("".join(lines))
             self._trace_fh.flush()
         return rows
 

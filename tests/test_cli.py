@@ -657,6 +657,18 @@ def test_config_key_no_verb_declares_reports_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("keys", [("n_obs", "n-obs"), ("n-obs", "n_obs")])
+def test_config_key_under_both_spellings_reports_cleanly(tmp_path, capsys, keys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({keys[0]: 5, keys[1]: 30}))
+    out = tmp_path / "g"
+    rc = run_cli("gen-synthetic", "--n-vehicles", 1, "--config", config, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: {config}: keys {keys[0]!r} and {keys[1]!r} set the same option\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["out", "config"])
 def test_config_key_naming_no_option_value_reports_cleanly(tmp_path, capsys, key):
     # --out and --config are read from the command line only.

@@ -315,6 +315,17 @@ def test_spawn_blocked_near_ego_until_it_clears():
     assert spawned_at == 11
 
 
+def test_spawn_behind_a_reversing_ego_starts_at_rest():
+    # The spawn takes its leader's speed up to its own desired speed; a
+    # reversing ego ahead leads at -0.5 m/s, and a BV never moves backwards.
+    scenario = straight_scenario((bv("late", "r0", 0.0, depart=0.1),), ego_start_s=20.0)
+    env = TrafficEnv(scenario)
+    env.reset()
+    env.step(Action(-5.0, 0.0))
+    assert env._ego_vlong == -0.5
+    assert env.vehicle_states()["late"] == ("lane_0", 0.0, 0.0, math.inf)
+
+
 def test_reward_hook_and_default():
     scenario = straight_scenario(ego_speed=5.0)
     assert TrafficEnv(scenario).reset() is not None

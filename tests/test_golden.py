@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import dispatch_disabled_env, enabled_dispatch_targets
-from microtraffic import Action, DemandSpec, Route, TrafficEnv, VehicleSpec
+from microtraffic import Action, DemandSpec, Route, TrafficEnv, VehicleSpec, _kernels
 from microtraffic.cli import DEFAULT_PARAMS, BuiltinIdmEgoPolicy, main
 from microtraffic.idm import ParamSet
 from microtraffic.network import _bundled_library, list_scenarios, load_scenario
@@ -252,6 +252,18 @@ def test_lateral_drift_episode_outputs_match_golden(name, tmp_path):
 
 
 def test_dense_highway_state_matches_golden():
+    assert _dense_digest() == GOLDEN_DENSE
+
+
+@pytest.mark.parametrize("rows", [0, 10**9], ids=["batch", "scalar"])
+def test_golden_episodes_hold_on_either_branch_of_the_follower_step(rows, tmp_path,
+                                                                    monkeypatch):
+    # The environment's car-following step takes the scalar law on few BVs
+    # and the batch law on many; forcing every step onto one branch moves
+    # no byte.
+    monkeypatch.setattr(_kernels, "_SCALAR_ROWS", rows)
+    for name in BUNDLED:
+        assert _cli_digests(name, tmp_path) == GOLDEN_CLI[name]
     assert _dense_digest() == GOLDEN_DENSE
 
 

@@ -15,6 +15,7 @@ from conftest import (THETA_STAR, dispatch_disabled_env, enabled_dispatch_target
 from microtraffic import ParamSet
 from microtraffic import _kernels
 from microtraffic.calibration import DEFAULT_PRIOR_HI, DEFAULT_PRIOR_LO
+from microtraffic.env import _GAP_EPS
 
 PARAM_GRID = (
     THETA_STAR,
@@ -145,6 +146,57 @@ def test_batched_follower_step_bit_identical_to_scalar():
         leaderless += np.count_nonzero(np.isinf(gap))
     # The grid reaches the zero-speed floor, a collapsing gap and +inf gaps.
     assert floored and collapsed and leaderless
+
+
+def _edge_step_cases(seed=4127):
+    """(label, law, v, v_lead, gap) cases for ``_follower_step``: random
+    rows from the prior box at sizes on both sides of the crossover, each
+    with one kind of edge value written over a third of its rows."""
+    rng = np.random.default_rng(seed)
+    edges = (("law", _law_cols(EXTREME_THETAS[0])),  # the free-road term overflows
+             ("law", _law_cols(EXTREME_THETAS[1])),  # b2 underflows to 0
+             ("v", 0.0), ("v", -0.0), ("v", math.nan), ("lead", math.nan),
+             ("gap", math.inf), ("gap", _GAP_EPS), ("gap", math.nan))
+    cross = _kernels._SCALAR_ROWS
+    cases = []
+    for n in (1, 2, cross - 1, cross, cross + 1, 3 * cross):
+        for field, value in edges:
+            thetas, v, dv, gap, _ = _prior_batch(n_theta=n, n_states=n,
+                                                 seed=int(rng.integers(2**31)))
+            case = {"law": np.array(_law_cols(thetas.T)), "v": v, "lead": v - dv,
+                    "gap": gap}
+            rows = rng.choice(n, size=max(1, n // 3), replace=False)
+            if field == "law":
+                case["law"][:, rows] = np.array(value)[:, None]
+            else:
+                case[field][rows] = value
+            cases.append((f"{field}={value!r:.12}, n={n}", *case.values()))
+    return cases
+
+
+def test_follower_step_branches_agree_bit_for_bit(monkeypatch):
+    dt = 0.1
+    for label, law, v, lead, gap in _edge_step_cases():
+        with np.errstate(all="ignore"):
+            monkeypatch.setattr(_kernels, "_SCALAR_ROWS", 10**9)
+            scalar = _kernels._follower_step(law, v, lead, gap, dt)
+            monkeypatch.setattr(_kernels, "_SCALAR_ROWS", 0)
+            batch = _kernels._follower_step(law, v, lead, gap, dt)
+        for got, want in zip(scalar, batch):
+            assert type(got) is np.ndarray and got.shape == v.shape, label
+            _assert_bits_equal(got, want)
+
+
+def test_follower_step_takes_the_scalar_law_up_to_the_crossover(monkeypatch):
+    calls = []
+    monkeypatch.setattr(_kernels, "_follower_step_np",
+                        lambda *args: calls.append(len(args[1])))
+    law = np.array(_law_cols(THETA_STAR.to_array()))[:, None]
+    for n in (1, _kernels._SCALAR_ROWS, _kernels._SCALAR_ROWS + 1):
+        rows = np.repeat(law, n, axis=1)
+        _kernels._follower_step(rows, np.full(n, 10.0), np.full(n, 12.0),
+                                np.full(n, 30.0), 0.1)
+    assert calls == [_kernels._SCALAR_ROWS + 1]
 
 
 #: Parameters the law on Python floats cannot evaluate: the free-road term

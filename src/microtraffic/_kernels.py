@@ -5,14 +5,16 @@ chain run evaluates the objective tens of thousands of times, each over a
 few hundred samples. ``_idm_accel`` and ``_rollout_loop`` step one
 follower at a time; the ``_np`` kernels are vectorised over samples.
 
-The scalar law ``_idm_accel`` (rollouts, ``idm_acceleration``) and the
-batch law ``_accel_series_np`` (the one-step RMSE, and through
-``_follower_step_np`` the environment's background traffic) use the same
-floating-point operation for each term: the ``(v/v_des)**delta`` term is
-libm ``pow`` (scalar ``**``, and ``np.float_power`` for arrays, which is
-never dispatched to a SIMD ``pow``), and the squared gap ratio is a
-single multiply. Every other operation is a correctly rounded IEEE add,
-multiply, divide or square root. The two therefore agree bit for bit on
+The scalar law ``_idm_accel`` (``idm_acceleration``, the ego policy, the
+environment's few-vehicle step), its inline copy in ``_rollout_loop``
+(rollouts and the rollout objective) and the batch law ``_accel_series_np``
+(the one-step RMSE, and through ``_follower_step_np`` the environment's
+background traffic) use the same floating-point operation for each term:
+the ``(v/v_des)**delta`` term is libm ``pow`` (scalar ``**``, and
+``np.float_power`` for arrays, which is never dispatched to a SIMD
+``pow``), and the squared gap ratio is a single multiply. Every other
+operation is a correctly rounded IEEE add, multiply, divide or square
+root. For speeds >= 0 or NaN, the laws therefore agree bit for bit on
 every dispatch target numpy's SIMD dispatch can select, with one
 parameter vector for all samples or one per sample: a trajectory rolled
 out at theta scores a one-step RMSE of exactly zero at theta, and a BV in
@@ -26,7 +28,19 @@ scalar law runs on Python floats, not the slower numpy scalars: ``**`` on
 them is the same libm ``pow`` as on ``np.float64``, and the rest is
 correctly rounded IEEE arithmetic either way. Where Python floats raise
 (``**`` overflow, division by zero), ``_idm_accel`` evaluates the same
-expression on numpy scalars, which carry inf or nan on: the law is total.
+expression on numpy scalars, which carry inf or nan on: for speeds >= 0
+or NaN the law is total. A negative speed is outside it: ``**`` on a
+negative Python float with a non-integer ``delta`` goes complex where
+``np.float_power`` gives NaN. No caller passes one: ``FollowingState``
+and ``idm.rollout_start`` reject negative speeds, ``_rollout_loop`` and
+the environment floor speeds at 0 (each step's next speed, and a BV's
+spawn speed), and the ego policy passes ``max(v, 0.0)``.
+
+``_rollout_loop`` holds the law's expression inline rather than calling
+``_idm_accel``: the rollout objective runs it once per step of every
+proposal, and a call per step costs about as much as the arithmetic. On
+the rare step where Python floats raise, the loop calls ``_idm_accel``
+with that step's arguments, so the numpy fallback lives in one place.
 
 ``_follower_step`` is the environment's one entry to the law. A numpy
 call costs about as much as the scalar law on one row, and the batch step
@@ -68,20 +82,34 @@ def _idm_accel(a_max, b2, v_des, d_min, T, delta, v, dv, gap):
 
 
 def _rollout_loop(law, lead_v, v0, gap0, dt):
-    """Roll a follower behind leader speeds ``lead_v`` with forward Euler.
+    """Accelerations of a follower rolled behind leader speeds ``lead_v``
+    with forward Euler, from speed ``v0`` >= 0 and gap ``gap0`` > 0.
 
-    Sample k holds the state after k steps plus the acceleration at that
-    state. The gap advances with the pre-step speeds; speed is floored at
-    zero. Returns lists (speed, gap, accel) of the samples; fewer samples
-    than leader speeds means the gap collapsed to zero or below.
+    Entry k is the acceleration at the state after k steps. The gap
+    advances with the pre-step speeds; speed is floored at zero. Fewer
+    entries than leader speeds means the gap collapsed to zero or below.
+
+    This is the rollout objective's scoring pass, so it keeps only what
+    the score needs: the law's expression is inline, with ``dv`` taken
+    once per step, and the speeds and gaps are not stored
+    (``idm.rollout_follower`` replays them from the accelerations). A step
+    where Python floats raise goes to ``_idm_accel`` with the same
+    arguments, which owns the numpy fallback; the inline expression is
+    ``_idm_accel``'s, term for term, so every entry has its bits.
     """
     a_max, b2, v_des, d_min, T, delta = law
-    vs, gaps, accs = [], [], []
+    accs = []
     v, gap = v0, gap0
     for v_lead in lead_v:
-        a = _idm_accel(a_max, b2, v_des, d_min, T, delta, v, v - v_lead, gap)
-        vs.append(v)
-        gaps.append(gap)
+        dv = v - v_lead
+        try:
+            d_des = d_min + v * T + v * dv / b2
+            if d_des < 0.0:
+                d_des = 0.0
+            q = d_des / gap
+            a = a_max * (1.0 - (v / v_des) ** delta - q * q)
+        except ArithmeticError:
+            a = _idm_accel(a_max, b2, v_des, d_min, T, delta, v, dv, gap)
         accs.append(a)
         gap += (v_lead - v) * dt
         v += a * dt
@@ -89,7 +117,7 @@ def _rollout_loop(law, lead_v, v0, gap0, dt):
             v = 0.0
         if gap <= 0.0:
             break
-    return vs, gaps, accs
+    return accs
 
 
 def _accel_series_np(law, v, dv, gap):

@@ -254,6 +254,12 @@ def rollout_follower(p: ParamSet, leader_speeds, init: FollowingState,
     acceleration at that state; ``init.delta_v`` is ignored in favour of
     the profile. Stops early with ``gap_collapsed=True`` when the gap
     would close completely.
+
+    ``_kernels._rollout_loop`` returns only the accelerations, as the
+    rollout objective needs no more; the speeds and gaps are replayed here
+    from them with the loop's own Euler step (gap advanced with the
+    pre-step speed, speed floored at 0), so every sample has the bits the
+    loop stepped through.
     """
     dt = checked(float, dt, "dt", low=0.0, strict=True)
     n_steps = checked(int, n_steps, "n_steps", low=1)
@@ -271,9 +277,19 @@ def rollout_follower(p: ParamSet, leader_speeds, init: FollowingState,
     if not np.all(np.isfinite(lead)) or np.any(lead < 0.0):
         raise InputDomainError("leader speeds must be finite and >= 0")
 
-    v, gap, a = _kernels._rollout_loop(p.law, lead.tolist(), init.v, init.d_front, dt)
+    lead_v = lead.tolist()
+    a = _kernels._rollout_loop(p.law, lead_v, init.v, init.d_front, dt)
+    vs, gaps = [], []
+    v, gap = init.v, init.d_front
+    for v_lead, acc in zip(lead_v, a):
+        vs.append(v)
+        gaps.append(gap)
+        gap += (v_lead - v) * dt
+        v += acc * dt
+        if v < 0.0:
+            v = 0.0
     n = len(a)
-    return Trajectory(dt, np.arange(n) * dt, v, lead[:n].copy(), gap, a,
+    return Trajectory(dt, np.arange(n) * dt, vs, lead[:n].copy(), gaps, a,
                       gap_collapsed=n < n_steps)
 
 
@@ -299,7 +315,7 @@ def rollout_start(obs: Trajectory):
 def rollout_rmse(theta, lead, v0: float, gap0: float, dt: float, a_obs) -> float:
     """RMSE between ``a_obs`` and a rollout at ``theta``; +inf when the gap
     collapses before the horizon or an acceleration is not finite."""
-    a = _kernels._rollout_loop(_kernels._law(theta.tolist()), lead, v0, gap0, dt)[2]
+    a = _kernels._rollout_loop(_kernels._law(theta.tolist()), lead, v0, gap0, dt)
     if len(a) < len(lead):
         return math.inf
     rmse = float(_kernels._rmse_np(np.subtract(a, a_obs)))

@@ -54,6 +54,64 @@ def test_summary_statistics_on_fixed_pairs():
     assert got["setup_s"]["change_lower"] == 0 and got["setup_s"]["ratio_median"] == 1.0
 
 
+#: Ten base runs within 0.01 of 1.0; their IQR is 0.015.
+TIGHT = [1.0, 1.01, 0.99, 1.0, 1.01, 0.99, 1.0, 1.01, 0.99, 1.0]
+
+
+@pytest.mark.parametrize("base, change, want", [
+    # Better in 9 of 10 pairs, medians 0.2 apart.
+    (TIGHT, [0.8] * 9 + [1.5], "gain"),
+    # A tie counts for neither side: 9 better and one tie is still a gain,
+    (TIGHT, [0.8] * 9 + [1.0], "gain"),
+    # but 8 better and two ties is not.
+    (TIGHT, [0.8] * 8 + TIGHT[8:], "within_bound"),
+    # Better in 3 of 3 pairs by far: too few pairs to show a gain.
+    (TIGHT[:3], [0.5] * 3, "within_bound"),
+    # Better in every pair, by less than the base IQR.
+    (TIGHT, [x - 0.005 for x in TIGHT], "within_bound"),
+    # Median 0.3 worse against a bound of 0.24.
+    (TIGHT, [1.3] * 10, "worse"),
+    # Median 0.2 worse: inside the bound.
+    (TIGHT, [1.2] * 10, "within_bound"),
+    # Base IQR 0.8 is wider than the bound, and the runs overlap.
+    ([0.5, 1.0, 1.5, 0.6, 1.4] * 2, [0.7, 1.1, 1.3, 0.9, 1.2] * 2, "unresolved"),
+    # As wide, but every change run beats every base run, by less than the IQR.
+    ([1.0, 1.5, 2.0, 1.1, 1.9] * 2, [0.9, 0.95, 0.99, 0.98, 0.97] * 2, "within_bound"),
+])
+def test_verdict_on_fixed_pairs(base, change, want):
+    assert bench_ab.verdict(base, change, "lower", 0.24) == want
+    # The same runs mirrored for a metric where higher is better.
+    assert bench_ab.verdict([-x for x in base], [-x for x in change], "higher", 0.24) == want
+
+
+def test_summary_gives_each_end_to_end_metric_a_verdict():
+    bounds = bench_ab.end_to_end_bounds()
+    assert bounds == {"setup_s": ("lower", 0.25), "run_s": ("lower", 0.24),
+                      "peak_rss_mb": ("lower", 0.1)}
+    pairs = [{"workload": "episodes", "seed": 1, "base": side(b), "change": side(0.5 * b),
+              "digests_match": True} for b in TIGHT]
+    got = bench_ab.summarise(pairs, bounds)
+    assert got["run_s"]["verdict"] == "gain"
+    assert got["setup_s"]["verdict"] == got["peak_rss_mb"]["verdict"] == "within_bound"
+    assert "verdict" not in got["run_wall_s"] and "verdict" not in got["ref_ms"]
+    lines = list(bench_ab.summary_lines({"episodes": got}, bounds))
+    assert len(lines) == 3 and lines[1].startswith("episodes run_s: ")
+    assert lines[1].endswith(": gain")
+
+
+def test_dirty_counts_untracked_files(tmp_path):
+    if shutil.which("git") is None:
+        pytest.skip("needs git")
+    ident = ["-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
+    (tmp_path / "a.py").write_text("x = 1\n")
+    subprocess.run(["git", "add", "a.py"], cwd=tmp_path, check=True)
+    subprocess.run(["git", *ident, "commit", "-q", "-m", "a"], cwd=tmp_path, check=True)
+    assert not bench_ab.is_dirty(tmp_path)
+    (tmp_path / "b.py").write_text("y = 2\n")
+    assert bench_ab.is_dirty(tmp_path)
+
+
 def test_quartiles_match_numpy_linear_interpolation():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 4, 7, 10):
@@ -82,6 +140,8 @@ def test_smoke_self_pair_writes_bench_file_and_removes_worktree(tmp_path):
     assert pair["base"]["failed"] == pair["change"]["failed"] == 0
     summary = result["summary"]["dense_highway"]
     assert summary["pairs"] == 1 and summary["run_wall_s"]["ratio_median"] > 0.0
+    assert summary["run_s"]["verdict"] in ("gain", "worse", "unresolved", "within_bound")
+    assert "dense_highway run_s: " in proc.stdout
     worktrees = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=clone,
                                capture_output=True, text=True, check=True).stdout
     assert worktrees.count("worktree ") == 1

@@ -12,10 +12,11 @@ import pytest
 
 from conftest import (THETA_STAR, dispatch_disabled_env, enabled_dispatch_targets,
                       follower_step, idm_accel_formula, rollout_reference)
-from microtraffic import ParamSet
+from microtraffic import FollowingState, InputDomainError, ParamSet
 from microtraffic import _kernels
 from microtraffic.calibration import DEFAULT_PRIOR_HI, DEFAULT_PRIOR_LO
 from microtraffic.env import _GAP_EPS
+from microtraffic.idm import rollout_follower, rollout_rmse
 
 PARAM_GRID = (
     THETA_STAR,
@@ -207,8 +208,18 @@ EXTREME_THETAS = (np.array([1.0, 1.0, 1e-35, 2.0, 1.0, 10.0]),
 
 
 def _float_rollout(theta, lead, v0, gap0):
-    """``_rollout_loop`` on Python floats, as ``rollout_rmse`` runs it."""
-    return _kernels._rollout_loop(_kernels._law(theta.tolist()), lead.tolist(), v0, gap0, 0.1)
+    """``_rollout_loop`` on Python floats, as ``rollout_rmse`` runs it, with
+    the speeds and gaps replayed from its accelerations: rows (v, gap, a)."""
+    dt = 0.1
+    accs = _kernels._rollout_loop(_kernels._law(theta.tolist()), lead.tolist(), v0, gap0, dt)
+    vs, gaps = [], []
+    v, gap = v0, gap0
+    for v_lead, a in zip(lead.tolist(), accs):
+        vs.append(v)
+        gaps.append(gap)
+        gap += (v_lead - v) * dt
+        v = max(v + a * dt, 0.0)
+    return vs, gaps, accs
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -233,6 +244,60 @@ def test_float_rollout_bit_identical_to_numpy_scalar_rollout():
         with pytest.raises(ArithmeticError):
             follower_step(*theta.tolist(), 25.0, float(LEAD[0]), 40.0, 0.1)
         assert not np.isfinite(_float_rollout(theta, LEAD, 25.0, 40.0)[2]).all()
+
+
+#: (v0, gap0) of the rollout parity cases: from a stop, where the first
+#: steps hit the speed floor, and at speed; behind a gap that collapses,
+#: a close one, a far one and no leader.
+ROLLOUT_STARTS = list(itertools.product((0.0, 25.0), (0.25, 8.0, 300.0, math.inf)))
+
+
+def _rollout_cases():
+    """(theta, v0, gap0, reference) over the grid, the prior draws and the
+    extreme parameters; the reference is ``rollout_reference``'s result."""
+    thetas = [p.to_array() for p in PARAM_GRID] + list(_prior_batch()[0]) + list(EXTREME_THETAS)
+    for theta in thetas:
+        for v0, gap0 in ROLLOUT_STARTS:
+            yield theta, v0, gap0, rollout_reference(theta, LEAD, v0, gap0, 0.1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rollout_rmse_bit_equal_to_rmse_of_reference_accelerations():
+    a_obs = np.random.default_rng(77).normal(0.0, 1.0, LEAD.size)
+    seen = {"scored": 0, "collapsed": 0, "not_finite": 0, "floored": 0}
+    for theta, v0, gap0, (n, collapsed, rows) in _rollout_cases():
+        got = rollout_rmse(theta, LEAD.tolist(), v0, gap0, 0.1, a_obs)
+        v, _, a = rows
+        seen["floored"] += bool(np.any((v[1:] == 0.0) & (v[:-1] + a[:-1] * 0.1 < 0.0)))
+        if collapsed:
+            seen["collapsed"] += 1
+            assert got == math.inf
+        elif not np.isfinite(a).all():
+            seen["not_finite"] += 1
+            assert got == math.inf
+        else:
+            seen["scored"] += 1
+            _assert_bits_equal(got, np.sqrt(np.mean(np.square(a - a_obs))))
+    # Every outcome is reached, and rollouts that hit the speed floor.
+    assert all(seen.values()), seen
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rollout_follower_bit_equal_to_reference_where_valid():
+    valid = 0
+    for theta, v0, gap0, (n, collapsed, rows) in _rollout_cases():
+        p = ParamSet.from_array(theta)
+        init = FollowingState(v0, v0 - LEAD[0], gap0)
+        if not np.isfinite(rows[2]).all():
+            # A non-finite acceleration is no valid trajectory.
+            with pytest.raises(InputDomainError):
+                rollout_follower(p, LEAD, init, 0.1, LEAD.size)
+            continue
+        tr = rollout_follower(p, LEAD, init, 0.1, LEAD.size)
+        assert (len(tr), tr.gap_collapsed) == (n, collapsed)
+        _assert_bits_equal([tr.v_ego, tr.gap, tr.a_obs], rows)
+        valid += 1
+    assert valid
 
 
 def _avx512_dispatch_targets():

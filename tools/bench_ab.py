@@ -21,6 +21,21 @@ summarises each side's median, the base's interquartile range, in how
 many pairs the change was lower, and the median within-pair ratio
 (change over base). Both runs of a pair see the same host phase, so the
 ``run_wall_s`` ratio needs no scaling by the reference timing.
+
+Each ``end_to_end`` metric of ``BENCHMARK.json`` (its name, ``better``
+and ``bound``; the file is only read) also gets a ``verdict``, printed on
+its summary line:
+
+- ``gain``: the change is better in at least 9 of 10 pairs (ties count
+  for neither side), so in at least 9 pairs, and the medians differ by
+  more than the base IQR. Fewer than 9 pairs never show a gain: in a
+  self-pair file of 3 pairs per workload, one workload's ``setup_s`` was
+  lower in 3 of 3 by more than the base IQR;
+- ``worse``: the change's median is worse than the base median by more
+  than ``bound`` times the base median;
+- ``unresolved``: the base IQR is wider than that bound, and not every
+  change run beats every base run;
+- ``within_bound``: every other case.
 """
 
 from __future__ import annotations
@@ -69,8 +84,39 @@ def quartiles(values):
     return at(0.25), at(0.5), at(0.75)
 
 
-def summarise(pairs):
-    """Per-metric statistics of the pairs of one workload."""
+def end_to_end_bounds() -> dict:
+    """``{name: (better, bound)}`` of the ``end_to_end`` metrics in this
+    checkout's ``BENCHMARK.json``."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    return {m["name"]: (m["better"], float(m["bound"])) for m in metrics}
+
+
+def verdict(base, change, better, bound) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``within_bound`` for one metric's
+    paired values (see the module docstring); ``better`` is ``lower`` or
+    ``higher``."""
+    sign = 1.0 if better == "lower" else -1.0
+    # In lower-is-better terms from here on; the IQR does not change.
+    base = [sign * x for x in base]
+    change = [sign * x for x in change]
+    q1, base_median, q3 = quartiles(base)
+    ahead = base_median - statistics.median(change)
+    wins = sum(c < b for b, c in zip(base, change))
+    if wins >= 9 and 10 * wins >= 9 * len(base) and ahead > q3 - q1:
+        return "gain"
+    limit = bound * abs(base_median)
+    if -ahead > limit:
+        return "worse"
+    if q3 - q1 > limit and max(change) >= min(base):
+        return "unresolved"
+    return "within_bound"
+
+
+def summarise(pairs, bounds=None):
+    """Per-metric statistics of the pairs of one workload; ``bounds`` as
+    ``end_to_end_bounds`` gives them (default: this checkout's file)."""
+    if bounds is None:
+        bounds = end_to_end_bounds()
     out = {"pairs": len(pairs),
            "correct": sum(p["base"]["correct"] and p["change"]["correct"] for p in pairs),
            "digests_match": sum(p["digests_match"] for p in pairs)}
@@ -85,7 +131,24 @@ def summarise(pairs):
             "change_lower": sum(c < b for b, c in zip(base, change)),
             "ratio_median": statistics.median(c / b for b, c in zip(base, change) if b),
         }
+        if metric in bounds:
+            out[metric]["verdict"] = verdict(base, change, *bounds[metric])
     return out
+
+
+def summary_lines(summary, bounds):
+    """One readable line per workload and ``end_to_end`` metric."""
+    for workload, stats in summary.items():
+        for metric in bounds:
+            m = stats[metric]
+            yield (f"{workload} {metric}: {m['base_median']:.4g} -> {m['change_median']:.4g} "
+                   f"(ratio {m['ratio_median']:.3f}, lower in {m['change_lower']} of "
+                   f"{stats['pairs']}, base IQR {m['base_iqr']:.3g}): {m['verdict']}")
+
+
+def is_dirty(cwd=ROOT) -> bool:
+    """Whether the checkout has uncommitted edits or untracked files."""
+    return bool(git("status", "--porcelain", cwd=cwd))
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float, size: str) -> dict:
@@ -147,6 +210,7 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     base_rev = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     label = args.label or base_rev[:7]
+    bounds = end_to_end_bounds()
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
         worktree = Path(tmp) / "base"
         git("worktree", "add", "--detach", str(worktree), base_rev)
@@ -158,16 +222,18 @@ def main(argv=None) -> int:
     result = {
         "base": base_rev,
         "change": git("rev-parse", "HEAD"),
-        "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "change_dirty": is_dirty(),
         "seconds": args.seconds,
         "size": args.size,
         "seeds": args.seeds,
-        "summary": {w: summarise([p for p in pairs if p["workload"] == w])
+        "summary": {w: summarise([p for p in pairs if p["workload"] == w], bounds)
                     for w in args.workloads},
         "pairs": pairs,
     }
     path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(result, indent=2) + "\n")
+    for line in summary_lines(result["summary"], bounds):
+        print(line)
     print(f"wrote {path}")
     ok = all(p["base"]["correct"] and p["change"]["correct"] and p["digests_match"]
              for p in pairs)

@@ -185,10 +185,16 @@ def _rmse_np(err):
     return np.sqrt(np.add.reduce(err, axis=-1) / err.shape[-1])
 
 
+def _one_step_np(theta, v, dv, gap):
+    """One-step predicted accelerations at ``theta``, shape ``(6,)``, or
+    ``(6, K, 1)`` for ``(K, n)`` samples."""
+    a_max, a_comf, *rest = theta
+    return _accel_series_np((a_max, 2.0 * np.sqrt(a_max * a_comf), *rest), v, dv, gap)
+
+
 def _rmse_one_step_np(theta, v, dv, gap, a_obs):
     """One-step prediction RMSE of ``a_obs`` along the last axis at
-    ``theta``, shape ``(6,)``, or ``(6, K, 1)`` for ``(K, n)`` samples."""
-    a_max, a_comf, *rest = theta
-    pred = _accel_series_np((a_max, 2.0 * np.sqrt(a_max * a_comf), *rest), v, dv, gap)
+    ``theta``, shaped as for ``_one_step_np``."""
+    pred = _one_step_np(theta, v, dv, gap)
     pred -= a_obs
     return _rmse_np(pred)

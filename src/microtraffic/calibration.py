@@ -8,15 +8,18 @@ terms cancel exactly in the acceptance ratio.
 
 ``run_chains`` is the one sampler. Its chains share one schedule
 (length, burn-in, thinning), and each equals the plain loop of
-:func:`mh_step` calls bit for bit. One-step trajectory targets of equal
-length are scored in one batched call; any other target needs only a
-``log_density(theta)`` method, so toy targets (see
+:func:`mh_step` calls bit for bit. Trajectory targets of one objective
+and length are scored as one block per iteration: one-step rows by the
+batch law, rollout rows by one Euler rollout each, with the support
+test, RMSE and density shared by the block. Any other target needs only
+a ``log_density(theta)`` method, so toy targets (see
 :class:`GaussianTarget`) can stand in for the trajectory target when
 validating the chain machinery.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -278,35 +281,59 @@ class Chain:
             fh.write("".join(lines))
 
 
-class _OneStepBatch:
-    """One-step trajectory targets of one length, scored in one kernel call.
+class _TargetBatch:
+    """``TargetDensity`` chains of one objective and trajectory length,
+    scored as one ``(K, n)`` block per iteration.
 
-    The observations are stacked as C-contiguous ``(K, n)`` rows and theta
-    goes to ``_rmse_one_step_np`` as ``(6, K, 1)`` columns, so each row gets
-    exactly the operations ``TargetDensity.log_density`` does on its own
-    trajectory; the row sums of a C-contiguous block equal the 1-D
-    pairwise sums.
+    Only the prediction block depends on the objective. One-step rows get
+    the batch law with theta as ``(K, 1)`` columns; rollout rows get one
+    ``_rollout_loop`` each, run only for rows in the support, and a row
+    whose gap collapsed (or that was not rolled out) becomes NaN, which
+    the shared tail maps to -inf. The tail (residual, ``_rmse_np``,
+    ``neg_scale * rmse * rmse``, the support and finiteness mask) is the
+    one ``TargetDensity.log_density`` runs per row: the row sums of a
+    C-contiguous block equal the 1-D pairwise sums, ``neg_scale * rmse``
+    is ``-scale * rmse``, and a NaN or inf RMSE is -inf on both paths.
     """
 
     def __init__(self, rows, targets):
         # A run of consecutive chains is sliced, not fancy-indexed.
         contiguous = rows[-1] - rows[0] == len(rows) - 1
         self.rows = slice(rows[0], rows[-1] + 1) if contiguous else np.array(rows)
-        self.v = np.stack([t._v for t in targets])
-        self.dv = np.stack([t._dv for t in targets])
-        self.gap = np.stack([t._gap for t in targets])
+        self.rollout = targets[0].objective == "rollout"
+        if self.rollout:
+            self.starts = [t._rollout[:4] for t in targets]
+            self.nan_row = [math.nan] * len(targets[0].obs)
+        else:
+            self.v = np.stack([t._v for t in targets])
+            self.dv = np.stack([t._dv for t in targets])
+            self.gap = np.stack([t._gap for t in targets])
         self.a_obs = np.stack([t._a_obs for t in targets])
         self.lo = np.stack([t._lo for t in targets])
         self.hi = np.stack([t.prior_hi for t in targets])
         self.neg_scale = -np.array([t._scale for t in targets])
 
+    def _predictions(self, theta, ok) -> np.ndarray:
+        if not self.rollout:
+            # Rows outside the support are predicted too and then discarded.
+            return _kernels._one_step_np(theta.T[:, :, None], self.v, self.dv, self.gap)
+        n = len(self.nan_row)
+        accs = []
+        for row, inside, (lead, v0, gap0, dt) in zip(theta.tolist(), ok.tolist(), self.starts):
+            a = _kernels._rollout_loop(_kernels._law(row), lead, v0, gap0, dt) if inside else ()
+            accs.append(a if len(a) == n else self.nan_row)
+        # One conversion of every row; ``fromiter`` skips ``np.array``'s
+        # pass that discovers the shape and type of nested lists.
+        flat = itertools.chain.from_iterable(accs)
+        return np.fromiter(flat, np.float64, len(accs) * n).reshape(-1, n)
+
     def log_densities(self, theta) -> np.ndarray:
         """``log_density`` of each row of ``theta`` under its own target."""
         ok = ((theta >= self.lo) & (theta <= self.hi)).all(axis=1)
-        # Rows outside the support are scored too and then discarded.
         with np.errstate(all="ignore"):
-            rmse = _kernels._rmse_one_step_np(theta.T[:, :, None], self.v, self.dv,
-                                              self.gap, self.a_obs)
+            pred = self._predictions(theta, ok)
+            pred -= self.a_obs
+            rmse = _kernels._rmse_np(pred)
             logp = self.neg_scale * rmse * rmse
         return np.where(ok & np.isfinite(rmse), logp, -math.inf)
 
@@ -321,9 +348,12 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
     order (``standard_normal(dim)``, then one ``random()`` per iteration,
     in or out of support), its target values come from the same
     floating-point operations, and its accept test is ``math.log`` on
-    Python floats. Each iteration proposes a K x dim block. One-step
-    ``TargetDensity`` chains of equal length are scored in one batched
-    call (``_OneStepBatch``), every other chain by its target's
+    Python floats. Each iteration proposes a K x dim block. The
+    ``TargetDensity`` chains of one objective and trajectory length are
+    scored as one block (``_TargetBatch``): one support test, one
+    prediction block (the batch law for one-step rows, one
+    ``_rollout_loop`` per in-support rollout row) and one shared RMSE
+    and density tail. Any other target is scored by its own
     ``log_density``. Each kept iteration is one write per block of shape
     ``(K, n_kept, ...)``; chain c holds row c of each as a contiguous view.
     """
@@ -355,14 +385,14 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
 
     rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
     sigma = np.array([cfg.effective_sigma for cfg in cfgs])
-    groups: dict[int, list] = {}
+    groups: dict[tuple, list] = {}
     others = []
     for c, t in enumerate(targets):
-        if isinstance(t, TargetDensity) and t.objective == "one-step":
-            groups.setdefault(len(t.obs), []).append(c)
+        if isinstance(t, TargetDensity):
+            groups.setdefault((t.objective, len(t.obs)), []).append(c)
         else:
             others.append(c)
-    batches = [_OneStepBatch(rows, [targets[c] for c in rows]) for rows in groups.values()]
+    batches = [_TargetBatch(rows, [targets[c] for c in rows]) for rows in groups.values()]
     iterations = np.arange(burn_in, n_iter, thin, dtype=np.int64)
     samples = np.empty((len(cfgs), iterations.size, dim))
     log_targets = np.empty((len(cfgs), iterations.size))

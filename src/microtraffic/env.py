@@ -542,6 +542,8 @@ class TrafficEnv:
     def check_collision(self) -> bool:
         """Ego overlap test: bumper gap <= 0 with lateral centres closer
         than the mean vehicle width."""
+        if not self._live:
+            raise EnvUsageError("check_collision() before reset()")
         mem_lane, mem_s, mem_d = self._mem
         x, y, _ = self._pose
         lat_limit = self.vehicle_width  # (w_ego + w_bv) / 2 with equal widths
@@ -567,6 +569,8 @@ class TrafficEnv:
         return False
 
     def build_observation(self) -> np.ndarray:
+        if not self._live:
+            raise EnvUsageError("build_observation() before reset()")
         obs = np.zeros(self.observation_shape)
         mem_lane, mem_s, _ = self._mem
         ss = self._s
@@ -607,6 +611,8 @@ class TrafficEnv:
         return obs
 
     def current_info(self) -> dict:
+        if not self._live:
+            raise EnvUsageError("current_info() before reset()")
         x, y, heading = self._pose
         return {
             "cause": self._cause,
@@ -660,6 +666,8 @@ class TrafficEnv:
         return rows
 
     def episode_summary(self) -> dict:
+        if not self._live:
+            raise EnvUsageError("episode_summary() before reset()")
         x, y, _ = self._pose
         return {
             "cause": self._cause,
@@ -678,6 +686,8 @@ class TrafficEnv:
         ``gap`` is the bumper gap to the current leader as used by the
         car-following update (+inf when leaderless).
         """
+        if not self._live:
+            raise EnvUsageError("vehicle_states() before reset()")
         return {self._ids[int(r)]: (self._lane_ids[int(c)], s, v, gap)
                 for _, r, c, s, v, gap
                 in sorted(zip(*self._F[[_SEQ, _RANK, _LANE, _S, _V, _GAP]].tolist()))}

@@ -13,8 +13,10 @@ from microtraffic import (DegenerateSeriesError, FollowingState,
                           pooled_histograms, posterior_histogram,
                           rmse_objective, rollout_follower, run_chain,
                           run_chains, synthetic_trajectory)
+from microtraffic import _kernels
 from microtraffic.calibration import (DEFAULT_PRIOR_HI, DEFAULT_PRIOR_LO,
-                                      Chain, _OneStepBatch)
+                                      Chain, _TargetBatch)
+from test_kernels import EXTREME_THETAS
 
 
 class FlatTarget:
@@ -48,6 +50,14 @@ class ShiftedTarget:
 def short_trajectory(theta=THETA_STAR):
     init = FollowingState(v=20.0, delta_v=0.0, d_front=40.0)
     return rollout_follower(theta, np.repeat([24.0, 16.0], 30), init, 0.1, 60)
+
+
+def braking_trajectory(gap0=60.0, n=60):
+    """The leader cruises at 25 m/s for half the horizon, then stands
+    still; a near-zero-headway candidate rams it in a re-rollout."""
+    lead = np.concatenate([np.full(n // 2, 25.0), np.zeros(n - n // 2)])
+    init = FollowingState(v=25.0, delta_v=0.0, d_front=gap0)
+    return rollout_follower(THETA_STAR, lead, init, 0.1, n)
 
 
 def test_default_proposal_sigma_is_two_percent_of_box():
@@ -111,12 +121,8 @@ def test_target_density_support_boundaries():
 
 
 def test_target_density_rollout_objective_rejects_collapse():
-    # Leader brakes to a stop; a near-zero-headway candidate rams it during
-    # the re-rollout, which the rollout objective maps to zero density.
-    lead = np.concatenate([np.full(30, 25.0), np.zeros(30)])
-    init = FollowingState(v=25.0, delta_v=0.0, d_front=60.0)
-    tr = rollout_follower(THETA_STAR, lead, init, 0.1, 60)
-    td = TargetDensity(tr, objective="rollout")
+    # The rollout objective maps a collapsing re-rollout to zero density.
+    td = TargetDensity(braking_trajectory(), objective="rollout")
     assert td.log_density(THETA_STAR.to_array()) == 0.0
     reckless = np.array([6.0, 8.0, 60.0, 1e-3, 1e-3, 4.0])
     assert td.log_density(reckless) == -math.inf
@@ -396,10 +402,18 @@ def test_run_chains_rollout_targets_match_single_chains():
 
 
 def test_run_chains_mixed_objectives_match_single_chains():
-    targets = (synthetic_targets([40, 40])
-               + [TargetDensity(short_trajectory(), objective="rollout")]
-               + synthetic_targets([40]))
-    assert_lockstep_matches_alone(targets, lockstep_configs(4, 120), CENTRE)
+    # One-step and rollout targets of two lengths each, interleaved so that
+    # no batch is a run of consecutive chains, and toy targets (wrappers
+    # that are not a ``TargetDensity``) scored one by one between them.
+    one_step = synthetic_targets([40, 50, 40])
+    rollout = [TargetDensity(braking_trajectory(gap0, n), objective="rollout")
+               for gap0, n in ((60.0, 40), (80.0, 50), (50.0, 40))]
+    targets = [one_step[0], rollout[0], ShiftedTarget(rollout[1], 1.5), one_step[1],
+               rollout[2], ShiftedTarget(one_step[2], -2.0), rollout[1], one_step[2],
+               TargetDensity(short_trajectory(), objective="rollout")]
+    chains = assert_lockstep_matches_alone(targets, lockstep_configs(9, 150),
+                                           THETA_STAR.to_array())
+    assert all(c.accept_count > 0 for c in chains)
 
 
 def test_run_chains_gaussian_targets_match_single_chains():
@@ -452,6 +466,14 @@ def test_parameter_vector_of_the_wrong_size_is_an_input_error(dim):
             call(np.ones(dim))
 
 
+def rollout_collapses(td, theta):
+    """Whether the re-rollout of ``td``'s trajectory at ``theta`` collapses."""
+    lead, v0, gap0, dt, _ = td._rollout
+    accs = _kernels._rollout_loop(_kernels._law(theta.tolist()), lead, v0, gap0, dt)
+    return len(accs) < len(lead)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_one_step_batch_equals_log_density_row_by_row():
     targets = synthetic_targets([70, 70, 70], noise_sigma=0.4)
     rng = np.random.default_rng(11)
@@ -460,10 +482,35 @@ def test_one_step_batch_equals_log_density_row_by_row():
     theta[::7, 1, 2] = np.nan
     theta[::11, 2, 5] = np.inf
     theta[::13, 0] = THETA_STAR.to_array()
-    batch = _OneStepBatch([0, 1, 2], targets)
+    batch = _TargetBatch([0, 1, 2], targets)
     for block in theta:
         got = batch.log_densities(block).tolist()
         assert got == [t.log_density(row) for t, row in zip(targets, block)]
+
+    # Rollout rows: three trajectories behind a leader that stops, and
+    # every other block of draws with near-zero d_min and T, so that
+    # in-support rollouts collapse; plus the parameters the law on Python
+    # floats cannot evaluate.
+    targets = [TargetDensity(braking_trajectory(gap0, 70), noise_sigma=0.4, objective="rollout")
+               for gap0 in (40.0, 60.0, 80.0)]
+    theta = rng.uniform(-0.05, 1.05, (150, 3, 6)) * DEFAULT_PRIOR_HI
+    theta[::2, :, 3:5] *= 1e-3
+    theta[::7, 1, 2] = np.nan
+    theta[::11, 2, 5] = np.inf
+    theta[::13, 0] = THETA_STAR.to_array()
+    theta[1, :2] = EXTREME_THETAS
+    theta[3, 1:] = EXTREME_THETAS
+    batch = _TargetBatch([0, 1, 2], targets)
+    kinds = {"outside": 0, "collapsed": 0, "scored": 0, "not finite": 0}
+    for block in theta:
+        want = [t.log_density(row) for t, row in zip(targets, block)]
+        assert batch.log_densities(block).tolist() == want
+        for t, row, logp in zip(targets, block, want):
+            kind = ("outside" if not t.in_support(row) else "collapsed"
+                    if rollout_collapses(t, row) else "scored" if logp > -math.inf
+                    else "not finite")
+            kinds[kind] += 1
+    assert all(kinds.values()), kinds
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -471,18 +518,19 @@ def test_one_step_batch_equals_log_density_row_by_row():
 def test_support_is_one_box_for_every_scoring_path(tight):
     theta0 = THETA_STAR.to_array()
     box = dict(prior_lo=0.9 * theta0, prior_hi=1.1 * theta0) if tight else {}
-    td = TargetDensity(short_trajectory(), **box)
-    batch = _OneStepBatch([0], [td])
-    for k, (lo, hi) in enumerate(zip(td.prior_lo, td.prior_hi)):
-        for x, inside in ((-0.0, False), (0.0, False), (5e-324, lo == 0.0),
-                          (lo, lo > 0.0), (hi, True),
-                          (np.nextafter(hi, np.inf), False), (np.nan, False)):
-            theta = theta0.copy()
-            theta[k] = x
-            assert td.in_support(theta) == inside, (k, x)
-            logp = td.log_density(theta)
-            assert (logp > -math.inf) == (inside and math.isfinite(td.rmse(theta)))
-            assert batch.log_densities(theta[None]).tolist() == [logp], (k, x)
+    for objective in ("one-step", "rollout"):
+        td = TargetDensity(short_trajectory(), objective=objective, **box)
+        batch = _TargetBatch([0], [td])
+        for k, (lo, hi) in enumerate(zip(td.prior_lo, td.prior_hi)):
+            for x, inside in ((-0.0, False), (0.0, False), (5e-324, lo == 0.0),
+                              (lo, lo > 0.0), (hi, True),
+                              (np.nextafter(hi, np.inf), False), (np.nan, False)):
+                theta = theta0.copy()
+                theta[k] = x
+                assert td.in_support(theta) == inside, (objective, k, x)
+                logp = td.log_density(theta)
+                assert (logp > -math.inf) == (inside and math.isfinite(td.rmse(theta)))
+                assert batch.log_densities(theta[None]).tolist() == [logp], (objective, k, x)
 
 
 def test_chain_csv_layout(tmp_path):

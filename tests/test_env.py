@@ -96,10 +96,12 @@ def test_observation_rows_are_lane_major_left_first():
 
 def test_usage_errors():
     env = TrafficEnv(straight_scenario())
-    with pytest.raises(EnvUsageError):
+    with pytest.raises(EnvUsageError, match=r"^step\(\) before reset\(\)$"):
         env.step(ZERO)
-    with pytest.raises(EnvUsageError):
-        env.render_frame()
+    for name in ("render_frame", "vehicle_states", "build_observation", "check_collision",
+                 "current_info", "episode_summary"):
+        with pytest.raises(EnvUsageError, match=rf"^{name}\(\) before reset\(\)$"):
+            getattr(env, name)()
     env.reset()
     with pytest.raises(InputDomainError):
         env.step(Action(math.nan, 0.0))

@@ -16,11 +16,12 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import follower_step
-from microtraffic import Action, DemandSpec, TrafficEnv, VehicleSpec
+from microtraffic import Action, DemandSpec, TrafficEnv, VehicleSpec, _kernels
 from microtraffic.env import DEFAULT_VEHICLE_WIDTH, OBS_FEATURES
 from microtraffic.network import _bundled_library, global_to_road, load_scenario
 from microtraffic.population import (DEFAULT_VEHICLE_LENGTH, default_histograms,
@@ -206,10 +207,10 @@ def random_demand(scenario, rng, n_vehicles):
     return DemandSpec(routes, tuple(vehicles))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(SCENARIOS)), st.integers(0, 2**32 - 1), st.integers(0, 16),
-       st.integers(1, 200), st.sampled_from([0.0, 0.05, 0.6]))
-def test_episode_matches_reference_stepper(name, seed, n_vehicles, n_steps, lateral):
+def assert_episode_matches_reference(name, seed, n_vehicles, n_steps, lateral):
+    """Steps ``TrafficEnv`` and ``ReferenceEnv`` side by side and compares
+    them bit for bit at every step. Returns the most BVs live at once and
+    the number that left at the end of their route."""
     rng = np.random.default_rng(seed)
     base = SCENARIOS[name]
     scenario = dataclasses.replace(base, demand=random_demand(base, rng, n_vehicles))
@@ -217,6 +218,8 @@ def test_episode_matches_reference_stepper(name, seed, n_vehicles, n_steps, late
     ref = ReferenceEnv(scenario)
     assert env.reset().tobytes() == ref.observation().tobytes()
     assert bits(env.vehicle_states()) == bits(ref.vehicle_states())
+    seen = set(ref.bvs)
+    most_live = len(ref.bvs)
     for k in range(n_steps):
         action = Action(float(rng.uniform(-4.0, 2.0)), float(rng.uniform(-lateral, lateral)))
         result = env.step(action)
@@ -227,5 +230,28 @@ def test_episode_matches_reference_stepper(name, seed, n_vehicles, n_steps, late
         assert bits(result.info) == bits(info), where
         assert result.terminated == terminated, where
         assert env.collisions_logged == ref.collisions_logged, where
+        seen.update(ref.bvs)
+        most_live = max(most_live, len(ref.bvs))
         if terminated:
             break
+    # A BV leaves the reference only at the end of its route.
+    return most_live, len(seen) - len(ref.bvs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(SCENARIOS)), st.integers(0, 2**32 - 1), st.integers(0, 16),
+       st.integers(1, 200), st.sampled_from([0.0, 0.05, 0.6]))
+def test_episode_matches_reference_stepper(name, seed, n_vehicles, n_steps, lateral):
+    assert_episode_matches_reference(name, seed, n_vehicles, n_steps, lateral)
+
+
+@pytest.mark.parametrize("name, seed, n_vehicles", [("highway_curve", 0, 30),
+                                                    ("highway_curve", 5, 30),
+                                                    ("highway_curve", 5, 45)])
+def test_episode_above_the_law_crossover_matches_reference_stepper(name, seed, n_vehicles):
+    # The random episodes above hold at most _SCALAR_ROWS BVs, so the
+    # background traffic always steps on the scalar law; these reach the
+    # batch law and keep going while BVs reach the end of their routes.
+    most_live, exited = assert_episode_matches_reference(name, seed, n_vehicles, 300, 0.0)
+    assert most_live > _kernels._SCALAR_ROWS
+    assert exited > 0

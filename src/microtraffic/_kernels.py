@@ -20,6 +20,16 @@ parameter vector for all samples or one per sample: a trajectory rolled
 out at theta scores a one-step RMSE of exactly zero at theta, and a BV in
 the environment moves exactly as a rollout of it would.
 
+The batch law runs in place and takes the product ``v * dv`` from its
+callers instead of ``dv``: the scalar law's ``v * dv / b2`` multiplies
+first, so a product formed once (``TargetDensity`` and the lockstep batch
+form it when they are built, from data alone) has the bits the law would
+compute, and ``_follower_step_np`` forms ``v * (v - v_lead)`` itself. Its
+terms go, in the scalar law's order, into two buffers the caller owns
+(the lockstep batch allocates its ``(K, n)`` pair once) or into two
+arrays of its own; an IEEE operation gives the same bits whichever array
+it writes to.
+
 Both laws take ``(a_max, b2, v_des, d_min, T, delta)``, the desired-gap
 denominator ``b2 = 2.0 * sqrt(a_max * a_comf)`` in place of ``a_comf``:
 ``_law`` builds it from six floats (``ParamSet.law``), ``_rmse_one_step_np``
@@ -120,19 +130,36 @@ def _rollout_loop(law, lead_v, v0, gap0, dt):
     return accs
 
 
-def _accel_series_np(law, v, dv, gap):
-    """Acceleration law over a batch of samples.
+def _accel_series_np(law, v, vdv, gap, out=None, tmp=None):
+    """Acceleration law over a batch of samples, from the speeds ``v``, the
+    products ``vdv = v * dv`` of speed and closing speed, and the gaps.
 
     ``law`` is ``_idm_accel``'s ``(a_max, b2, v_des, d_min, T, delta)``,
     each a scalar shared by every sample or one value per sample. Same
-    operation per term as ``_idm_accel``: ``np.float_power``, not
-    ``np.power``, so the delta term is libm ``pow`` on every CPU.
+    operation per term, in the same order, as ``_idm_accel``:
+    ``np.float_power``, not ``np.power``, so the delta term is libm ``pow``
+    on every CPU, and ``vdv / b2`` is the ``v * dv / b2`` of the scalar
+    law, which multiplies first. ``v`` has the shape of the result, and
+    every other argument broadcasts to it. The terms are evaluated in
+    place, into ``out`` and ``tmp`` when the caller passes them (two
+    float64 arrays of that shape, whose contents are overwritten; the
+    result is ``out``) and into two arrays of its own otherwise.
     """
     a_max, b2, v_des, d_min, T, delta = law
-    d_des = d_min + v * T + v * dv / b2
-    np.maximum(d_des, 0.0, out=d_des)
-    q = d_des / gap
-    return a_max * (1.0 - np.float_power(v / v_des, delta) - q * q)
+    if out is None:
+        out, tmp = np.empty(v.shape), np.empty(v.shape)
+    np.multiply(v, T, out=out)
+    np.add(d_min, out, out=out)
+    np.divide(vdv, b2, out=tmp)
+    np.add(out, tmp, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.divide(out, gap, out=out)
+    np.multiply(out, out, out=out)
+    np.divide(v, v_des, out=tmp)
+    np.float_power(tmp, delta, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    np.subtract(tmp, out, out=out)
+    return np.multiply(a_max, out, out=out)
 
 
 def _follower_step_np(law, v, v_lead, gap, dt):
@@ -142,7 +169,7 @@ def _follower_step_np(law, v, v_lead, gap, dt):
     step, so every row equals that step on that row bit for bit.
     Returns arrays (accel at the pre-step state, next speed, next gap).
     """
-    a = _accel_series_np(law, v, v - v_lead, gap)
+    a = _accel_series_np(law, v, v * (v - v_lead), gap)
     v_next = v + a * dt
     v_next[v_next < 0.0] = 0.0
     gap_next = gap + (v_lead - v) * dt
@@ -177,24 +204,32 @@ def _follower_step(law, v, v_lead, gap, dt):
     return np.array(accs), np.array(vs), np.array(gaps)
 
 
-def _rmse_np(err):
+def _rmse_np(err, out=None):
     """Root mean square along the last axis, squaring ``err`` in place; each
-    row of a C-contiguous block gets the pairwise sum it would get alone."""
+    row of a C-contiguous block gets the pairwise sum it would get alone.
+    The sums, mean and root go into ``out`` (one float64 per row), or into
+    an array of its own."""
     err *= err
+    if out is None:
+        out = np.empty(err.shape[:-1])
     # np.mean's own pairwise sum and divide, without its Python-level checks.
-    return np.sqrt(np.add.reduce(err, axis=-1) / err.shape[-1])
+    np.add.reduce(err, axis=-1, out=out)
+    np.divide(out, err.shape[-1], out=out)
+    return np.sqrt(out, out=out)
 
 
-def _one_step_np(theta, v, dv, gap):
+def _one_step_np(theta, v, vdv, gap, out=None, tmp=None):
     """One-step predicted accelerations at ``theta``, shape ``(6,)``, or
-    ``(6, K, 1)`` for ``(K, n)`` samples."""
+    ``(6, K, 1)`` for ``(K, n)`` samples; ``vdv`` is ``v * dv``, and
+    ``out`` and ``tmp`` are as in ``_accel_series_np``."""
     a_max, a_comf, *rest = theta
-    return _accel_series_np((a_max, 2.0 * np.sqrt(a_max * a_comf), *rest), v, dv, gap)
+    law = (a_max, 2.0 * np.sqrt(a_max * a_comf), *rest)
+    return _accel_series_np(law, v, vdv, gap, out, tmp)
 
 
-def _rmse_one_step_np(theta, v, dv, gap, a_obs):
+def _rmse_one_step_np(theta, v, vdv, gap, a_obs):
     """One-step prediction RMSE of ``a_obs`` along the last axis at
     ``theta``, shaped as for ``_one_step_np``."""
-    pred = _one_step_np(theta, v, dv, gap)
+    pred = _one_step_np(theta, v, vdv, gap)
     pred -= a_obs
     return _rmse_np(pred)

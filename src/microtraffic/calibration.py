@@ -138,8 +138,10 @@ class TargetDensity:
         self._lo = np.maximum(lo, np.nextafter(0.0, 1.0))
         self.objective = objective
         self.dim = 6
-        # Trajectory columns are contiguous float64 already.
-        self._v, self._dv, self._gap = obs.states()
+        # Trajectory columns are contiguous float64 already. The law takes
+        # the data-only product ``v * dv`` (see ``_kernels._accel_series_np``).
+        self._v, dv, self._gap = obs.states()
+        self._vdv = self._v * dv
         self._a_obs = obs.a_obs
         if objective == "rollout":
             self._rollout = (*rollout_start(obs), obs.dt, self._a_obs)
@@ -164,7 +166,7 @@ class TargetDensity:
         theta = np.ascontiguousarray(theta, dtype=np.float64)
         if self.objective == "one-step":
             return float(_kernels._rmse_one_step_np(
-                theta, self._v, self._dv, self._gap, self._a_obs))
+                theta, self._v, self._vdv, self._gap, self._a_obs))
         return rollout_rmse(theta, *self._rollout)
 
     def log_density(self, theta) -> float:
@@ -254,31 +256,37 @@ class Chain:
         path = Path(path)
         # A kept row repeats the one before it unless a proposal was
         # accepted in between, so the ``repr`` text of (theta, log_target)
-        # is built only on a row that differs from the one before it and
-        # reused until the next such row. Rows are compared bit for bit:
-        # ``==`` merges -0.0 with 0.0 and never matches a NaN. Only those
-        # rows become Python floats, one at a time, and lines go out in
-        # chunks of 128, so the block's floats and text are never all
+        # is built only on a row that differs from the one before it, and
+        # every row of its run reuses that text. Rows are compared bit for
+        # bit: ``==`` merges -0.0 with 0.0 and never matches a NaN. Lines
+        # go out in chunks of ``_CSV_CHUNK`` rows, one ``join`` and one
+        # write each, so the floats and text of a long chain are never all
         # alive at once.
         theta = np.asarray(self.samples, dtype=np.float64)
         logp = np.asarray(self.log_targets, dtype=np.float64)
         bits, logp_bits = theta.view(np.int64), logp.view(np.int64)
         new = np.ones(len(logp), dtype=bool)
         new[1:] = (bits[1:] != bits[:-1]).any(axis=1) | (logp_bits[1:] != logp_bits[:-1])
-        states = zip(theta[new], logp[new].tolist())
-        rows = zip(self.iterations.tolist(), new.tolist(), self.accepted.astype(int).tolist())
+        # Row r shows the state that starts at row ``firsts[run[r]]``.
+        run = np.cumsum(new) - 1
+        firsts = np.flatnonzero(new)
+        ends = (",0\n", ",1\n")
         with path.open("w", newline="") as fh:
             fh.write("iter," + ",".join(self.param_names) + ",log_target,accepted\n")
-            lines = []
-            for it, first, accepted in rows:
-                if first:
-                    row, logp_row = next(states)
-                    state = f"{','.join(map(repr, row.tolist()))},{logp_row!r}"
-                lines.append(f"{it},{state},{accepted}\n")
-                if len(lines) == 128:
-                    fh.write("".join(lines))
-                    lines.clear()
-            fh.write("".join(lines))
+            for start in range(0, len(logp), _CSV_CHUNK):
+                stop = start + _CSV_CHUNK
+                runs = run[start:stop]
+                rows = firsts[runs[0]:runs[-1] + 1]
+                texts = [f",{','.join(map(repr, row))},{lp!r}" for row, lp
+                         in zip(theta[rows].tolist(), logp[rows].tolist())]
+                fh.write("".join([f"{it}{texts[k]}{ends[acc]}" for it, k, acc in zip(
+                    self.iterations[start:stop].tolist(), (runs - runs[0]).tolist(),
+                    self.accepted[start:stop].tolist())]))
+
+
+#: Rows per write of ``Chain.to_csv``, about 35 kB of text for six
+#: parameters; larger chunks wrote no faster.
+_CSV_CHUNK = 256
 
 
 class _TargetBatch:
@@ -286,14 +294,20 @@ class _TargetBatch:
     scored as one ``(K, n)`` block per iteration.
 
     Only the prediction block depends on the objective. One-step rows get
-    the batch law with theta as ``(K, 1)`` columns; rollout rows get one
-    ``_rollout_loop`` each, run only for rows in the support, and a row
-    whose gap collapsed (or that was not rolled out) becomes NaN, which
-    the shared tail maps to -inf. The tail (residual, ``_rmse_np``,
+    the batch law with theta as ``(K, 1)`` columns, evaluated in place into
+    two ``(K, n)`` buffers the batch allocates once, from the products
+    ``v * dv`` it forms once: the law's ``v * dv / b2`` multiplies first,
+    so the hoisted product has the bits the per-row law computes. Rollout
+    rows get one ``_rollout_loop`` each, run only for rows in the support,
+    and a row whose gap collapsed (or that was not rolled out) becomes NaN,
+    which the shared tail maps to -inf. The tail (residual, ``_rmse_np``,
     ``neg_scale * rmse * rmse``, the support and finiteness mask) is the
-    one ``TargetDensity.log_density`` runs per row: the row sums of a
-    C-contiguous block equal the 1-D pairwise sums, ``neg_scale * rmse``
-    is ``-scale * rmse``, and a NaN or inf RMSE is -inf on both paths.
+    one ``TargetDensity.log_density`` runs per row, in place on the
+    prediction block and on ``(K,)`` buffers of the batch: the row sums
+    of a C-contiguous block equal the 1-D pairwise sums, ``neg_scale *
+    rmse`` is ``-scale * rmse``, and a NaN or inf RMSE is -inf on both
+    paths. Every buffer is overwritten in full by each call, and the
+    returned array is a new one, so no call sees another's values.
     """
 
     def __init__(self, rows, targets):
@@ -306,17 +320,23 @@ class _TargetBatch:
             self.nan_row = [math.nan] * len(targets[0].obs)
         else:
             self.v = np.stack([t._v for t in targets])
-            self.dv = np.stack([t._dv for t in targets])
+            self.vdv = np.stack([t._vdv for t in targets])
             self.gap = np.stack([t._gap for t in targets])
+            self.out = np.empty_like(self.v)
+            self.tmp = np.empty_like(self.v)
         self.a_obs = np.stack([t._a_obs for t in targets])
         self.lo = np.stack([t._lo for t in targets])
         self.hi = np.stack([t.prior_hi for t in targets])
         self.neg_scale = -np.array([t._scale for t in targets])
+        self.rmse = np.empty(len(targets))
+        self.logp = np.empty(len(targets))
+        self.mask = np.empty(len(targets), dtype=bool)
 
     def _predictions(self, theta, ok) -> np.ndarray:
         if not self.rollout:
             # Rows outside the support are predicted too and then discarded.
-            return _kernels._one_step_np(theta.T[:, :, None], self.v, self.dv, self.gap)
+            return _kernels._one_step_np(theta.T[:, :, None], self.v, self.vdv, self.gap,
+                                         self.out, self.tmp)
         n = len(self.nan_row)
         accs = []
         for row, inside, (lead, v0, gap0, dt) in zip(theta.tolist(), ok.tolist(), self.starts):
@@ -328,14 +348,19 @@ class _TargetBatch:
         return np.fromiter(flat, np.float64, len(accs) * n).reshape(-1, n)
 
     def log_densities(self, theta) -> np.ndarray:
-        """``log_density`` of each row of ``theta`` under its own target."""
-        ok = ((theta >= self.lo) & (theta <= self.hi)).all(axis=1)
+        """``log_density`` of each row of ``theta`` under its own target, as
+        a new array."""
+        # ``.all(axis=1)`` without its Python-level wrapper.
+        ok = np.logical_and.reduce((theta >= self.lo) & (theta <= self.hi), axis=1)
         with np.errstate(all="ignore"):
             pred = self._predictions(theta, ok)
-            pred -= self.a_obs
-            rmse = _kernels._rmse_np(pred)
-            logp = self.neg_scale * rmse * rmse
-        return np.where(ok & np.isfinite(rmse), logp, -math.inf)
+            np.subtract(pred, self.a_obs, out=pred)
+            rmse = _kernels._rmse_np(pred, self.rmse)
+            logp = np.multiply(self.neg_scale, rmse, out=self.logp)
+            logp *= rmse
+        mask = np.isfinite(rmse, out=self.mask)
+        mask &= ok
+        return np.where(mask, logp, -math.inf)
 
 
 def run_chains(targets, cfgs, theta_init) -> list[Chain]:
@@ -400,11 +425,14 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
     accept_count = [0] * len(cfgs)
     z = np.empty_like(theta)
     z_rows = list(z)
+    prop = np.empty_like(theta)
     logp_prop = np.empty(len(cfgs))
     for i in range(n_iter):
         for rng, row in zip(rngs, z_rows):
             rng.standard_normal(out=row)
-        prop = theta + sigma * z
+        # theta + sigma * z, into the one proposal block.
+        np.multiply(sigma, z, out=prop)
+        np.add(theta, prop, out=prop)
         for batch in batches:
             logp_prop[batch.rows] = batch.log_densities(prop[batch.rows])
         lp = logp_prop.tolist()

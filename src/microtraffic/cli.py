@@ -609,9 +609,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: ``build_parser()``'s parser, built by the first ``main`` call of the
+#: process; it comes from the static ``VERBS`` table and parsing leaves it
+#: as it was, so every later call reuses it.
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     # Huge but finite inputs can overflow inside numpy, whose warnings would
     # reach stderr ahead of the one error line. Silencing them changes no
     # value; the library itself keeps numpy's default.

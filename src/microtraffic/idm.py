@@ -8,6 +8,7 @@ interaction term shaped by the ratio of desired gap to actual gap. A gap of
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -177,35 +178,65 @@ class Trajectory:
         path = Path(path)
         try:
             with path.open(newline="") as fh:
-                lines = fh.readlines()
+                text = fh.read()
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not valid UTF-8 text: {exc}") from None
-        reader = csv.reader(lines)
-        header = next(reader, None)
-        if header != list(TRAJECTORY_COLUMNS):
+        values = _plain_csv_values(text)
+        if values is None:
+            values = _csv_values(path, text)
+        width = len(TRAJECTORY_COLUMNS)
+        n = len(values) // width
+        if n < 2:
+            raise SchemaError(f"{path}: needs at least 2 data rows to fix dt, got {n}")
+        # dt is the second row's t minus the first's.
+        dt = values[width] - values[0]
+        return cls(dt, *np.array(values).reshape(n, width).T)
+
+
+def _plain_csv_values(text):
+    """The values of the data rows of ``text``, row after row, if it has the
+    plain layout ``Trajectory.to_csv`` writes (the header line, then rows of
+    five fields, no quotes or carriage returns) and every field is a float;
+    else None. On such text ``csv.reader`` splits each line at its commas
+    and yields no row for an empty line, so these are the floats
+    ``_csv_values`` reads, each parsed by ``float`` from the same field."""
+    if '"' in text or "\r" in text:
+        return None
+    header, _, body = text.partition("\n")
+    if header != ",".join(TRAJECTORY_COLUMNS):
+        return None
+    rows = [row for row in body.split("\n") if row]
+    if any(row.count(",") != len(TRAJECTORY_COLUMNS) - 1 for row in rows):
+        return None
+    try:
+        return list(map(float, ",".join(rows).split(",")))
+    except ValueError:
+        return None
+
+
+def _csv_values(path, text) -> list:
+    """The values of the data rows of the CSV ``text``, row after row, read
+    by ``csv.reader``; a bad header, field count or value raises
+    ``SchemaError`` naming its line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != list(TRAJECTORY_COLUMNS):
+        raise SchemaError(
+            f"{path}: expected header {','.join(TRAJECTORY_COLUMNS)}, got {header}"
+        )
+    values = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(TRAJECTORY_COLUMNS):
             raise SchemaError(
-                f"{path}: expected header {','.join(TRAJECTORY_COLUMNS)}, got {header}"
+                f"{path}: row {lineno}: expected {len(TRAJECTORY_COLUMNS)} fields, got {len(row)}"
             )
-        columns = [[] for _ in TRAJECTORY_COLUMNS]
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TRAJECTORY_COLUMNS):
-                raise SchemaError(
-                    f"{path}: row {lineno}: expected {len(TRAJECTORY_COLUMNS)} fields, got {len(row)}"
-                )
-            try:
-                values = [float(x) for x in row]
-            except ValueError as exc:
-                raise SchemaError(f"{path}: row {lineno}: {exc}") from None
-            for col, value in zip(columns, values):
-                col.append(value)
-        if len(columns[0]) < 2:
-            raise SchemaError(
-                f"{path}: needs at least 2 data rows to fix dt, got {len(columns[0])}"
-            )
-        dt = columns[0][1] - columns[0][0]
-        return cls(dt, *[np.asarray(c, dtype=np.float64) for c in columns])
+        try:
+            values.extend([float(x) for x in row])
+        except ValueError as exc:
+            raise SchemaError(f"{path}: row {lineno}: {exc}") from None
+    return values
 
 
 def idm_acceleration(p: ParamSet, s: FollowingState) -> float:
@@ -298,7 +329,7 @@ def rmse_objective(obs: Trajectory, p: ParamSet) -> float:
     if len(obs) == 0:
         raise InputDomainError("cannot evaluate objective on an empty trajectory")
     v, dv, gap = obs.states()
-    return float(_kernels._rmse_one_step_np(p.to_array(), v, dv, gap, obs.a_obs))
+    return float(_kernels._rmse_one_step_np(p.to_array(), v, v * dv, gap, obs.a_obs))
 
 
 def rollout_start(obs: Trajectory):

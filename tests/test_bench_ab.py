@@ -99,6 +99,22 @@ def test_summary_gives_each_end_to_end_metric_a_verdict():
     assert lines[1].endswith(": gain")
 
 
+def test_summary_lines_show_the_reference_drift():
+    # The change side's reference timing ran 2%, 5% and 9% slower in turn.
+    pairs = [{"workload": "pipeline", "seed": 1, "base": side(b, ref_ms=5.0),
+              "change": side(0.9 * b, ref_ms=5.0 * r), "digests_match": True}
+             for b, r in zip([1.0, 1.1, 1.2], [1.02, 1.05, 1.09])]
+    bounds = bench_ab.end_to_end_bounds()
+    summary = {"pipeline": bench_ab.summarise(pairs, bounds)}
+    assert summary["pipeline"]["ref_ms"]["ratio_median"] == pytest.approx(1.05)
+    lines = list(bench_ab.summary_lines(summary, bounds))
+    assert len(lines) == len(bounds)
+    for line in lines:
+        assert ", ref_ms ratio 1.050): " in line
+    assert lines[1] == ("pipeline run_s: 1.1 -> 0.99 (ratio 0.900, lower in 3 of 3, "
+                        "base IQR 0.1, ref_ms ratio 1.050): within_bound")
+
+
 def test_dirty_counts_untracked_files(tmp_path):
     if shutil.which("git") is None:
         pytest.skip("needs git")

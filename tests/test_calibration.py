@@ -514,6 +514,43 @@ def test_one_step_batch_equals_log_density_row_by_row():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_batch_buffers_never_leak_between_calls():
+    # Two one-step batches of different lengths and a rollout batch, called
+    # in turn. Every other round's blocks hold a NaN, an inf, an
+    # out-of-support row and parameters whose law is not finite; the rounds
+    # between them must still score exactly, row by row.
+    batches = []
+    for rows, targets in (([0, 1, 2], synthetic_targets([50, 50, 50])),
+                          ([3, 4], synthetic_targets([80, 80], noise_sigma=0.5)),
+                          ([5, 6], [TargetDensity(braking_trajectory(gap0, 40),
+                                                  objective="rollout")
+                                    for gap0 in (50.0, 70.0)])):
+        batches.append((_TargetBatch(rows, targets), targets))
+    rng = np.random.default_rng(12)
+    returned = []
+    for k in range(24):
+        for batch, targets in batches:
+            block = THETA_STAR.to_array() * rng.uniform(0.8, 1.2, (len(targets), 6))
+            if k % 4 == 1:
+                block[0, 2] = np.nan
+                block[1] = EXTREME_THETAS[0]
+            elif k % 4 == 3:
+                block[0, 5] = np.inf
+                block[1] = EXTREME_THETAS[1]
+            if k % 2:
+                block[-1, k % 6] = -1.0
+            got = batch.log_densities(block)
+            want = [t.log_density(row) for t, row in zip(targets, block)]
+            assert got.tolist() == want, (k, len(targets))
+            if not k % 2:
+                assert all(w > -math.inf for w in want)
+            returned.append((got, got.copy()))
+    # Nothing a call returned was written to by a later call.
+    for got, copy in returned:
+        assert got.tobytes() == copy.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("tight", [False, True])
 def test_support_is_one_box_for_every_scoring_path(tight):
     theta0 = THETA_STAR.to_array()

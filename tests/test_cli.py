@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -79,6 +80,29 @@ def test_subcommand_required():
 
 
 # -- gen-synthetic -----------------------------------------------------------
+
+
+def test_calls_in_one_process_match_separate_calls(tmp_path, capsys):
+    # Two verbs, then the first again without the flags it had: in one
+    # process, each call writes and prints what it does in a process alone.
+    calls = [("gen-synthetic", "--n-vehicles", 2, "--n-obs", 30, "--dt", 0.2,
+              "--noise-sigma", 0.1, "--seed", 3),
+             ("sample-params", "--n", 5, "--seed", 4),
+             ("gen-synthetic", "--n-vehicles", 3, "--n-obs", 20)]
+    outs = [tmp_path / f"run{k}" for k in range(len(calls))]
+    alone = []
+    for argv, out in zip(calls, outs):
+        proc = _child_cli(*argv, "--out", out)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        alone.append((proc.stdout, read_bytes_snapshot(out)))
+        shutil.rmtree(out)
+    parsers = []
+    for argv, out, (stdout, files) in zip(calls, outs, alone):
+        assert run_cli(*argv, "--out", out) == 0
+        assert capsys.readouterr().out == stdout
+        assert read_bytes_snapshot(out) == files
+        parsers.append(cli._PARSER)
+    assert parsers[0] is not None and parsers.count(parsers[0]) == len(calls)
 
 
 def test_gen_synthetic_outputs(tmp_path, capsys):

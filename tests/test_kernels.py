@@ -68,8 +68,8 @@ def _batch_results(thetas, v, dv, gap, a_obs):
     accel = np.empty((len(thetas), v.size))
     rmse = np.empty(len(thetas))
     for i, theta in enumerate(thetas):
-        accel[i] = _kernels._accel_series_np(_law_cols(theta), v, dv, gap)
-        rmse[i] = _kernels._rmse_one_step_np(theta, v, dv, gap, a_obs)
+        accel[i] = _kernels._accel_series_np(_law_cols(theta), v, v * dv, gap)
+        rmse[i] = _kernels._rmse_one_step_np(theta, v, v * dv, gap, a_obs)
     steps = np.stack(_kernels._follower_step_np(
         _law_cols(_per_sample_thetas(thetas, v.size)), v, v - dv, gap, 0.1))
     rollouts = np.full((len(thetas), 3, LEAD.size), np.nan)
@@ -105,7 +105,7 @@ def test_no_leader_interaction_is_exactly_zero():
 def test_batch_accel_bit_identical_to_scalar_on_grid():
     v, dv, gap = (np.array(col) for col in zip(*STATE_GRID))
     for p in PARAM_GRID:
-        got = _kernels._accel_series_np(_law_cols(p.to_array()), v, dv, gap)
+        got = _kernels._accel_series_np(_law_cols(p.to_array()), v, v * dv, gap)
         want = [_kernels._idm_accel(*_scalar_args(p, *state))
                 for state in STATE_GRID]
         _assert_bits_equal(got, want)

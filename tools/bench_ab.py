@@ -24,7 +24,9 @@ many pairs the change was lower, and the median within-pair ratio
 
 Each ``end_to_end`` metric of ``BENCHMARK.json`` (its name, ``better``
 and ``bound``; the file is only read) also gets a ``verdict``, printed on
-its summary line:
+its summary line next to the workload's median ``ref_ms`` ratio, so that
+a ``run_s`` verdict can be read against the reference timing's own drift
+between the two sides:
 
 - ``gain``: the change is better in at least 9 of 10 pairs (ties count
   for neither side), so in at least 9 pairs, and the medians differ by
@@ -137,13 +139,19 @@ def summarise(pairs, bounds=None):
 
 
 def summary_lines(summary, bounds):
-    """One readable line per workload and ``end_to_end`` metric."""
+    """One readable line per workload and ``end_to_end`` metric, ending in
+    the workload's median ``ref_ms`` ratio (change over base) before the
+    verdict: each pass's ``run_s`` is divided by its reference timing, so
+    where the reference drifts by a ratio r and the pass does not, the
+    ``run_s`` ratio moves by about 1/r."""
     for workload, stats in summary.items():
+        ref = stats["ref_ms"]["ratio_median"]
         for metric in bounds:
             m = stats[metric]
             yield (f"{workload} {metric}: {m['base_median']:.4g} -> {m['change_median']:.4g} "
                    f"(ratio {m['ratio_median']:.3f}, lower in {m['change_lower']} of "
-                   f"{stats['pairs']}, base IQR {m['base_iqr']:.3g}): {m['verdict']}")
+                   f"{stats['pairs']}, base IQR {m['base_iqr']:.3g}, ref_ms ratio {ref:.3f}): "
+                   f"{m['verdict']}")
 
 
 def is_dirty(cwd=ROOT) -> bool:

@@ -52,10 +52,12 @@ proposal, and a call per step costs about as much as the arithmetic. On
 the rare step where Python floats raise, the loop calls ``_idm_accel``
 with that step's arguments, so the numpy fallback lives in one place.
 
-``_follower_step`` is the environment's one entry to the law. A numpy
-call costs about as much as the scalar law on one row, and the batch step
-makes about twenty, so up to ``_SCALAR_ROWS`` rows it loops ``_idm_accel``
-over Python floats and above that it calls ``_follower_step_np``. Since
+The environment's background vehicles take one law or the other, by
+count. Up to ``_SCALAR_ROWS`` of them, ``TrafficEnv._move_bvs`` runs its
+whole update on Python floats (leaders, ``_idm_accel`` and the Euler step
+per vehicle, lane ends, the gaps of the next step): a numpy call costs
+about as much as the scalar law on one vehicle, and the array update
+makes about thirty. Above that it calls ``_follower_step_np`` once. Since
 the two laws agree bit for bit, the crossover moves time, never a result.
 """
 
@@ -176,32 +178,17 @@ def _follower_step_np(law, v, v_lead, gap, dt):
     return a, v_next, gap_next
 
 
-#: Row count up to which ``_follower_step`` loops the scalar law. Timed
-#: with ``timeit`` on random rows (numpy 2.4, 2-vCPU x86-64 host): the
-#: batch step costs 10-12 us from 1 to 16 rows and 14 us at 32, the scalar
-#: loop, list conversions included, 2.7 us at 1 row, 8.8 us at 12, 11.5 us
-#: at 16 and 23 us at 32. The two meet at about 16 rows.
+#: Live BV count up to which ``TrafficEnv._move_bvs`` runs on Python floats.
+#: Timed per whole update (BVs spaced on a 3-lane straight road, 200
+#: updates from one state, fastest of 9 interleaved repeats; numpy 2.4,
+#: 2-vCPU x86-64 host): the array update costs 24-28 us from 1 to 40 BVs,
+#: the float pass 4.7 us at 1 BV, 7.7 at 4, 16 at 12, 20 at 16, 24 at 20,
+#: 28 at 24 and 36 at 32. The two meet at about 22 BVs, and at about 24 in
+#: a slow phase of the host, where both took about 1.8 times as long. The
+#: crossover stays at 16, where floats save 5 us a step and more below:
+#: 17 to 22 BVs would save at most 4 us, and the reference-stepper cases
+#: that check the array update reach only 20 live BVs.
 _SCALAR_ROWS = 16
-
-
-def _follower_step(law, v, v_lead, gap, dt):
-    """``_follower_step_np``'s step and result, on the scalar law
-    ``_idm_accel`` over Python floats for at most ``_SCALAR_ROWS`` rows,
-    where numpy's per-call cost outweighs the arithmetic. The two laws
-    agree bit for bit, so either branch gives the same arrays. Speeds are
-    >= 0 or NaN, as the environment keeps them: ``**`` on a negative
-    Python float goes complex where ``np.float_power`` gives NaN."""
-    if len(v) > _SCALAR_ROWS:
-        return _follower_step_np(law, v, v_lead, gap, dt)
-    accs, vs, gaps = [], [], []
-    for a_max, b2, v_des, d_min, T, delta, vk, lead, g in zip(
-            *law.tolist(), v.tolist(), v_lead.tolist(), gap.tolist()):
-        a = _idm_accel(a_max, b2, v_des, d_min, T, delta, vk, vk - lead, g)
-        accs.append(a)
-        v_next = vk + a * dt
-        vs.append(0.0 if v_next < 0.0 else v_next)
-        gaps.append(g + (lead - vk) * dt)
-    return np.array(accs), np.array(vs), np.array(gaps)
 
 
 def _rmse_np(err, out=None):

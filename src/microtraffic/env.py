@@ -18,18 +18,19 @@ kept sorted by ``(lane, s, id)``. One ``np.lexsort`` re-sorts it after a
 step in which a BV changed lane, left, spawned, or drew level with or
 passed the BV ahead. Each lane's BVs are therefore one contiguous slice,
 and "who is near whom" is a neighbouring column or a ``searchsorted``
-into that slice. Leaders are resolved for all BVs at once (the next
-larger ``s`` on the lane, the ego merged in and winning ties) and the
-car-following update is one call of ``_kernels._follower_step``,
-bit-identical on every row to a step of ``_rollout_loop``. Up to its
-crossover of 16 BVs that call loops the scalar law over Python floats,
-above it the batch law runs once over all of them: a numpy call costs
-about as much as the scalar law on one row, and the batch law makes about
-twenty of them, so a handful of BVs (the bundled scenarios hold at most
-12) step faster on floats and hundreds faster in one batch. Python loops
-run only over the few BVs that cross a lane end or share an ``s`` and
-the BV contacts that get logged. At equal ``s`` the lowest id comes
-first. Spawn checks read that order too: each lane a spawn is tried on
+into that slice. Each BV follows the first column of the next larger
+``s`` on its lane, the ego merged in and winning ties, with the arithmetic
+of a step of ``_rollout_loop``, bit for bit. How the update runs depends
+on the live BV count, never its result. Up to ``_kernels._SCALAR_ROWS``
+BVs (the bundled scenarios hold at most 12) it is one pass over the
+Python floats of the state array, with the scalar law per BV, and the
+moved rows are written back at the end: a numpy call costs about as much
+as the scalar law on one BV, and the array update makes about thirty.
+Above it (hundreds of BVs) leaders are resolved for all BVs at once and
+the batch law runs once over all of them; Python loops then run only
+over the few BVs that cross a lane end or share an ``s`` and the BV
+contacts that get logged. At equal ``s`` the lowest id comes first.
+Spawn checks read that order too: each lane a spawn is tried on
 gives one sorted list of rows per spawning pass, and an accepted spawn is
 inserted into it, so later spawns of the pass see it.
 
@@ -337,7 +338,10 @@ class TrafficEnv:
         tail). The gaps are the contact test and, for a column not level
         with the next one, its gap to its BV leader. ``_touching`` lists
         the columns with a gap <= 0: the logged contacts, and the only
-        columns that can be level with or behind the next one."""
+        columns that can be level with or behind the next one. After a
+        step on floats, ``_move_few`` leaves ``_ds`` and ``_pair_gap`` as
+        lists instead: ``_leaders`` reads either, and ``_sort`` makes
+        arrays again."""
         s = self._F[_S]
         self._s = s.tolist()  # for bisect within a lane's slice
         self._ds = s.take(self._next) - s
@@ -396,35 +400,113 @@ class TrafficEnv:
         return key, v_lead, gap
 
     def _move_bvs(self, dt):
-        """One car-following step for every BV, then lane ends and re-sort."""
+        """One car-following step for every BV, then lane ends and re-sort.
+
+        Up to ``_kernels._SCALAR_ROWS`` BVs the step runs on Python floats
+        (``_move_few``), above it on arrays (``_move_many``). Both take the
+        same leaders and the same operations, so they agree bit for bit.
+        Each returns the columns that crossed a lane end and, when none
+        did, leaves the gaps refreshed."""
+        if self._F.shape[1] <= _kernels._SCALAR_ROWS:
+            crossing = self._move_few(dt)
+        else:
+            crossing = self._move_many(dt)
+        # With lanes unchanged, while every same-lane neighbour is still
+        # strictly ahead, the order and everything derived from it hold,
+        # so the lexsort and the gather of every row are skipped.
+        if crossing:
+            self._advance_routes(crossing)
+            self._sort()
+        elif any(self._ds[k] <= 0.0 for k in self._touching):
+            self._sort()
+
+    def _move_many(self, dt):
+        """``_move_bvs``' step on arrays: ``_leaders``, then the batch law
+        and Euler step of ``_follower_step_np`` once over all columns."""
         mem_lane, mem_s, _ = self._mem
         key, v_lead, gap = self._leaders(mem_lane, mem_s)
         F = self._F
         v = F[_V]
-        _, v_next, gap_next = _kernels._follower_step(F[_THETA], v, v_lead, gap, dt)
+        _, v_next, gap_next = _kernels._follower_step_np(F[_THETA], v, v_lead, gap, dt)
         F[_S] += v * dt
         F[_V] = v_next
         F[_GAP] = np.where(gap_next > 0.0, gap_next, _GAP_EPS)
         F[_KEY] = key
-        if self._advance_routes():
-            self._sort()
-            return
-        # Lanes are unchanged: while every same-lane neighbour is still
-        # strictly ahead, the order and everything derived from it hold,
-        # so the lexsort and the gather of every row are skipped.
-        self._refresh_gaps()
-        if any(self._ds[k] <= 0.0 for k in self._touching):
-            self._sort()
+        crossing = (F[_S] > F[_END]).nonzero()[0].tolist()
+        if not crossing:
+            self._refresh_gaps()
+        return crossing
 
-    def _advance_routes(self) -> bool:
-        """Move BVs across lane ends and drop those that run off their
-        route; True if any BV changed lane or left."""
+    def _move_few(self, dt):
+        """``_move_bvs``' step in one pass over the columns, back to front,
+        on the Python floats of ``F.T.tolist()``.
+
+        A column gets ``_leaders``' leader, key and gap, the scalar law
+        ``_idm_accel`` and ``_follower_step_np``'s Euler step. Its moved
+        position, with the column ahead's, gives ``_refresh_gaps``'
+        distance, pair gap and contact test as list entries. The moved rows
+        go back into ``F`` at the end."""
         F = self._F
-        crossing = (F[_S] > F[_END]).nonzero()[0]
-        if not crossing.size:
-            return False
+        n = F.shape[1]
+        cols = F.T.tolist()
+        # Columns g:e, the last equal-s group behind the ego, follow it.
+        mem_lane, mem_s, _ = self._mem
+        lo, hi = self._run(mem_lane)
+        ss = self._s
+        e = bisect_left(ss, mem_s, lo, hi)
+        g = bisect_left(ss, ss[e - 1], lo, e) if e > lo else e
+        ego_key, ego_v, ego_len = _ego_key(self._code[mem_lane]), self._ego_vlong, self.ego_length
+        s1, v1, gap1, key1, ds, pair_gap = ([0.0] * n for _ in range(6))
+        touching, crossing = [], []
+        # The column ahead (n_*, none past a lane's tail) and its leader
+        # (l_*), which a column level with it shares.
+        n_lane = l_key = None
+        for k in range(n - 1, -1, -1):
+            (s, v, length, rank, gap, key_was, lane, end, _,
+             a_max, b2, v_des, d_min, T, delta) = cols[k]
+            if lane != n_lane:
+                l_key = None
+            elif n_s - s != 0.0:
+                l_key, l_v, l_s, l_len = n_rank, n_v, n_s, n_len
+            if g <= k < e:
+                key, v_lead = ego_key, ego_v
+                if key != key_was:
+                    gap = max((mem_s - s) - (ego_len + length) / 2.0, _GAP_EPS)
+            elif l_key is not None:
+                key, v_lead = l_key, l_v
+                if key != key_was:
+                    gap = max((l_s - s) - (l_len + length) / 2.0, _GAP_EPS)
+            else:
+                key, v_lead, gap = _NO_LEADER, v, math.inf
+            a = _kernels._idm_accel(a_max, b2, v_des, d_min, T, delta, v, v - v_lead, gap)
+            v_next = v + a * dt
+            v1[k] = 0.0 if v_next < 0.0 else v_next
+            gap_next = gap + (v_lead - v) * dt
+            gap1[k] = gap_next if gap_next > 0.0 else _GAP_EPS
+            key1[k] = key
+            s_next = s1[k] = s + v * dt
+            if s_next > end:
+                crossing.append(k)
+            if lane == n_lane:
+                ds[k] = d = n_s1 - s_next
+                pair_gap[k] = p = d - (n_len + length) / 2.0
+                if p <= 0.0:
+                    touching.append(k)
+            else:
+                pair_gap[k] = math.inf
+            n_lane, n_s, n_v, n_len, n_rank, n_s1 = lane, s, v, length, rank, s_next
+        F[_S], F[_V], F[_GAP], F[_KEY] = s1, v1, gap1, key1
+        if not crossing:
+            touching.reverse()
+            self._s, self._ds, self._pair_gap, self._touching = s1, ds, pair_gap, touching
+        return crossing
+
+    def _advance_routes(self, crossing):
+        """Move the BVs of columns ``crossing`` across lane ends and drop
+        those that run off their route."""
+        F = self._F
         gone = []
-        for i in crossing.tolist():
+        for i in crossing:
             rank = int(F[_RANK, i])
             route = self._routes[rank]
             lanes, pos = route
@@ -443,7 +525,6 @@ class TrafficEnv:
                 F[_LANE, i] = self._code[lanes[pos]]
         if gone:
             self._F = np.delete(F, gone, axis=1)
-        return True
 
     # -- spawning -----------------------------------------------------------
 
@@ -662,6 +743,8 @@ class TrafficEnv:
                 lines.append(f"{step},{vid},{t[4]},{t[5]},{t[6]},{t[7]}\n")
             self._trace_text = memo
             self._trace_fh.write("".join(lines))
+            # Readers of the open trace see every frame: the benchmark's
+            # episode check reads it after a step budget that ends mid-episode.
             self._trace_fh.flush()
         return rows
 

@@ -168,10 +168,16 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         path = Path(path)
+        # A nonzero value equal to the one above it in its column (the
+        # leader speed holds for whole pieces of synthetic data) reuses
+        # that one's ``repr`` text, as in ``Chain.to_csv`` and the
+        # environment's trace: equal nonzero floats have equal bits, and
+        # +-0.0 (equal, but not the same text) always goes through ``repr``.
+        columns = [_column_text(getattr(self, name)) for name in TRAJECTORY_COLUMNS]
         with path.open("w", newline="") as fh:
             fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-            rows = zip(*(getattr(self, name).tolist() for name in TRAJECTORY_COLUMNS))
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+            fh.write("".join([f"{t},{v},{v_lead},{gap},{a}\n"
+                              for t, v, v_lead, gap, a in zip(*columns)]))
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
@@ -191,6 +197,17 @@ class Trajectory:
         # dt is the second row's t minus the first's.
         dt = values[width] - values[0]
         return cls(dt, *np.array(values).reshape(n, width).T)
+
+
+def _column_text(values):
+    """``repr`` text of each float of the 1-D array ``values``, built once
+    per run of equal nonzero values."""
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = (values[1:] != values[:-1]) | (values[1:] == 0.0)
+    texts = list(map(repr, values[first].tolist()))
+    if len(texts) == values.size:
+        return texts
+    return [texts[run] for run in (np.cumsum(first) - 1).tolist()]
 
 
 def _plain_csv_values(text):

@@ -128,6 +128,38 @@ def test_dirty_counts_untracked_files(tmp_path):
     assert bench_ab.is_dirty(tmp_path)
 
 
+def test_snapshot_holds_the_working_tree_and_leaves_the_index(tmp_path):
+    if shutil.which("git") is None:
+        pytest.skip("needs git")
+    ident = ["-c", "user.name=t", "-c", "user.email=t@t"]
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=tmp_path, check=True,
+                              capture_output=True, text=True).stdout
+
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text("*.log\n")
+    (tmp_path / "a.py").write_text("x = 1\n")
+    (tmp_path / "gone.py").write_text("z = 0\n")
+    git("add", ".gitignore", "a.py", "gone.py")
+    git(*ident, "commit", "-q", "-m", "a")
+    head = git("rev-parse", "HEAD").strip()
+    (tmp_path / "a.py").write_text("x = 2\n")  # edited, not staged
+    (tmp_path / "gone.py").unlink()
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.py").write_text("y = 2\n")  # untracked
+    (tmp_path / "run.log").write_text("ignored\n")
+    status = git("status", "--porcelain")
+    rev = bench_ab.snapshot(tmp_path)
+    assert git("rev-parse", f"{rev}^").strip() == head
+    assert git("ls-tree", "-r", "--name-only", rev).split() == [".gitignore", "a.py",
+                                                                  "sub/b.py"]
+    assert git("show", f"{rev}:a.py") == "x = 2\n"
+    # The checkout is as it was: nothing staged, HEAD unmoved.
+    assert git("status", "--porcelain") == status
+    assert git("rev-parse", "HEAD").strip() == head
+
+
 def test_quartiles_match_numpy_linear_interpolation():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 4, 7, 10):
@@ -136,8 +168,9 @@ def test_quartiles_match_numpy_linear_interpolation():
 
 
 def test_smoke_self_pair_writes_bench_file_and_removes_worktree(tmp_path):
-    # HEAD against itself in a clone, so the checkout under test keeps its
-    # worktree list; the tool under test is copied over the clone's.
+    # HEAD against a snapshot of the clone's working tree, where the tool
+    # under test is copied over the clone's: in a clone, so the checkout
+    # under test keeps its worktree list.
     if shutil.which("git") is None or not (ROOT / ".git").exists():
         pytest.skip("needs git and a git checkout")
     clone = tmp_path / "clone"
@@ -161,3 +194,5 @@ def test_smoke_self_pair_writes_bench_file_and_removes_worktree(tmp_path):
     worktrees = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=clone,
                                capture_output=True, text=True, check=True).stdout
     assert worktrees.count("worktree ") == 1
+    # Both sides ran in worktrees of their own: nothing ran in the clone.
+    assert not (clone / ".bench_out").exists()

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from conftest import THETA_STAR, follower_step, straight_scenario
 from microtraffic import (Action, DemandSpec, EnvUsageError, InputDomainError,
                           Lane, ParamSet, RoadNetwork, Route, Scenario,
-                          TrafficEnv, VehicleSpec)
-from microtraffic.env import (_END, _GAP, _KEY, _LANE, _LEN, _RANK, _S, _SEQ, _V,
-                              _ego_key)
+                          TrafficEnv, VehicleSpec, _kernels)
+from microtraffic.calibration import DEFAULT_PRIOR_HI, DEFAULT_PRIOR_LO
+from microtraffic.env import (_END, _GAP, _GAP_EPS, _KEY, _LANE, _LEN, _RANK, _S, _SEQ,
+                              _THETA, _V, _ego_key)
 from microtraffic.network import _bundled_library, global_to_road, is_off_road, load_scenario
 
 PARKED = ParamSet(a_max=1e-9, a_comf=5.0, v_des=1e-9, d_min=10.0, T=2.0,
@@ -375,6 +376,23 @@ def test_trace_files_are_byte_identical_across_runs(tmp_path):
             env.render_frame()
         env.close()
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_open_trace_holds_every_frame_rendered_so_far(tmp_path):
+    # A reader of the trace while the episode runs (the benchmark checks it
+    # after a step budget that can end mid-episode) sees every frame.
+    trace = tmp_path / "trace.csv"
+    scenario = straight_scenario((bv("a", "r0", 120.0), bv("b", "r0", 200.0)),
+                                 ego_speed=12.0, ego_start_s=40.0)
+    env = TrafficEnv(scenario, trace_path=trace)
+    env.reset()
+    rows = 0
+    for _ in range(15):
+        env.step(ZERO)
+        rows += len(env.render_frame())
+        with trace.open() as reader:
+            assert len(reader.read().splitlines()) == 1 + rows
+    env.close()
 
 
 def test_episode_summary_and_info_keys():
@@ -747,3 +765,148 @@ def test_off_road_decision_from_membership_lane_then_network(case):
     # The network-wide test runs only when the membership lane misses the ego.
     mem = env.net.lanes[env._mem[0]]
     assert not spy.called or mem.project(x, y)[2] > mem.width / 2.0
+
+
+# -- the BV update on floats and on arrays --------------------------------------
+#
+# ``_move_bvs`` runs on Python floats up to ``_kernels._SCALAR_ROWS`` live
+# BVs and on arrays above. Forcing the crossover to 10**9 or to 0 puts every
+# step on one branch; the two must leave the same bits.
+
+#: The law's ``(a_max, b2, v_des, d_min, T, delta)`` at parameters the law
+#: on Python floats cannot evaluate: the free-road term overflows, and
+#: ``b2 = 2 sqrt(a_max a_comf)`` underflows to 0. Both are in the prior box.
+EXTREME_LAWS = ((1.0, 2.0, 1e-35, 2.0, 1.0, 10.0), (1e-170, 0.0, 30.0, 2.0, 1.0, 4.0))
+
+
+def _after_each_step(make, steps, monkeypatch):
+    """For each branch, what each of ``steps`` steps of ``make()`` leaves:
+    the state array's bits, ``vehicle_states()`` by ``float.hex``, the
+    sorted positions, the touching columns and the contact log."""
+    envs = [make(), make()]
+    runs = []
+    for env, rows in zip(envs, (10**9, 0)):
+        monkeypatch.setattr(_kernels, "_SCALAR_ROWS", rows)
+        seen = []
+        with np.errstate(all="ignore"):
+            for _ in range(steps):
+                result = env.step(ZERO)
+                states = [(vid, lane, *(float(x).hex() for x in rest))
+                          for vid, (lane, *rest) in env.vehicle_states().items()]
+                seen.append((env._F.view(np.int64).tolist(), states,
+                             [float(s).hex() for s in env._s], list(env._touching),
+                             list(env.collisions_logged)))
+                if result.terminated:
+                    break
+        runs.append(seen)
+    return runs
+
+
+def _edge_env(n, field, value, seed):
+    """``n`` BVs at random on the three lanes of a 400 m road, some near
+    its end, with parameters from the prior box; one step in, so that
+    leaders and gaps are set, ``value`` is written over one kind of field
+    of a third of the columns. The lanes are 10 m wide, and the ego leads
+    the BVs behind it on its lane 2.5 m off their line, so it never
+    collides."""
+    rng = np.random.default_rng(seed)
+    specs = tuple(bv(f"v{k:02d}", f"r{k % 3}", 10.0 + 12.0 * (k // 3)) for k in range(n))
+    env = TrafficEnv(straight_scenario(specs, n_lanes=3, length=400.0, width=10.0,
+                                       ego_lane="lane_1", ego_speed=10.0,
+                                       ego_start_s=395.0))
+    env.reset()
+    env._ego_s, env._ego_d = float(rng.uniform(0.0, 400.0)), 2.5
+    F = env._F
+    for j, lane in enumerate(rng.integers(0, 3, n).tolist()):
+        env._routes[int(F[_RANK, j])] = [(f"lane_{lane}",), 0]
+        F[_LANE, j] = env._code[f"lane_{lane}"]
+    F[_S] = rng.uniform(0.0, 400.0, n)
+    F[_V] = rng.uniform(0.0, 35.0, n)
+    theta = rng.uniform(DEFAULT_PRIOR_LO, DEFAULT_PRIOR_HI, (n, 6))
+    F[_THETA] = np.array([ParamSet(*row).law for row in theta.tolist()]).T
+    env._sort()
+    env._locate_ego()
+    env.step(ZERO)
+    F = env._F
+    cols = rng.choice(F.shape[1], size=max(1, F.shape[1] // 3), replace=False)
+    if field == "law":
+        F[_THETA, cols] = np.array(value)[:, None]
+    elif field == "s":
+        # Level with, or 1 m behind, the next column on the lane.
+        for c in cols.tolist():
+            if c + 1 < F.shape[1] and F[_LANE, c + 1] == F[_LANE, c]:
+                F[_S, c] = F[_S, c + 1] - value
+        env._sort()
+    else:
+        F[{"v": _V, "gap": _GAP}[field], cols] = value
+    return env
+
+
+EDGES = (("law", EXTREME_LAWS[0]), ("law", EXTREME_LAWS[1]), ("v", 0.0), ("v", -0.0),
+         ("v", math.nan), ("gap", math.inf), ("gap", _GAP_EPS), ("gap", math.nan),
+         ("s", 0.0), ("s", 1.0))
+
+
+def test_bv_update_branches_agree_bit_for_bit(monkeypatch):
+    cross = _kernels._SCALAR_ROWS
+    seed = 4127
+    for n in (1, 2, cross - 1, cross, cross + 1, 3 * cross):
+        for field, value in EDGES:
+            seed += 1
+            floats, arrays = _after_each_step(
+                lambda: _edge_env(n, field, value, seed), 3, monkeypatch)
+            assert floats == arrays, f"{field}={value!r}, n={n}"
+
+
+def test_bv_update_takes_the_float_pass_up_to_the_crossover(monkeypatch):
+    calls = []
+    batch_step = _kernels._follower_step_np
+    monkeypatch.setattr(_kernels, "_follower_step_np",
+                        lambda *args: calls.append(len(args[1])) or batch_step(*args))
+    cross = _kernels._SCALAR_ROWS
+    for n in (1, cross, cross + 1):
+        specs = tuple(bv(f"v{k:02d}", f"r{k % 3}", 10.0 + 12.0 * (k // 3)) for k in range(n))
+        env = TrafficEnv(straight_scenario(specs, n_lanes=3))
+        env.reset()
+        assert env._F.shape[1] == n
+        env.step(ZERO)
+    assert calls == [cross + 1]
+
+
+def test_level_and_touching_bvs_across_a_lane_end_agree_on_either_branch(monkeypatch):
+    # On lane a: p and q level at s = 94, r touching t (1 m of overlap)
+    # behind them, and u, w and x parked bumper to bumper (pair gaps of
+    # exactly 0, contacts; u and w stay put). p and q run on across the end
+    # of a onto b.
+    a = Lane("a", [(0.0, 0.0), (100.0, 0.0)], 3.5, successors=("b",))
+    b = Lane("b", [(100.0, 0.0), (400.0, 0.0)], 3.5)
+    c = Lane("c", [(0.0, 50.0), (400.0, 50.0)], 3.5)
+    net = RoadNetwork((a, b, c), sources=("a", "c"), sinks=("b", "c"))
+    place = {"p": (94.0, 12.0), "q": (94.0, 11.0), "r": (80.0, 14.0), "t": (84.0, 9.0),
+             "u": (20.0, 0.0), "w": (25.0, 0.0), "x": (30.0, 0.0)}
+    demand = DemandSpec((Route("rab", ("a", "b")),), tuple(
+        bv(vid, "rab", 10.0 + 10.0 * k, PARKED if vid in "uwx" else CRUISER)
+        for k, vid in enumerate(place)))
+    scenario = Scenario(kind="highway", network=net, demand=demand, dt=0.1,
+                        max_steps=60, seed=0, ego_lane="c")
+
+    def make():
+        env = TrafficEnv(scenario)
+        env.reset()
+        for vid, (s, v) in place.items():
+            j = column_of(env, vid)
+            env._F[_S, j], env._F[_V, j] = s, v
+        env._sort()
+        env._locate_ego()
+        pairs = {tuple(env._ids[int(r)] for r in env._F[_RANK, k:k + 2])
+                 for k in env._touching}
+        assert pairs == {("p", "q"), ("r", "t"), ("u", "w"), ("w", "x")}
+        return env
+
+    floats, arrays = _after_each_step(make, 60, monkeypatch)
+    assert floats == arrays
+    _, states, _, _, logged = floats[-1]
+    assert {vid for vid, lane, *_ in states if lane == "b"} >= {"p", "q"}
+    # q falls behind p in the first step.
+    assert {(entry["rear"], entry["front"]) for entry in logged} >= {
+        ("q", "p"), ("r", "t"), ("u", "w")}

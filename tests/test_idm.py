@@ -333,6 +333,23 @@ def test_trajectory_csv_round_trip(tmp_path):
         assert np.array_equal(getattr(back, name), getattr(tr, name))
 
 
+def test_trajectory_csv_text_is_the_repr_of_every_value(tmp_path):
+    # Runs of equal values (leader speed), signed zeros side by side (0.0
+    # == -0.0, but their text differs) and an infinite gap.
+    n = 12
+    tr = Trajectory(0.1, np.arange(n) * 0.1, np.repeat([3.0, 0.0, -0.0, 0.0], 3),
+                    np.repeat([25.0, 18.0], 6), np.array([1.5] * 4 + [math.inf] * 8),
+                    np.array([0.0, -0.0] * 6))
+    path = tmp_path / "traj.csv"
+    tr.to_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "t,v_ego,v_leader,gap,a_obs"
+    assert lines[1:] == [",".join(map(repr, row)) for row in zip(
+        tr.t.tolist(), tr.v_ego.tolist(), tr.v_leader.tolist(), tr.gap.tolist(),
+        tr.a_obs.tolist())]
+    assert lines[8].split(",")[1:] == ["-0.0", "18.0", "inf", "-0.0"]
+
+
 def test_trajectory_csv_schema_errors(tmp_path):
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("time,v,v2,gap,a\n0,1,1,10,0\n")

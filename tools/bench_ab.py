@@ -1,17 +1,19 @@
 """Paired A/B runs of the benchmark: a base revision against this checkout.
 
-Checks out the base revision into a temporary ``git worktree``, then runs
-each side's own ``perfbench/run.py`` in alternating order (ABBA: base
-first in even pairs, this checkout first in odd ones) over the given
-workloads and seeds, and writes ``BENCH_<label>.json`` at the root of this
-checkout. The worktree is removed afterwards. Run from anywhere inside a
-git checkout:
+Checks out the base revision and a snapshot of this checkout into two
+temporary ``git worktree``s, then runs each side's own
+``perfbench/run.py`` in alternating order (ABBA: base first in even pairs,
+the change first in odd ones) over the given workloads and seeds, and
+writes ``BENCH_<label>.json`` at the root of this checkout. The worktrees
+are removed afterwards. Run from anywhere inside a git checkout:
 
     python tools/bench_ab.py --base HEAD~1 --seconds 25 --seeds 1 2 3
 
-"This checkout" is its working tree as it stands, uncommitted edits
-included; ``--base HEAD`` therefore pairs the last commit with those
-edits, or with itself when there are none.
+The snapshot is this checkout's working tree as it stands: uncommitted
+edits and untracked files are included, ignored files are not. ``--base
+HEAD`` therefore pairs the last commit with those edits, or with itself
+when there are none. Both sides run from fresh worktrees, so neither has
+the checkout's build leftovers or its place on disk.
 
 Per pair the file records, for each side, ``run_s``, ``run_wall_s``,
 ``setup_s``, ``peak_rss_mb``, ``ref_ms``, ``correct``, ``failed`` and the
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import statistics
 import subprocess
@@ -197,9 +200,24 @@ def run_pairs(base_root: Path, change_root: Path, workloads, seeds, seconds: flo
     return pairs
 
 
-def git(*args, cwd=ROOT) -> str:
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
-                          text=True).stdout.strip()
+def git(*args, cwd=ROOT, env=None) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def snapshot(cwd=ROOT) -> str:
+    """A commit, on top of HEAD, of the working tree of the checkout at
+    ``cwd``: what ``git add -A`` would stage. It is built in a temporary
+    index, so the checkout's index, branches and stash stay as they are,
+    and no ref names it."""
+    with tempfile.TemporaryDirectory(prefix="bench_ab-index-") as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=str(Path(tmp) / "index"),
+                   GIT_AUTHOR_NAME="bench_ab", GIT_AUTHOR_EMAIL="bench_ab@localhost",
+                   GIT_COMMITTER_NAME="bench_ab", GIT_COMMITTER_EMAIL="bench_ab@localhost")
+        git("add", "-A", ":/", cwd=cwd, env=env)
+        tree = git("write-tree", cwd=cwd, env=env)
+        return git("commit-tree", tree, "-p", "HEAD", "-m", "working tree snapshot",
+                   cwd=cwd, env=env)
 
 
 def main(argv=None) -> int:
@@ -219,14 +237,18 @@ def main(argv=None) -> int:
     base_rev = git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     label = args.label or base_rev[:7]
     bounds = end_to_end_bounds()
+    revs = {"base": base_rev, "change": snapshot()}
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
-        worktree = Path(tmp) / "base"
-        git("worktree", "add", "--detach", str(worktree), base_rev)
+        roots = {}
         try:
-            pairs = run_pairs(worktree, ROOT, args.workloads, args.seeds, args.seconds,
-                              args.pairs_per_seed, args.size)
+            for side, rev in revs.items():
+                git("worktree", "add", "--detach", str(Path(tmp) / side), rev)
+                roots[side] = Path(tmp) / side
+            pairs = run_pairs(roots["base"], roots["change"], args.workloads, args.seeds,
+                              args.seconds, args.pairs_per_seed, args.size)
         finally:
-            git("worktree", "remove", "--force", str(worktree))
+            for root in roots.values():
+                git("worktree", "remove", "--force", str(root))
     result = {
         "base": base_rev,
         "change": git("rev-parse", "HEAD"),

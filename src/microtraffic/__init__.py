@@ -4,16 +4,17 @@ The package covers the full loop: fit car-following parameters to
 trajectory data with a random-walk Metropolis-Hastings sampler, export
 the posteriors as histograms, sample per-vehicle parameter sets from
 them, and run a gym-style driving environment whose background traffic
-uses those draws.
+uses those draws. ``calibrate`` is the one construction of the
+``calibrate`` verb's chains, from trajectories in memory.
 """
 
 __version__ = "0.1.0"
 
 from .calibration import (DEFAULT_NOISE_SIGMA, Chain, GaussianTarget,
                           ProposalConfig, TargetDensity, autocorrelation,
-                          default_proposal_sigma, mh_step, pooled_histograms,
-                          posterior_histogram, run_chain, run_chains,
-                          synthetic_trajectory)
+                          calibrate, default_proposal_sigma, mh_step,
+                          pooled_histograms, posterior_histogram, run_chain,
+                          run_chains, synthetic_trajectory)
 from .env import Action, StepResult, TrafficEnv
 from .errors import (ConfigurationError, DegenerateSeriesError, EnvUsageError,
                      GenerationError, InputDomainError, MicrotrafficError,

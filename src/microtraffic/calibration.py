@@ -6,15 +6,15 @@ flat box prior on the positive orthant. The proposal kernel is an
 independent Gaussian per coordinate, which is symmetric, so the kernel
 terms cancel exactly in the acceptance ratio.
 
-``run_chains`` is the one sampler. Its chains share one schedule
-(length, burn-in, thinning), and each equals the plain loop of
-:func:`mh_step` calls bit for bit. Trajectory targets of one objective
-and length are scored as one block per iteration: one-step rows by the
-batch law, rollout rows by one Euler rollout each, with the support
-test, RMSE and density shared by the block. Any other target needs only
-a ``log_density(theta)`` method, so toy targets (see
-:class:`GaussianTarget`) can stand in for the trajectory target when
-validating the chain machinery.
+``calibrate`` is the one construction of the ``calibrate`` verb's chains,
+and ``run_chains`` the one sampler. Its chains share one schedule (length,
+burn-in, thinning), and each equals the plain loop of :func:`mh_step`
+calls bit for bit. Trajectory targets of one objective and length are
+scored as one block per iteration: one-step rows by the batch law,
+rollout rows by one Euler rollout each, with the support test, RMSE and
+density shared by the block. Any other target needs only a
+``log_density(theta)`` method, so toy targets (see :class:`GaussianTarget`)
+can stand in for the trajectory target when validating the chain machinery.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ DEFAULT_NOISE_SIGMA = 0.3
 #: Flat prior box, open at zero: a_max, a_comf, v_des, d_min, T, delta.
 DEFAULT_PRIOR_LO = np.zeros(6)
 DEFAULT_PRIOR_HI = np.array([6.0, 8.0, 60.0, 100.0, 5.0, 10.0])
+#: Ceiling of the samples ``calibrate`` keeps over all its chains (files
+#: times kept iterations): about 136 bytes each in memory, with their
+#: histograms and autocorrelations. A long run fits when thinned.
+MAX_KEPT_SAMPLES = 4_000_000
 
 
 def default_proposal_sigma() -> np.ndarray:
@@ -199,9 +203,9 @@ def mh_step(theta_curr, target, sigma, rng: np.random.Generator,
             logp_curr: float | None = None) -> MHStep:
     """One Metropolis-Hastings step from ``theta_curr``.
 
-    Nothing in the package calls it: it is the plain single-chain step
-    that the tests loop over as the reference ``run_chains`` must match
-    bit for bit, and the benchmark's tracer counts steps by wrapping it.
+    Nothing in the package calls it: it is the tests' single-chain step,
+    the reference ``run_chains`` matches bit for bit. The name stays for
+    the benchmark's tracer, whose step counts by wrapping it now read 0.
 
     ``sigma`` is the effective proposal scale array; a zero entry leaves
     its coordinate untouched. The kernel is symmetric, so the acceptance
@@ -455,6 +459,24 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
     names = PARAM_NAMES if dim == len(PARAM_NAMES) else tuple(f"p{k}" for k in range(dim))
     return [Chain(s, lt, iterations, acc, n, cfg, names) for s, lt, acc, n, cfg
             in zip(samples, log_targets, accepted_at, accept_count, cfgs)]
+
+
+def calibrate(trajectories, *, seed, n_iter, burn_in, thin, noise_sigma, objective,
+              pin_delta) -> list[Chain]:
+    """The ``calibrate`` verb's chains, one per trajectory in input order, seeded in
+    turn from ``default_rng(seed)``, started at the prior box's centre, run together."""
+    master = np.random.default_rng(seed)
+    targets = [TargetDensity(t, noise_sigma, objective=objective) for t in trajectories]
+    if not targets:
+        raise InputDomainError("calibrate needs at least one trajectory")
+    cfgs = [ProposalConfig(default_proposal_sigma(), n_iter, seed=int(master.integers(2 ** 63)),
+                           burn_in=burn_in, thin=thin, pin_delta=pin_delta) for _ in targets]
+    n_kept = cfgs[0].n_kept
+    if len(cfgs) * n_kept > MAX_KEPT_SAMPLES:
+        raise InputDomainError(
+            f"calibrate would keep {n_kept} samples for each of {len(cfgs)} files, "
+            f"more than {MAX_KEPT_SAMPLES} in all; raise --thin or --burn-in")
+    return run_chains(targets, cfgs, 0.5 * (DEFAULT_PRIOR_LO + DEFAULT_PRIOR_HI))
 
 
 def run_chain(target, cfg: ProposalConfig, theta_init) -> Chain:

@@ -3,7 +3,7 @@
 Verbs:
 
 * ``gen-synthetic`` - follower trajectories from a known parameter set
-* ``calibrate``     - MCMC chains, posterior histograms and diagnostics
+* ``calibrate``     - ``calibration.calibrate()`` chains, posterior histograms, diagnostics
 * ``sample-params`` - parameter table drawn from posterior histograms
 * ``build-demand``  - per-vehicle demand file for a road network
 * ``simulate``      - one environment episode under a chosen policy
@@ -41,11 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _kernels
-from .calibration import (DEFAULT_NOISE_SIGMA, DEFAULT_PRIOR_HI,
-                          DEFAULT_PRIOR_LO, Chain, ProposalConfig,
-                          TargetDensity, autocorrelation,
-                          default_proposal_sigma, pooled_histograms,
-                          run_chains, synthetic_trajectory)
+from .calibration import (DEFAULT_NOISE_SIGMA, autocorrelation, calibrate,
+                          pooled_histograms, synthetic_trajectory)
 from .env import Action, TrafficEnv
 from .errors import (ConfigurationError, DegenerateSeriesError, InputDomainError,
                      MicrotrafficError, PolicyProtocolError, checked, read_json_object)
@@ -116,10 +113,6 @@ MAX_N_VEHICLES = 100_000
 #: Ceiling of ``build-demand --n-routes``: a route takes about 1.6 kB and a
 #: shortest-path search (about 30 us on the bundled urban grid).
 MAX_N_ROUTES = 100_000
-#: Ceiling of the samples ``calibrate`` keeps over all its chains (files
-#: times kept iterations): about 136 bytes each in memory, with their
-#: histograms and autocorrelations. A long run fits when thinned.
-MAX_KEPT_SAMPLES = 4_000_000
 
 #: Per verb: its help line, its inputs (the flags naming what it reads,
 #: each required, from the command line or ``--config``) and its options,
@@ -448,31 +441,14 @@ def cmd_calibrate(args) -> int:
             raise ConfigurationError(
                 f"--data {other} and {path} share the stem {path.stem!r}, "
                 "which names their outputs")
-    master = np.random.default_rng(args.seed)
-    sigma = default_proposal_sigma()
-    theta_init = 0.5 * (DEFAULT_PRIOR_LO + DEFAULT_PRIOR_HI)
-
-    targets, cfgs = [], []
-    for path in files:
-        traj = Trajectory.from_csv(path)
-        targets.append(TargetDensity(traj, noise_sigma=args.noise_sigma,
-                                     objective=args.objective))
-        cfgs.append(ProposalConfig(sigma_prop=sigma, n_iter=args.n_iter,
-                                   seed=int(master.integers(2 ** 63)),
-                                   burn_in=args.burn_in, thin=args.thin,
-                                   pin_delta=args.pin_delta))
-    n_kept = cfgs[0].n_kept
-    if len(files) * n_kept > MAX_KEPT_SAMPLES:
-        raise InputDomainError(
-            f"calibrate would keep {n_kept} samples for each of {len(files)} files, "
-            f"more than {MAX_KEPT_SAMPLES} in all; raise --thin or --burn-in")
+    chains = dict(zip(by_stem, calibrate(
+        [Trajectory.from_csv(path) for path in files], seed=args.seed, n_iter=args.n_iter,
+        burn_in=args.burn_in, thin=args.thin, noise_sigma=args.noise_sigma,
+        objective=args.objective, pin_delta=args.pin_delta)))
     out = _out_dir(args)
-    chains: dict[str, Chain] = {}
-    summary: dict[str, dict] = {}
-    for path, chain in zip(files, run_chains(targets, cfgs, theta_init)):
-        stem = Path(path).stem
+    summary = {}
+    for stem, chain in chains.items():
         chain.to_csv(out / f"{stem}.chain.csv")
-        chains[stem] = chain
         summary[stem] = {
             "acceptance_rate": chain.acceptance_rate,
             "posterior_mean": dict(zip(chain.param_names,

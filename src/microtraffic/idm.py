@@ -187,9 +187,7 @@ class Trajectory:
                 text = fh.read()
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not valid UTF-8 text: {exc}") from None
-        values = _plain_csv_values(text)
-        if values is None:
-            values = _csv_values(path, text)
+        values = _csv_values(path, text)
         width = len(TRAJECTORY_COLUMNS)
         n = len(values) // width
         if n < 2:
@@ -208,27 +206,6 @@ def _column_text(values):
     if len(texts) == values.size:
         return texts
     return [texts[run] for run in (np.cumsum(first) - 1).tolist()]
-
-
-def _plain_csv_values(text):
-    """The values of the data rows of ``text``, row after row, if it has the
-    plain layout ``Trajectory.to_csv`` writes (the header line, then rows of
-    five fields, no quotes or carriage returns) and every field is a float;
-    else None. On such text ``csv.reader`` splits each line at its commas
-    and yields no row for an empty line, so these are the floats
-    ``_csv_values`` reads, each parsed by ``float`` from the same field."""
-    if '"' in text or "\r" in text:
-        return None
-    header, _, body = text.partition("\n")
-    if header != ",".join(TRAJECTORY_COLUMNS):
-        return None
-    rows = [row for row in body.split("\n") if row]
-    if any(row.count(",") != len(TRAJECTORY_COLUMNS) - 1 for row in rows):
-        return None
-    try:
-        return list(map(float, ",".join(rows).split(",")))
-    except ValueError:
-        return None
 
 
 def _csv_values(path, text) -> list:

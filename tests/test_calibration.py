@@ -13,9 +13,10 @@ from microtraffic import (DegenerateSeriesError, FollowingState,
                           pooled_histograms, posterior_histogram,
                           rmse_objective, rollout_follower, run_chain,
                           run_chains, synthetic_trajectory)
-from microtraffic import _kernels
+from microtraffic import _kernels, calibration
 from microtraffic.calibration import (DEFAULT_PRIOR_HI, DEFAULT_PRIOR_LO,
-                                      Chain, _TargetBatch)
+                                      MAX_KEPT_SAMPLES, Chain, _TargetBatch,
+                                      calibrate)
 from test_kernels import EXTREME_THETAS
 
 
@@ -428,6 +429,28 @@ def test_run_chains_gaussian_targets_match_single_chains():
         assert chain.iterations.tobytes() == alone.iterations.tobytes()
         assert chain.accepted.tobytes() == alone.accepted.tobytes()
         assert chain.accept_count == alone.accept_count
+
+
+CALIBRATE_OPTIONS = dict(seed=1, burn_in=None, thin=1, noise_sigma=0.3,
+                         objective="one-step", pin_delta=None)
+
+
+def test_calibrate_checks_kept_samples_before_any_chain(monkeypatch):
+    def no_chains(*args):
+        raise AssertionError("chains ran before the kept samples were checked")
+
+    monkeypatch.setattr(calibration, "run_chains", no_chains)
+    trajectories = [target.obs for target in synthetic_targets([30, 30, 30])]
+    n_kept = MAX_KEPT_SAMPLES // 3 + 1
+    with pytest.raises(InputDomainError, match=(
+            f"^calibrate would keep {n_kept} samples for each of 3 files, more than "
+            f"{MAX_KEPT_SAMPLES} in all; raise --thin or --burn-in$")):
+        calibrate(trajectories, n_iter=n_kept, **{**CALIBRATE_OPTIONS, "burn_in": 0})
+
+
+def test_calibrate_needs_a_trajectory():
+    with pytest.raises(InputDomainError, match="at least one trajectory"):
+        calibrate([], n_iter=10, **CALIBRATE_OPTIONS)
 
 
 def test_run_chains_validation():

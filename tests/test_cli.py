@@ -17,7 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from microtraffic import Action, ParamSet, TrafficEnv, Trajectory, cli
+from microtraffic import Action, ParamSet, TrafficEnv, Trajectory, calibration, cli
+from microtraffic.calibration import MAX_KEPT_SAMPLES, calibrate
 from microtraffic.cli import (DEFAULT_PARAMS, POLICY_NAMES, BuiltinIdmEgoPolicy,
                               ExternalStdioPolicy, ZeroActionPolicy,
                               _parse_params, _parse_pin, main)
@@ -302,22 +303,56 @@ def test_calibrate_malformed_csv_names_row(tmp_path, capsys):
     (("--n-bins", cli.MAX_N_BINS + 1),
      f"n_bins must be <= {cli.MAX_N_BINS}, got {cli.MAX_N_BINS + 1}"),
     (("--n-iter", 10**12), f"calibrate would keep {8 * 10**11} samples for each of 2 "
-     f"files, more than {cli.MAX_KEPT_SAMPLES} in all; raise --thin or --burn-in"),
-    (("--n-iter", cli.MAX_KEPT_SAMPLES // 2 + 1, "--burn-in", 0),
-     f"calibrate would keep {cli.MAX_KEPT_SAMPLES // 2 + 1} samples for each of 2 "
-     f"files, more than {cli.MAX_KEPT_SAMPLES} in all; raise --thin or --burn-in"),
+     f"files, more than {MAX_KEPT_SAMPLES} in all; raise --thin or --burn-in"),
+    (("--n-iter", MAX_KEPT_SAMPLES // 2 + 1, "--burn-in", 0),
+     f"calibrate would keep {MAX_KEPT_SAMPLES // 2 + 1} samples for each of 2 "
+     f"files, more than {MAX_KEPT_SAMPLES} in all; raise --thin or --burn-in"),
 ])
 def test_calibrate_checks_diagnostic_options_before_any_chain(
         tmp_path, synthetic_dir, capsys, monkeypatch, flags, message):
     def no_chains(*args):
         raise AssertionError("chains ran before the options were checked")
 
-    monkeypatch.setattr(cli, "run_chains", no_chains)
+    monkeypatch.setattr(calibration, "run_chains", no_chains)
     out = tmp_path / "calib"
     rc = run_cli("calibrate", "--data", synthetic_dir, "--n-iter", 50, *flags,
                  "--out", out)
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("objective", ["one-step", "rollout"])
+def test_calibrate_function_gives_the_chains_the_verb_writes(tmp_path, synthetic_dir,
+                                                            objective):
+    out = tmp_path / "calib"
+    assert run_cli("calibrate", "--data", synthetic_dir, "--n-iter", 60, "--burn-in", 10,
+                   "--thin", 3, "--objective", objective, "--seed", 5, "--out", out) == 0
+    files = sorted(synthetic_dir.glob("*.csv"))
+    chains = calibrate([Trajectory.from_csv(path) for path in files], seed=5, n_iter=60,
+                       burn_in=10, thin=3, noise_sigma=calibration.DEFAULT_NOISE_SIGMA,
+                       objective=objective, pin_delta=None)
+    assert len(chains) == len(files) == 2
+    for path, chain in zip(files, chains):
+        lines = (out / f"{path.stem}.chain.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(chain) == 17
+        for line, it, theta, logp, acc in zip(lines, chain.iterations.tolist(),
+                                              chain.samples.tolist(),
+                                              chain.log_targets.tolist(),
+                                              chain.accepted.tolist()):
+            fields = line.split(",")
+            assert int(fields[0]) == it and int(fields[-1]) == acc
+            assert [float(x).hex() for x in fields[1:-1]] == [
+                x.hex() for x in theta + [logp]]
+
+
+def test_calibrate_sampler_error_leaves_no_out_dir(tmp_path, synthetic_dir, capsys):
+    # delta pinned above the prior box puts the initial point outside it.
+    out = tmp_path / "calib"
+    rc = run_cli("calibrate", "--data", synthetic_dir, "--n-iter", 10,
+                 "--pin-delta", 20, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == "error: initial point has zero target density\n"
     assert not out.exists()
 
 
@@ -497,6 +532,7 @@ def test_calibrate_on_a_huge_csv_value_prints_only_the_error(tmp_path):
     out = _child_cli("calibrate", "--data", data, "--n-iter", 20, "--out", tmp_path / "cal")
     assert (out.returncode, out.stderr) == (
         2, "error: initial point has zero target density\n")
+    assert not (tmp_path / "cal").exists()
 
 
 def test_simulate_with_overflowing_background_law_prints_nothing(tmp_path):

@@ -247,11 +247,15 @@ def test_episode_matches_reference_stepper(name, seed, n_vehicles, n_steps, late
 
 @pytest.mark.parametrize("name, seed, n_vehicles", [("highway_curve", 0, 30),
                                                     ("highway_curve", 5, 30),
-                                                    ("highway_curve", 5, 45)])
+                                                    ("highway_curve", 5, 45),
+                                                    ("urban_grid", 32, 50),
+                                                    ("urban_grid", 18, 70)])
 def test_episode_above_the_law_crossover_matches_reference_stepper(name, seed, n_vehicles):
     # The random episodes above hold at most _SCALAR_ROWS BVs, so the
     # background traffic always steps on the scalar law; these reach the
     # batch law and keep going while BVs reach the end of their routes.
+    # The urban cases peak at 41 and 47 live BVs, more than twice the
+    # present crossover, so they reach the batch law if it is raised.
     most_live, exited = assert_episode_matches_reference(name, seed, n_vehicles, 300, 0.0)
     assert most_live > _kernels._SCALAR_ROWS
     assert exited > 0

@@ -25,15 +25,15 @@ callers instead of ``dv``: the scalar law's ``v * dv / b2`` multiplies
 first, so a product formed once (``TargetDensity`` and the lockstep batch
 form it when they are built, from data alone) has the bits the law would
 compute, and ``_follower_step_np`` forms ``v * (v - v_lead)`` itself. Its
-terms go, in the scalar law's order, into two buffers the caller owns
-(the lockstep batch allocates its ``(K, n)`` pair once) or into two
-arrays of its own; an IEEE operation gives the same bits whichever array
-it writes to.
+terms go, in the scalar law's order, into the lockstep batch's two
+``(K, n)`` buffers or into two arrays of its own; an IEEE operation gives
+the same bits whichever array it writes to.
 
 Both laws take ``(a_max, b2, v_des, d_min, T, delta)``, the desired-gap
 denominator ``b2 = 2.0 * sqrt(a_max * a_comf)`` in place of ``a_comf``:
 ``_law`` builds it from six floats (``ParamSet.law``), ``_rmse_one_step_np``
-from arrays; ``math.sqrt`` and ``np.sqrt`` are both correctly rounded. The
+and the lockstep batch with numpy; ``math.sqrt`` and ``np.sqrt`` are both
+correctly rounded. The
 scalar law runs on Python floats, not the slower numpy scalars: ``**`` on
 them is the same libm ``pow`` as on ``np.float64``, and the rest is
 correctly rounded IEEE arithmetic either way. Where Python floats raise
@@ -191,32 +191,17 @@ def _follower_step_np(law, v, v_lead, gap, dt):
 _SCALAR_ROWS = 16
 
 
-def _rmse_np(err, out=None):
-    """Root mean square along the last axis, squaring ``err`` in place; each
-    row of a C-contiguous block gets the pairwise sum it would get alone.
-    The sums, mean and root go into ``out`` (one float64 per row), or into
-    an array of its own."""
+def _rmse_np(err):
+    """Root mean square of the 1-D ``err``, squaring it in place: np.mean's
+    own pairwise sum and divide, without its Python-level checks."""
     err *= err
-    if out is None:
-        out = np.empty(err.shape[:-1])
-    # np.mean's own pairwise sum and divide, without its Python-level checks.
-    np.add.reduce(err, axis=-1, out=out)
-    np.divide(out, err.shape[-1], out=out)
-    return np.sqrt(out, out=out)
-
-
-def _one_step_np(theta, v, vdv, gap, out=None, tmp=None):
-    """One-step predicted accelerations at ``theta``, shape ``(6,)``, or
-    ``(6, K, 1)`` for ``(K, n)`` samples; ``vdv`` is ``v * dv``, and
-    ``out`` and ``tmp`` are as in ``_accel_series_np``."""
-    a_max, a_comf, *rest = theta
-    law = (a_max, 2.0 * np.sqrt(a_max * a_comf), *rest)
-    return _accel_series_np(law, v, vdv, gap, out, tmp)
+    return np.sqrt(np.add.reduce(err) / err.size)
 
 
 def _rmse_one_step_np(theta, v, vdv, gap, a_obs):
-    """One-step prediction RMSE of ``a_obs`` along the last axis at
-    ``theta``, shaped as for ``_one_step_np``."""
-    pred = _one_step_np(theta, v, vdv, gap)
+    """One-step prediction RMSE of ``a_obs`` at the 6-vector ``theta``;
+    ``vdv`` is ``v * dv``."""
+    a_max, a_comf, *rest = theta
+    pred = _accel_series_np((a_max, 2.0 * np.sqrt(a_max * a_comf), *rest), v, vdv, gap)
     pred -= a_obs
     return _rmse_np(pred)

@@ -7,12 +7,12 @@ independent Gaussian per coordinate, which is symmetric, so the kernel
 terms cancel exactly in the acceptance ratio.
 
 ``calibrate`` is the one construction of the ``calibrate`` verb's chains,
-and ``run_chains`` the one sampler. Its chains share one schedule (length,
-burn-in, thinning), and each equals the plain loop of :func:`mh_step`
-calls bit for bit. Trajectory targets of one objective and length are
-scored as one block per iteration: one-step rows by the batch law,
-rollout rows by one Euler rollout each, with the support test, RMSE and
-density shared by the block. Any other target needs only a
+and ``run_chains`` the one sampler: chains on one schedule (length,
+burn-in, thinning), each equal to the plain loop of :func:`mh_step` calls
+bit for bit. Per iteration, the trajectory targets of one objective and
+length score their proposals as one numpy block (``_TargetBatch``), and
+one Python loop over the chains turns the block's row sums into log
+densities and runs each accept test. Any other target needs only a
 ``log_density(theta)`` method, so toy targets (see :class:`GaussianTarget`)
 can stand in for the trajectory target when validating the chain machinery.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -108,6 +108,14 @@ class ProposalConfig:
         return len(range(self.burn_in, self.n_iter, self.thin))
 
 
+def _checked_noise_sigma(noise_sigma) -> float:
+    noise_sigma = checked(float, noise_sigma, "noise_sigma", low=0.0, strict=True)
+    # The likelihood's noise_sigma ** 2 must be a float > 0: 1.5e-162 to 1.3e154.
+    if not 0.0 < noise_sigma * noise_sigma < math.inf:
+        raise InputDomainError(f"noise_sigma must have a finite, nonzero square, got {noise_sigma!r}")
+    return noise_sigma
+
+
 class TargetDensity:
     """Unnormalised log-posterior for driver parameters given a trajectory.
 
@@ -121,10 +129,7 @@ class TargetDensity:
                  prior_lo=None, prior_hi=None, objective: str = "one-step"):
         if len(obs) == 0:
             raise InputDomainError("target density needs a non-empty trajectory")
-        noise_sigma = checked(float, noise_sigma, "noise_sigma", low=0.0, strict=True)
-        # The likelihood's noise_sigma ** 2 must be a float > 0: 1.5e-162 to 1.3e154.
-        if not 0.0 < noise_sigma * noise_sigma < math.inf:
-            raise InputDomainError(f"noise_sigma must have a finite, nonzero square, got {noise_sigma!r}")
+        noise_sigma = _checked_noise_sigma(noise_sigma)
         lo = DEFAULT_PRIOR_LO.copy() if prior_lo is None else np.ascontiguousarray(prior_lo, dtype=np.float64)
         hi = DEFAULT_PRIOR_HI.copy() if prior_hi is None else np.ascontiguousarray(prior_hi, dtype=np.float64)
         if lo.shape != (6,) or hi.shape != (6,):
@@ -297,74 +302,62 @@ class _TargetBatch:
     """``TargetDensity`` chains of one objective and trajectory length,
     scored as one ``(K, n)`` block per iteration.
 
-    Only the prediction block depends on the objective. One-step rows get
-    the batch law with theta as ``(K, 1)`` columns, evaluated in place into
-    two ``(K, n)`` buffers the batch allocates once, from the products
-    ``v * dv`` it forms once: the law's ``v * dv / b2`` multiplies first,
-    so the hoisted product has the bits the per-row law computes. Rollout
-    rows get one ``_rollout_loop`` each, run only for rows in the support,
-    and a row whose gap collapsed (or that was not rolled out) becomes NaN,
-    which the shared tail maps to -inf. The tail (residual, ``_rmse_np``,
-    ``neg_scale * rmse * rmse``, the support and finiteness mask) is the
-    one ``TargetDensity.log_density`` runs per row, in place on the
-    prediction block and on ``(K,)`` buffers of the batch: the row sums
-    of a C-contiguous block equal the 1-D pairwise sums, ``neg_scale *
-    rmse`` is ``-scale * rmse``, and a NaN or inf RMSE is -inf on both
-    paths. Every buffer is overwritten in full by each call, and the
-    returned array is a new one, so no call sees another's values.
+    Built once per run on ``theta``, the batch's ``(K, 6)`` rows of the
+    proposal block, and on its ``(K,)`` slices of the run's ``sums`` and
+    ``inside``. ``score()`` overwrites both: each row's support test, and
+    its sum of squared residuals (a pairwise row sum of a C-contiguous
+    block, equal to the 1-D sum ``TargetDensity.rmse`` takes). One-step
+    rows get the batch law on the ``(K, 1)`` columns of ``theta`` and a
+    ``b2`` buffer, in place into two ``(K, n)`` buffers, from ``v * dv``
+    formed once (the law multiplies it first, so the bits hold), and are
+    discarded outside the support. Rollout rows get one ``_rollout_loop``
+    each, in the support only; a collapsed or skipped row is NaN.
     """
 
-    def __init__(self, rows, targets):
-        # A run of consecutive chains is sliced, not fancy-indexed.
-        contiguous = rows[-1] - rows[0] == len(rows) - 1
-        self.rows = slice(rows[0], rows[-1] + 1) if contiguous else np.array(rows)
+    def __init__(self, targets, theta, sums, inside):
+        self.theta, self.sums, self.inside = theta, sums, inside
+        self.lo, self.hi, self.a_obs = (np.stack([getattr(t, name) for t in targets])
+                                        for name in ("_lo", "prior_hi", "_a_obs"))
+        self.above, self.below = np.empty((2, *theta.shape), dtype=bool)
         self.rollout = targets[0].objective == "rollout"
         if self.rollout:
             self.starts = [t._rollout[:4] for t in targets]
             self.nan_row = [math.nan] * len(targets[0].obs)
         else:
-            self.v = np.stack([t._v for t in targets])
-            self.vdv = np.stack([t._vdv for t in targets])
-            self.gap = np.stack([t._gap for t in targets])
-            self.out = np.empty_like(self.v)
-            self.tmp = np.empty_like(self.v)
-        self.a_obs = np.stack([t._a_obs for t in targets])
-        self.lo = np.stack([t._lo for t in targets])
-        self.hi = np.stack([t.prior_hi for t in targets])
-        self.neg_scale = -np.array([t._scale for t in targets])
-        self.rmse = np.empty(len(targets))
-        self.logp = np.empty(len(targets))
-        self.mask = np.empty(len(targets), dtype=bool)
+            a_max, self.a_comf, *rest = (theta[:, k:k + 1] for k in range(6))
+            self.b2 = np.empty((len(targets), 1))
+            self.law = (a_max, self.b2, *rest)
+            self.v, self.vdv, self.gap = (np.stack([getattr(t, name) for t in targets])
+                                          for name in ("_v", "_vdv", "_gap"))
+            self.out, self.tmp = np.empty((2, *self.v.shape))
 
-    def _predictions(self, theta, ok) -> np.ndarray:
-        if not self.rollout:
-            # Rows outside the support are predicted too and then discarded.
-            return _kernels._one_step_np(theta.T[:, :, None], self.v, self.vdv, self.gap,
-                                         self.out, self.tmp)
-        n = len(self.nan_row)
-        accs = []
-        for row, inside, (lead, v0, gap0, dt) in zip(theta.tolist(), ok.tolist(), self.starts):
-            a = _kernels._rollout_loop(_kernels._law(row), lead, v0, gap0, dt) if inside else ()
-            accs.append(a if len(a) == n else self.nan_row)
-        # One conversion of every row; ``fromiter`` skips ``np.array``'s
-        # pass that discovers the shape and type of nested lists.
-        flat = itertools.chain.from_iterable(accs)
-        return np.fromiter(flat, np.float64, len(accs) * n).reshape(-1, n)
-
-    def log_densities(self, theta) -> np.ndarray:
-        """``log_density`` of each row of ``theta`` under its own target, as
-        a new array."""
-        # ``.all(axis=1)`` without its Python-level wrapper.
-        ok = np.logical_and.reduce((theta >= self.lo) & (theta <= self.hi), axis=1)
-        with np.errstate(all="ignore"):
-            pred = self._predictions(theta, ok)
-            np.subtract(pred, self.a_obs, out=pred)
-            rmse = _kernels._rmse_np(pred, self.rmse)
-            logp = np.multiply(self.neg_scale, rmse, out=self.logp)
-            logp *= rmse
-        mask = np.isfinite(rmse, out=self.mask)
-        mask &= ok
-        return np.where(mask, logp, -math.inf)
+    def score(self) -> None:
+        """Support flags into ``inside`` and squared-residual sums into
+        ``sums``, for the rows ``theta`` holds now."""
+        np.greater_equal(self.theta, self.lo, out=self.above)
+        np.less_equal(self.theta, self.hi, out=self.below)
+        self.above &= self.below
+        np.logical_and.reduce(self.above, axis=1, out=self.inside)
+        if self.rollout:
+            n = len(self.nan_row)
+            accs = []
+            for row, inside, (lead, v0, gap0, dt) in zip(
+                    self.theta.tolist(), self.inside.tolist(), self.starts):
+                a = _kernels._rollout_loop(_kernels._law(row), lead, v0, gap0, dt) if inside else ()
+                accs.append(a if len(a) == n else self.nan_row)
+            # One conversion of every row; ``fromiter`` skips ``np.array``'s
+            # pass that discovers the shape and type of nested lists.
+            flat = itertools.chain.from_iterable(accs)
+            pred = np.fromiter(flat, np.float64, len(accs) * n).reshape(-1, n)
+        else:
+            b2 = np.multiply(self.law[0], self.a_comf, out=self.b2)
+            np.sqrt(b2, out=b2)
+            b2 *= 2.0
+            pred = _kernels._accel_series_np(self.law, self.v, self.vdv, self.gap,
+                                             self.out, self.tmp)
+        np.subtract(pred, self.a_obs, out=pred)
+        pred *= pred
+        np.add.reduce(pred, axis=1, out=self.sums)
 
 
 def run_chains(targets, cfgs, theta_init) -> list[Chain]:
@@ -377,14 +370,17 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
     order (``standard_normal(dim)``, then one ``random()`` per iteration,
     in or out of support), its target values come from the same
     floating-point operations, and its accept test is ``math.log`` on
-    Python floats. Each iteration proposes a K x dim block. The
-    ``TargetDensity`` chains of one objective and trajectory length are
-    scored as one block (``_TargetBatch``): one support test, one
-    prediction block (the batch law for one-step rows, one
-    ``_rollout_loop`` per in-support rollout row) and one shared RMSE
-    and density tail. Any other target is scored by its own
-    ``log_density``. Each kept iteration is one write per block of shape
-    ``(K, n_kept, ...)``; chain c holds row c of each as a contiguous view.
+    Python floats.
+
+    Set up once: the blocks, one ``_TargetBatch`` per objective and length
+    of the ``TargetDensity`` chains (whose rows come first, one slice of
+    every block per batch) and one ``np.errstate`` for them; any other
+    target's ``log_density`` runs under the caller's. Per iteration the
+    batches score the proposal block, then one loop over the chains makes
+    ``-scale * r * r``, ``r = math.sqrt(s / n)``, of each batched row sum
+    (-inf outside the box or for a non-finite ``r``), draws ``random()``,
+    tests, and draws the next proposal. A kept iteration is one write per
+    ``(K, n_kept, ...)`` block; each chain holds a row of each as a view.
     """
     targets = list(targets)
     cfgs = list(cfgs)
@@ -404,6 +400,15 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
         if cfg.sigma_prop.size != dim or target_dim != dim:
             raise InputDomainError(f"init point has dim {dim}, proposal config has "
                                    f"{cfg.sigma_prop.size}, target has {target_dim}")
+    groups: dict[tuple, list] = {}
+    for c, t in enumerate(targets):
+        key = (t.objective, len(t.obs)) if isinstance(t, TargetDensity) else ()
+        groups.setdefault(key, []).append(c)
+    rest = groups.pop((), [])
+    # Row k of every block is chain ``order[k]``.
+    order = [c for rows in groups.values() for c in rows] + rest
+    targets = [targets[c] for c in order]
+    cfgs = [cfgs[c] for c in order]
     theta = np.tile(theta0, (len(cfgs), 1))
     for row, cfg in zip(theta, cfgs):
         if cfg.pin_delta is not None:
@@ -414,78 +419,87 @@ def run_chains(targets, cfgs, theta_init) -> list[Chain]:
 
     rngs = [np.random.default_rng(cfg.seed) for cfg in cfgs]
     sigma = np.array([cfg.effective_sigma for cfg in cfgs])
-    groups: dict[tuple, list] = {}
-    others = []
-    for c, t in enumerate(targets):
-        if isinstance(t, TargetDensity):
-            groups.setdefault((t.objective, len(t.obs)), []).append(c)
-        else:
-            others.append(c)
-    batches = [_TargetBatch(rows, [targets[c] for c in rows]) for rows in groups.values()]
+    prop = np.empty_like(theta)
+    sums = np.zeros(len(cfgs))
+    inside = np.zeros(len(cfgs), dtype=bool)
+    batches = []
+    stop = 0
+    for rows in groups.values():
+        start, stop = stop, stop + len(rows)
+        batches.append(_TargetBatch(targets[start:stop], prop[start:stop],
+                                    sums[start:stop], inside[start:stop]))
+    others = list(enumerate(targets))[stop:]
+    # Each row's sample count and ``-scale``; zero for any other target.
+    ns = [len(t.obs) if k < stop else 0 for k, t in enumerate(targets)]
+    neg_scales = [-t._scale if k < stop else 0.0 for k, t in enumerate(targets)]
     iterations = np.arange(burn_in, n_iter, thin, dtype=np.int64)
     samples = np.empty((len(cfgs), iterations.size, dim))
     log_targets = np.empty((len(cfgs), iterations.size))
     accepted_at = np.empty((len(cfgs), iterations.size), dtype=bool)
     accept_count = [0] * len(cfgs)
-    z = np.empty_like(theta)
+    accepted = [False] * len(cfgs)
+    z = np.array([rng.standard_normal(dim) for rng in rngs])
     z_rows = list(z)
-    prop = np.empty_like(theta)
-    logp_prop = np.empty(len(cfgs))
-    for i in range(n_iter):
-        for rng, row in zip(rngs, z_rows):
-            rng.standard_normal(out=row)
-        # theta + sigma * z, into the one proposal block.
-        np.multiply(sigma, z, out=prop)
-        np.add(theta, prop, out=prop)
-        for batch in batches:
-            logp_prop[batch.rows] = batch.log_densities(prop[batch.rows])
-        lp = logp_prop.tolist()
-        for c in others:
-            lp[c] = float(targets[c].log_density(prop[c]))
-        accepted = []
-        for c, rng in enumerate(rngs):
-            u = rng.random()
-            accept = lp[c] > -math.inf and math.log(u) < lp[c] - logp[c]
-            if accept:
-                theta[c] = prop[c]
-                logp[c] = lp[c]
-                accept_count[c] += 1
-            accepted.append(accept)
-        if i >= burn_in and (i - burn_in) % thin == 0:
-            j = (i - burn_in) // thin
-            samples[:, j] = theta
-            log_targets[:, j] = logp
-            accepted_at[:, j] = accepted
+    caller = np.geterr()
+    sqrt, log, inf = math.sqrt, math.log, math.inf
+    with np.errstate(all="ignore"):
+        for i in range(n_iter):
+            # theta + sigma * z, into the one proposal block.
+            np.multiply(sigma, z, out=prop)
+            np.add(theta, prop, out=prop)
+            for batch in batches:
+                batch.score()
+            lp = sums.tolist()
+            if others:
+                with np.errstate(**caller):
+                    for c, t in others:
+                        lp[c] = float(t.log_density(prop[c]))
+            for c, (rng, s, ok, n, neg_scale, z_row) in enumerate(zip(
+                    rngs, lp, inside.tolist(), ns, neg_scales, z_rows)):
+                if n:
+                    r = sqrt(s / n)
+                    s = neg_scale * r * r if ok and r < inf else -inf
+                u = rng.random()
+                # The stream's next draw: the next iteration's proposal.
+                rng.standard_normal(out=z_row)
+                accept = s > -inf and log(u) < s - logp[c]
+                if accept:
+                    theta[c] = prop[c]
+                    logp[c] = s
+                    accept_count[c] += 1
+                accepted[c] = accept
+            j, skipped = divmod(i - burn_in, thin)
+            if i >= burn_in and not skipped:
+                samples[:, j] = theta
+                log_targets[:, j] = logp
+                accepted_at[:, j] = accepted
     names = PARAM_NAMES if dim == len(PARAM_NAMES) else tuple(f"p{k}" for k in range(dim))
-    return [Chain(s, lt, iterations, acc, n, cfg, names) for s, lt, acc, n, cfg
-            in zip(samples, log_targets, accepted_at, accept_count, cfgs)]
+    chains = [Chain(s, lt, iterations, acc, n, cfg, names) for s, lt, acc, n, cfg
+              in zip(samples, log_targets, accepted_at, accept_count, cfgs)]
+    return [chains[k] for k in np.argsort(order)]
 
 
 def calibrate(trajectories, *, seed, n_iter, burn_in, thin, noise_sigma, objective,
               pin_delta) -> list[Chain]:
     """The ``calibrate`` verb's chains, one per trajectory in input order, seeded in
-    turn from ``default_rng(seed)``, started at the prior box's centre, run together."""
+    turn from ``default_rng(seed)``, started at the prior box's centre, run together.
+    ``trajectories`` may be lazy: the schedule and ``noise_sigma`` are checked first."""
     master = np.random.default_rng(seed)
+    cfg = ProposalConfig(default_proposal_sigma(), n_iter, burn_in=burn_in, thin=thin, pin_delta=pin_delta)
+    noise_sigma = _checked_noise_sigma(noise_sigma)
     targets = [TargetDensity(t, noise_sigma, objective=objective) for t in trajectories]
     if not targets:
         raise InputDomainError("calibrate needs at least one trajectory")
-    cfgs = [ProposalConfig(default_proposal_sigma(), n_iter, seed=int(master.integers(2 ** 63)),
-                           burn_in=burn_in, thin=thin, pin_delta=pin_delta) for _ in targets]
-    n_kept = cfgs[0].n_kept
-    if len(cfgs) * n_kept > MAX_KEPT_SAMPLES:
+    if len(targets) * cfg.n_kept > MAX_KEPT_SAMPLES:
         raise InputDomainError(
-            f"calibrate would keep {n_kept} samples for each of {len(cfgs)} files, "
-            f"more than {MAX_KEPT_SAMPLES} in all; raise --thin or --burn-in")
+            f"calibrate would keep {cfg.n_kept} samples for each of {len(targets)} files, "
+            f"more than {MAX_KEPT_SAMPLES} in all; raise thin or burn_in (--thin or --burn-in)")
+    cfgs = [replace(cfg, seed=int(master.integers(2 ** 63))) for _ in targets]
     return run_chains(targets, cfgs, 0.5 * (DEFAULT_PRIOR_LO + DEFAULT_PRIOR_HI))
 
 
 def run_chain(target, cfg: ProposalConfig, theta_init) -> Chain:
-    """Run the chain and record post-burn-in, thinned samples.
-
-    ``target`` needs a ``log_density(theta) -> float`` method. The initial
-    point must have non-zero target density. With ``cfg.pin_delta`` set
-    the exponent coordinate is forced to the pinned value and never moves.
-    """
+    """One chain alone: ``run_chains`` on the one (target, config) pair."""
     return run_chains([target], [cfg], theta_init)[0]
 
 

@@ -441,8 +441,9 @@ def cmd_calibrate(args) -> int:
             raise ConfigurationError(
                 f"--data {other} and {path} share the stem {path.stem!r}, "
                 "which names their outputs")
+    # Files are read as ``calibrate`` takes them: after it checked the schedule.
     chains = dict(zip(by_stem, calibrate(
-        [Trajectory.from_csv(path) for path in files], seed=args.seed, n_iter=args.n_iter,
+        (Trajectory.from_csv(path) for path in files), seed=args.seed, n_iter=args.n_iter,
         burn_in=args.burn_in, thin=args.thin, noise_sigma=args.noise_sigma,
         objective=args.objective, pin_delta=args.pin_delta)))
     out = _out_dir(args)

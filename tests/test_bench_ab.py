@@ -29,7 +29,7 @@ def test_schedule_alternates_which_side_runs_first():
 
 def side(run_s, **extra):
     values = dict(run_s=run_s, run_wall_s=2.0 * run_s, setup_s=0.05, peak_rss_mb=40.0,
-                  ref_ms=5.5, correct=True, failed=0)
+                  ref_ms=5.5, mh_iter_per_s=0.0, ess_per_s=0.0, correct=True, failed=0)
     values.update(extra)
     return values
 
@@ -115,6 +115,33 @@ def test_summary_lines_show_the_reference_drift():
                         "base IQR 0.1, ref_ms ratio 1.050): within_bound")
 
 
+def test_sampler_rates_are_summarised_and_read_na_without_chains():
+    # The change side iterates 10% faster and its ESS rate is higher in 2 of 3.
+    rates = [(1000.0, 10.0, 1100.0, 12.0), (1200.0, 11.0, 1320.0, 10.0),
+             (900.0, 9.0, 990.0, 9.9)]
+    pairs = [{"workload": "pipeline", "seed": 1, "digests_match": True,
+              "base": side(1.0, mh_iter_per_s=bi, ess_per_s=be),
+              "change": side(0.9, mh_iter_per_s=ci, ess_per_s=ce)}
+             for bi, be, ci, ce in rates]
+    env = [{"workload": "episodes", "seed": 1, "base": side(1.0), "change": side(1.0),
+            "digests_match": True}] * 2
+    bounds = bench_ab.end_to_end_bounds()
+    summary = {"pipeline": bench_ab.summarise(pairs, bounds),
+               "episodes": bench_ab.summarise(env, bounds)}
+    mh = summary["pipeline"]["mh_iter_per_s"]
+    assert mh["base_median"] == 1000.0 and mh["change_median"] == 1100.0
+    assert mh["change_higher"] == 3 and mh["ratio_median"] == pytest.approx(1.1)
+    ess = summary["pipeline"]["ess_per_s"]
+    assert ess["change_higher"] == 2 and ess["ratio_median"] == pytest.approx(1.1)
+    assert "verdict" not in mh
+    assert summary["episodes"]["ess_per_s"]["ratio_median"] is None
+    assert list(bench_ab.rate_lines(summary)) == [
+        "pipeline mh_iter_per_s: 1000 -> 1100 (ratio 1.100, higher in 3 of 3)",
+        "pipeline ess_per_s: 10 -> 10 (ratio 1.100, higher in 2 of 3)",
+        "episodes mh_iter_per_s: n/a",
+        "episodes ess_per_s: n/a"]
+
+
 def test_dirty_counts_untracked_files(tmp_path):
     if shutil.which("git") is None:
         pytest.skip("needs git")
@@ -191,6 +218,7 @@ def test_smoke_self_pair_writes_bench_file_and_removes_worktree(tmp_path):
     assert summary["pairs"] == 1 and summary["run_wall_s"]["ratio_median"] > 0.0
     assert summary["run_s"]["verdict"] in ("gain", "worse", "unresolved", "within_bound")
     assert "dense_highway run_s: " in proc.stdout
+    assert "dense_highway ess_per_s: n/a" in proc.stdout
     worktrees = subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=clone,
                                capture_output=True, text=True, check=True).stdout
     assert worktrees.count("worktree ") == 1

@@ -1,6 +1,7 @@
 """Sampler machinery: targets, proposals, chains, diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -431,6 +432,55 @@ def test_run_chains_gaussian_targets_match_single_chains():
         assert chain.accept_count == alone.accept_count
 
 
+def test_run_chains_many_mixed_rows_match_single_chains():
+    # 32 rows: one-step and rollout batches of two lengths each, one
+    # rollout batch whose proposals collapse, and toy targets between them,
+    # shuffled so that no batch is a run of consecutive chains.
+    one_step = synthetic_targets([40, 50] * 6)
+    rollout = synthetic_targets([30, 45] * 4, objective="rollout")
+    braking = [TargetDensity(braking_trajectory(gap0, 40), objective="rollout")
+               for gap0 in (50.0, 60.0, 70.0, 80.0)]
+    toys = [ShiftedTarget(t, k - 3.5) for k, t in enumerate(one_step[:4] + rollout[:4])]
+    targets = one_step + rollout + braking + toys
+    order = np.random.default_rng(5).permutation(len(targets))
+    targets = [targets[k] for k in order]
+    assert len(targets) == 32
+    cfgs = lockstep_configs(32, 60, burn_in=10, thin=2)
+    cfgs[7] = ProposalConfig(default_proposal_sigma(), 60, seed=77, burn_in=10, thin=2,
+                             pin_delta=4.0)
+    chains = assert_lockstep_matches_alone(targets, cfgs, THETA_STAR.to_array())
+    assert_rows_are_contiguous(chains)
+    assert np.all(chains[7].samples[:, 5] == 4.0)
+    assert all(c.accept_count > 0 for c in chains)
+
+
+class WarningTarget(ShiftedTarget):
+    """A wrapped target whose every evaluation divides by zero in numpy."""
+
+    def log_density(self, theta):
+        np.log(np.zeros(1))
+        return super().log_density(theta)
+
+
+def test_other_targets_run_under_the_callers_error_state():
+    # ``run_chains`` silences floating-point errors in its own blocks only.
+    targets = synthetic_targets([40, 40])
+    targets[1] = WarningTarget(targets[1], 0.0)
+    state = np.geterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_chains(targets, lockstep_configs(2, 25), CENTRE)
+    # The initial point and each of the 25 proposals.
+    assert len(caught) == 26
+    assert all(w.category is RuntimeWarning and "divide by zero" in str(w.message)
+               for w in caught)
+    assert np.geterr() == state
+    with np.errstate(divide="ignore"), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_chains(targets, lockstep_configs(2, 25), CENTRE)
+    assert caught == []
+
+
 CALIBRATE_OPTIONS = dict(seed=1, burn_in=None, thin=1, noise_sigma=0.3,
                          objective="one-step", pin_delta=None)
 
@@ -444,8 +494,22 @@ def test_calibrate_checks_kept_samples_before_any_chain(monkeypatch):
     n_kept = MAX_KEPT_SAMPLES // 3 + 1
     with pytest.raises(InputDomainError, match=(
             f"^calibrate would keep {n_kept} samples for each of 3 files, more than "
-            f"{MAX_KEPT_SAMPLES} in all; raise --thin or --burn-in$")):
+            f"{MAX_KEPT_SAMPLES} in all; raise thin or burn_in \\(--thin or --burn-in\\)$")):
         calibrate(trajectories, n_iter=n_kept, **{**CALIBRATE_OPTIONS, "burn_in": 0})
+
+
+def test_calibrate_checks_schedule_and_noise_before_the_first_trajectory():
+    def unread():
+        raise AssertionError("a trajectory was read before the options were checked")
+        yield
+
+    for bad, message in ((dict(n_iter=0), "n_iter must be >= 1"),
+                         (dict(burn_in=20), "burn_in must satisfy"),
+                         (dict(thin=0), "thin must be >= 1"),
+                         (dict(noise_sigma=0.0), "noise_sigma must be finite and > 0"),
+                         (dict(noise_sigma=1e200), "noise_sigma must have a finite")):
+        with pytest.raises(InputDomainError, match=message):
+            calibrate(unread(), **{**CALIBRATE_OPTIONS, "n_iter": 10, **bad})
 
 
 def test_calibrate_needs_a_trajectory():
@@ -496,6 +560,32 @@ def rollout_collapses(td, theta):
     return len(accs) < len(lead)
 
 
+def finish(sums, inside, targets):
+    """``run_chains``' tail of each batched row: ``-scale * r * r`` with
+    ``r = sqrt(s / n)``, and -inf outside the box or for a non-finite r."""
+    out = []
+    for s, ok, t in zip(sums.tolist(), inside.tolist(), targets):
+        r = math.sqrt(s / len(t.obs))
+        out.append(-t._scale * r * r if ok and r < math.inf else -math.inf)
+    return out
+
+
+def batch_scorer(targets):
+    """The log density of each row of a ``(K, 6)`` block under its own target,
+    from one ``_TargetBatch`` on buffers of its own, as ``run_chains`` scores."""
+    theta = np.empty((len(targets), 6))
+    sums = np.empty(len(targets))
+    inside = np.empty(len(targets), dtype=bool)
+    batch = _TargetBatch(targets, theta, sums, inside)
+
+    def scores(block):
+        theta[...] = block
+        with np.errstate(all="ignore"):
+            batch.score()
+        return finish(sums, inside, targets)
+    return scores
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_one_step_batch_equals_log_density_row_by_row():
     targets = synthetic_targets([70, 70, 70], noise_sigma=0.4)
@@ -505,10 +595,9 @@ def test_one_step_batch_equals_log_density_row_by_row():
     theta[::7, 1, 2] = np.nan
     theta[::11, 2, 5] = np.inf
     theta[::13, 0] = THETA_STAR.to_array()
-    batch = _TargetBatch([0, 1, 2], targets)
+    scores = batch_scorer(targets)
     for block in theta:
-        got = batch.log_densities(block).tolist()
-        assert got == [t.log_density(row) for t, row in zip(targets, block)]
+        assert scores(block) == [t.log_density(row) for t, row in zip(targets, block)]
 
     # Rollout rows: three trajectories behind a leader that stops, and
     # every other block of draws with near-zero d_min and T, so that
@@ -523,11 +612,11 @@ def test_one_step_batch_equals_log_density_row_by_row():
     theta[::13, 0] = THETA_STAR.to_array()
     theta[1, :2] = EXTREME_THETAS
     theta[3, 1:] = EXTREME_THETAS
-    batch = _TargetBatch([0, 1, 2], targets)
+    scores = batch_scorer(targets)
     kinds = {"outside": 0, "collapsed": 0, "scored": 0, "not finite": 0}
     for block in theta:
         want = [t.log_density(row) for t, row in zip(targets, block)]
-        assert batch.log_densities(block).tolist() == want
+        assert scores(block) == want
         for t, row, logp in zip(targets, block, want):
             kind = ("outside" if not t.in_support(row) else "collapsed"
                     if rollout_collapses(t, row) else "scored" if logp > -math.inf
@@ -538,21 +627,25 @@ def test_one_step_batch_equals_log_density_row_by_row():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_batch_buffers_never_leak_between_calls():
-    # Two one-step batches of different lengths and a rollout batch, called
+    # Two one-step batches of different lengths and a rollout batch on
+    # slices of one set of buffers, as ``run_chains`` lays them out, scored
     # in turn. Every other round's blocks hold a NaN, an inf, an
     # out-of-support row and parameters whose law is not finite; the rounds
     # between them must still score exactly, row by row.
+    groups = [synthetic_targets([50, 50, 50]), synthetic_targets([80, 80], noise_sigma=0.5),
+              [TargetDensity(braking_trajectory(gap0, 40), objective="rollout")
+               for gap0 in (50.0, 70.0)]]
+    theta = np.empty((7, 6))
+    sums = np.empty(7)
+    inside = np.empty(7, dtype=bool)
     batches = []
-    for rows, targets in (([0, 1, 2], synthetic_targets([50, 50, 50])),
-                          ([3, 4], synthetic_targets([80, 80], noise_sigma=0.5)),
-                          ([5, 6], [TargetDensity(braking_trajectory(gap0, 40),
-                                                  objective="rollout")
-                                    for gap0 in (50.0, 70.0)])):
-        batches.append((_TargetBatch(rows, targets), targets))
+    for start, stop, targets in ((0, 3, groups[0]), (3, 5, groups[1]), (5, 7, groups[2])):
+        rows = slice(start, stop)
+        batches.append((rows, targets, _TargetBatch(targets, theta[rows], sums[rows],
+                                                     inside[rows])))
     rng = np.random.default_rng(12)
-    returned = []
     for k in range(24):
-        for batch, targets in batches:
+        for rows, targets, _ in batches:
             block = THETA_STAR.to_array() * rng.uniform(0.8, 1.2, (len(targets), 6))
             if k % 4 == 1:
                 block[0, 2] = np.nan
@@ -562,15 +655,21 @@ def test_batch_buffers_never_leak_between_calls():
                 block[1] = EXTREME_THETAS[1]
             if k % 2:
                 block[-1, k % 6] = -1.0
-            got = batch.log_densities(block)
-            want = [t.log_density(row) for t, row in zip(targets, block)]
-            assert got.tolist() == want, (k, len(targets))
+            theta[rows] = block
+        # A sum of 0.0 in the support scores 0, which no row here does: a
+        # row the batch did not overwrite shows.
+        sums[:] = 0.0
+        inside[:] = True
+        for b, (rows, targets, batch) in enumerate(batches):
+            with np.errstate(all="ignore"):
+                batch.score()
+            want = [t.log_density(row) for t, row in zip(targets, theta[rows])]
+            assert finish(sums[rows], inside[rows], targets) == want, (k, len(targets))
             if not k % 2:
                 assert all(w > -math.inf for w in want)
-            returned.append((got, got.copy()))
-    # Nothing a call returned was written to by a later call.
-    for got, copy in returned:
-        assert got.tobytes() == copy.tobytes()
+            # The batches not yet scored still hold what was there before.
+            for later, _, _ in batches[b + 1:]:
+                assert np.all(sums[later] == 0.0) and np.all(inside[later])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -580,7 +679,7 @@ def test_support_is_one_box_for_every_scoring_path(tight):
     box = dict(prior_lo=0.9 * theta0, prior_hi=1.1 * theta0) if tight else {}
     for objective in ("one-step", "rollout"):
         td = TargetDensity(short_trajectory(), objective=objective, **box)
-        batch = _TargetBatch([0], [td])
+        scores = batch_scorer([td])
         for k, (lo, hi) in enumerate(zip(td.prior_lo, td.prior_hi)):
             for x, inside in ((-0.0, False), (0.0, False), (5e-324, lo == 0.0),
                               (lo, lo > 0.0), (hi, True),
@@ -590,7 +689,7 @@ def test_support_is_one_box_for_every_scoring_path(tight):
                 assert td.in_support(theta) == inside, (objective, k, x)
                 logp = td.log_density(theta)
                 assert (logp > -math.inf) == (inside and math.isfinite(td.rmse(theta)))
-                assert batch.log_densities(theta[None]).tolist() == [logp], (objective, k, x)
+                assert scores(theta[None]) == [logp], (objective, k, x)
 
 
 def test_chain_csv_layout(tmp_path):

@@ -303,10 +303,12 @@ def test_calibrate_malformed_csv_names_row(tmp_path, capsys):
     (("--n-bins", cli.MAX_N_BINS + 1),
      f"n_bins must be <= {cli.MAX_N_BINS}, got {cli.MAX_N_BINS + 1}"),
     (("--n-iter", 10**12), f"calibrate would keep {8 * 10**11} samples for each of 2 "
-     f"files, more than {MAX_KEPT_SAMPLES} in all; raise --thin or --burn-in"),
+     f"files, more than {MAX_KEPT_SAMPLES} in all; raise thin or burn_in "
+     "(--thin or --burn-in)"),
     (("--n-iter", MAX_KEPT_SAMPLES // 2 + 1, "--burn-in", 0),
      f"calibrate would keep {MAX_KEPT_SAMPLES // 2 + 1} samples for each of 2 "
-     f"files, more than {MAX_KEPT_SAMPLES} in all; raise --thin or --burn-in"),
+     f"files, more than {MAX_KEPT_SAMPLES} in all; raise thin or burn_in "
+     "(--thin or --burn-in)"),
 ])
 def test_calibrate_checks_diagnostic_options_before_any_chain(
         tmp_path, synthetic_dir, capsys, monkeypatch, flags, message):
@@ -319,6 +321,23 @@ def test_calibrate_checks_diagnostic_options_before_any_chain(
                  "--out", out)
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_calibrate_checks_the_schedule_before_reading_any_file(tmp_path, synthetic_dir,
+                                                               capsys):
+    data = tmp_path / "D"
+    shutil.copytree(synthetic_dir, data)
+    (data / "veh_0009.csv").write_text("t,v_ego,v_leader,gap,a_obs\n0.0,oops,20.0,30.0,0.1\n")
+    out = tmp_path / "calib"
+    rc = run_cli("calibrate", "--data", data, "--n-iter", 10, "--burn-in", 20, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: burn_in must satisfy 0 <= burn_in < n_iter, got 20\n")
+    assert not out.exists()
+    # With a valid schedule the malformed file is what fails.
+    assert run_cli("calibrate", "--data", data, "--n-iter", 30, "--out", out) == 2
+    assert "veh_0009.csv" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -22,7 +22,10 @@ two sides' output digests match. Per workload and metric it
 summarises each side's median, the base's interquartile range, in how
 many pairs the change was lower, and the median within-pair ratio
 (change over base). Both runs of a pair see the same host phase, so the
-``run_wall_s`` ratio needs no scaling by the reference timing.
+``run_wall_s`` ratio needs no scaling by the reference timing. The
+sampler rates ``mh_iter_per_s`` and ``ess_per_s`` are kept and
+summarised the same way, with "higher in k of n" in place of "lower",
+and read ``n/a`` on a workload that runs no chains, where both are 0.
 
 Each ``end_to_end`` metric of ``BENCHMARK.json`` (its name, ``better``
 and ``bound``; the file is only read) also gets a ``verdict``, printed on
@@ -58,6 +61,10 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("pipeline", "calib_rollout", "episodes", "dense_highway")
 #: Metrics kept per side and pair, and summarised per workload.
 METRICS = ("run_s", "run_wall_s", "setup_s", "peak_rss_mb", "ref_ms")
+#: Sampler rates kept per side and pair, where higher is better, and
+#: summarised per workload without a verdict; both read 0 on workloads
+#: that run no chains.
+RATES = ("mh_iter_per_s", "ess_per_s")
 
 
 def schedule(workloads, seeds, pairs_per_seed):
@@ -138,6 +145,17 @@ def summarise(pairs, bounds=None):
         }
         if metric in bounds:
             out[metric]["verdict"] = verdict(base, change, *bounds[metric])
+    for rate in RATES:
+        base = [p["base"][rate] for p in pairs]
+        change = [p["change"][rate] for p in pairs]
+        ratios = [c / b for b, c in zip(base, change) if b]
+        out[rate] = {
+            "base_median": statistics.median(base),
+            "change_median": statistics.median(change),
+            "change_higher": sum(c > b for b, c in zip(base, change)),
+            # None where no pair has a base rate (a workload without chains).
+            "ratio_median": statistics.median(ratios) if ratios else None,
+        }
     return out
 
 
@@ -155,6 +173,20 @@ def summary_lines(summary, bounds):
                    f"(ratio {m['ratio_median']:.3f}, lower in {m['change_lower']} of "
                    f"{stats['pairs']}, base IQR {m['base_iqr']:.3g}, ref_ms ratio {ref:.3f}): "
                    f"{m['verdict']}")
+
+
+def rate_lines(summary):
+    """One readable line per workload and sampler rate; ``n/a`` where the
+    rate has no ratio, as on a workload that runs no chains."""
+    for workload, stats in summary.items():
+        for rate in RATES:
+            m = stats[rate]
+            if m["ratio_median"] is None:
+                yield f"{workload} {rate}: n/a"
+            else:
+                yield (f"{workload} {rate}: {m['base_median']:.4g} -> "
+                       f"{m['change_median']:.4g} (ratio {m['ratio_median']:.3f}, higher in "
+                       f"{m['change_higher']} of {stats['pairs']})")
 
 
 def is_dirty(cwd=ROOT) -> bool:
@@ -177,7 +209,7 @@ def run_side(root: Path, workload: str, seed: int, seconds: float, size: str) ->
         raise RuntimeError(f"{root}: {workload} seed {seed} wrote no record "
                            f"(exit {proc.returncode}): {' '.join(tail)}") from None
     values = record["values"]
-    side = {metric: float(values[metric]) for metric in METRICS}
+    side = {metric: float(values[metric]) for metric in METRICS + RATES}
     side.update(correct=bool(record["result"]["correct"]),
                 failed=int(record["failed"]), passes=int(record["passes_untraced"]),
                 digests=record["digests"])
@@ -263,6 +295,8 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(result, indent=2) + "\n")
     for line in summary_lines(result["summary"], bounds):
+        print(line)
+    for line in rate_lines(result["summary"]):
         print(line)
     print(f"wrote {path}")
     ok = all(p["base"]["correct"] and p["change"]["correct"] and p["digests_match"]

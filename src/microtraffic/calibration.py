@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sized
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -483,17 +484,20 @@ def calibrate(trajectories, *, seed, n_iter, burn_in, thin, noise_sigma, objecti
               pin_delta) -> list[Chain]:
     """The ``calibrate`` verb's chains, one per trajectory in input order, seeded in
     turn from ``default_rng(seed)``, started at the prior box's centre, run together.
-    ``trajectories`` may be lazy: the schedule and ``noise_sigma`` are checked first."""
+    ``trajectories`` may be lazy: the schedule and ``noise_sigma`` are checked first, and
+    the kept samples too if it is sized."""
     master = np.random.default_rng(seed)
     cfg = ProposalConfig(default_proposal_sigma(), n_iter, burn_in=burn_in, thin=thin, pin_delta=pin_delta)
     noise_sigma = _checked_noise_sigma(noise_sigma)
-    targets = [TargetDensity(t, noise_sigma, objective=objective) for t in trajectories]
-    if not targets:
+    if not isinstance(trajectories, Sized):
+        trajectories = list(trajectories)
+    if not trajectories:
         raise InputDomainError("calibrate needs at least one trajectory")
-    if len(targets) * cfg.n_kept > MAX_KEPT_SAMPLES:
+    if len(trajectories) * cfg.n_kept > MAX_KEPT_SAMPLES:
         raise InputDomainError(
-            f"calibrate would keep {cfg.n_kept} samples for each of {len(targets)} files, "
+            f"calibrate would keep {cfg.n_kept} samples for each of {len(trajectories)} files, "
             f"more than {MAX_KEPT_SAMPLES} in all; raise thin or burn_in (--thin or --burn-in)")
+    targets = [TargetDensity(t, noise_sigma, objective=objective) for t in trajectories]
     cfgs = [replace(cfg, seed=int(master.integers(2 ** 63))) for _ in targets]
     return run_chains(targets, cfgs, 0.5 * (DEFAULT_PRIOR_LO + DEFAULT_PRIOR_HI))
 

@@ -429,6 +429,20 @@ def _expand_data_args(paths) -> list:
     return files
 
 
+class _ParsedOnAccess:
+    """The trajectories of ``paths``, each parsed as it is read: ``calibrate``
+    counts them, and checks every option, before it parses the first."""
+
+    def __init__(self, paths):
+        self._paths = paths
+
+    def __len__(self):
+        return len(self._paths)
+
+    def __iter__(self):
+        return map(Trajectory.from_csv, self._paths)
+
+
 def cmd_calibrate(args) -> int:
     files = _expand_data_args(args.data)
     if not files:
@@ -441,9 +455,8 @@ def cmd_calibrate(args) -> int:
             raise ConfigurationError(
                 f"--data {other} and {path} share the stem {path.stem!r}, "
                 "which names their outputs")
-    # Files are read as ``calibrate`` takes them: after it checked the schedule.
     chains = dict(zip(by_stem, calibrate(
-        (Trajectory.from_csv(path) for path in files), seed=args.seed, n_iter=args.n_iter,
+        _ParsedOnAccess(files), seed=args.seed, n_iter=args.n_iter,
         burn_in=args.burn_in, thin=args.thin, noise_sigma=args.noise_sigma,
         objective=args.objective, pin_delta=args.pin_delta)))
     out = _out_dir(args)

@@ -87,9 +87,6 @@ _N_ROWS = 15
 _NO_LEADER = math.nan
 
 TRACE_COLUMNS = ("step", "id", "x", "y", "heading", "v")
-# A vehicle's (x, y, heading, v) and their text in the last frame written;
-# NaN values equal nothing, so a vehicle new to the trace gets ``repr``.
-_UNWRITTEN = (math.nan,) * 4 + ("",) * 4
 
 
 def _ego_key(lane_code):
@@ -186,7 +183,6 @@ class TrafficEnv:
             if self._trace_fh is not None:
                 self._trace_fh.close()
             self._trace_fh = self._trace_path.open("w", newline="")
-            self._trace_text = {}  # vehicle id -> its row of _UNWRITTEN's form
             self._trace_fh.write(",".join(TRACE_COLUMNS) + "\n")
         return self.build_observation()
 
@@ -711,10 +707,7 @@ class TrafficEnv:
         y, heading, v).
 
         Appends the rows to the trace file, in one write, when tracing is
-        enabled and returns them either way. A value that repeats the same
-        vehicle's value in the previous frame (a heading along a straight
-        segment, a coordinate along an axis-parallel lane) reuses that
-        frame's text instead of another ``repr``.
+        enabled and returns them either way.
         """
         if not self._live:
             raise EnvUsageError("render_frame() before reset()")
@@ -727,22 +720,8 @@ class TrafficEnv:
             rows.append((step, self._ids[int(rank)],
                          *self._lanes[int(c)].pose_at(s, 0.0, extrapolate=True), v))
         if self._trace_fh is not None:
-            # Equal nonzero floats have equal bits, so a value equal to the
-            # same vehicle's value in the previous frame reuses its text;
-            # +-0.0 (equal, but not the same text) and NaN (never equal)
-            # always go through ``repr``.
-            last, memo = self._trace_text, {}
-            lines = []
-            for step, vid, x, y, h, v in rows:
-                px, py, ph, pv, tx, ty, th, tv = last.get(vid, _UNWRITTEN)
-                memo[vid] = t = (x, y, h, v,
-                                 tx if x == px and x else repr(x),
-                                 ty if y == py and y else repr(y),
-                                 th if h == ph and h else repr(h),
-                                 tv if v == pv and v else repr(v))
-                lines.append(f"{step},{vid},{t[4]},{t[5]},{t[6]},{t[7]}\n")
-            self._trace_text = memo
-            self._trace_fh.write("".join(lines))
+            self._trace_fh.write("".join([f"{step},{vid},{x!r},{y!r},{h!r},{v!r}\n"
+                                          for step, vid, x, y, h, v in rows]))
             # Readers of the open trace see every frame: the benchmark's
             # episode check reads it after a step budget that ends mid-episode.
             self._trace_fh.flush()

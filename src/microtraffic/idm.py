@@ -48,14 +48,6 @@ class ParamSet:
             value = checked(float, getattr(self, name), name, low=0.0, strict=True)
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def _trusted(cls, values) -> "ParamSet":
-        """The set of ``values``, floats the package has already bounded
-        to be finite and positive, without the checks."""
-        p = object.__new__(cls)
-        p.__dict__.update(zip(PARAM_NAMES, values))
-        return p
-
     @property
     def law(self) -> tuple:
         """``_kernels._law`` of these parameters: (a_max, b2, v_des, d_min, T, delta)."""
@@ -167,16 +159,10 @@ class Trajectory:
         return self.v_ego, self.v_ego - self.v_leader, self.gap
 
     def to_csv(self, path) -> None:
-        path = Path(path)
-        # A nonzero value equal to the one above it in its column (the
-        # leader speed holds for whole pieces of synthetic data) reuses
-        # that one's ``repr`` text, as in ``Chain.to_csv`` and the
-        # environment's trace: equal nonzero floats have equal bits, and
-        # +-0.0 (equal, but not the same text) always goes through ``repr``.
-        columns = [_column_text(getattr(self, name)) for name in TRAJECTORY_COLUMNS]
-        with path.open("w", newline="") as fh:
+        columns = [getattr(self, name).tolist() for name in TRAJECTORY_COLUMNS]
+        with Path(path).open("w", newline="") as fh:
             fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-            fh.write("".join([f"{t},{v},{v_lead},{gap},{a}\n"
+            fh.write("".join([f"{t!r},{v!r},{v_lead!r},{gap!r},{a!r}\n"
                               for t, v, v_lead, gap, a in zip(*columns)]))
 
     @classmethod
@@ -195,17 +181,6 @@ class Trajectory:
         # dt is the second row's t minus the first's.
         dt = values[width] - values[0]
         return cls(dt, *np.array(values).reshape(n, width).T)
-
-
-def _column_text(values):
-    """``repr`` text of each float of the 1-D array ``values``, built once
-    per run of equal nonzero values."""
-    first = np.ones(values.size, dtype=bool)
-    first[1:] = (values[1:] != values[:-1]) | (values[1:] == 0.0)
-    texts = list(map(repr, values[first].tolist()))
-    if len(texts) == values.size:
-        return texts
-    return [texts[run] for run in (np.cumsum(first) - 1).tolist()]
 
 
 def _csv_values(path, text) -> list:

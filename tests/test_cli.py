@@ -341,6 +341,24 @@ def test_calibrate_checks_the_schedule_before_reading_any_file(tmp_path, synthet
     assert not out.exists()
 
 
+def test_calibrate_checks_kept_samples_before_reading_any_file(tmp_path, synthetic_dir,
+                                                               capsys, monkeypatch):
+    def unread(path):
+        raise AssertionError(f"{path} was parsed before the kept samples were checked")
+
+    data = tmp_path / "D"
+    shutil.copytree(synthetic_dir, data)
+    (data / "veh_0009.csv").write_text("t,v_ego,v_leader,gap,a_obs\n0.0,oops,20.0,30.0,0.1\n")
+    monkeypatch.setattr(Trajectory, "from_csv", unread)
+    out = tmp_path / "calib"
+    rc = run_cli("calibrate", "--data", data, "--n-iter", 10**12, "--burn-in", 0, "--out", out)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: calibrate would keep {10**12} samples for each of 3 files, more than "
+        f"{MAX_KEPT_SAMPLES} in all; raise thin or burn_in (--thin or --burn-in)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("objective", ["one-step", "rollout"])
 def test_calibrate_function_gives_the_chains_the_verb_writes(tmp_path, synthetic_dir,
                                                             objective):

@@ -345,23 +345,46 @@ def test_reward_hook_and_default():
 
 
 def test_render_frame_rows_and_trace(tmp_path):
+    def repr_fields(rows):
+        return [[str(step), vid, *map(repr, values)] for step, vid, *values in rows]
+
     trace = tmp_path / "trace.csv"
     vehicles = (bv("b_far", "r0", 200.0), bv("a_near", "r0", 100.0))
     scenario = straight_scenario(vehicles, ego_speed=10.0, ego_start_s=60.0,
                                  max_steps=30)
     env = TrafficEnv(scenario, trace_path=trace)
     env.reset()
+    frames = []
     for _ in range(10):
         env.step(ZERO)
         rows = env.render_frame()
         assert [r[1] for r in rows] == ["ego", "a_near", "b_far"]
         assert all(len(r) == 6 for r in rows)
+        frames += rows
     env.close()
 
     lines = trace.read_text().splitlines()
     assert lines[0] == "step,id,x,y,heading,v"
     assert len(lines) == 1 + 10 * 3
     assert lines[1].split(",")[1] == "ego"
+    # The ego's speed, y and heading repeat from frame to frame; every
+    # field is still the repr of its row's value.
+    assert {r[5] for r in frames if r[1] == "ego"} == {10.0}
+    assert [line.split(",") for line in lines[1:]] == repr_fields(frames)
+
+    # At s = 0.0 on this lane the ego stands at x = -0.0, frame after frame.
+    back = RoadNetwork([Lane("back", [(-0.0, -0.0), (-3.0, 4.0)], 3.5)])
+    env = TrafficEnv(Scenario("urban", back, DemandSpec((), ()), 0.1, 10, 0, "back"),
+                     trace_path=trace)
+    env.reset()
+    frames = env.render_frame()
+    for _ in range(3):
+        env.step(ZERO)
+        frames += env.render_frame()
+    env.close()
+    assert all(math.copysign(1.0, r[2]) == -1.0 and r[2] == 0.0 for r in frames)
+    lines = trace.read_text().splitlines()
+    assert [line.split(",") for line in lines[1:]] == repr_fields(frames)
 
 
 def test_trace_files_are_byte_identical_across_runs(tmp_path):

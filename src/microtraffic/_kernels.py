@@ -6,10 +6,10 @@ few hundred samples. ``_idm_accel`` and ``_rollout_loop`` step one
 follower at a time; the ``_np`` kernels are vectorised over samples.
 
 The scalar law ``_idm_accel`` (``idm_acceleration``, the ego policy, the
-environment's few-vehicle step), its inline copy in ``_rollout_loop``
-(rollouts and the rollout objective) and the batch law ``_accel_series_np``
-(the one-step RMSE, and through ``_follower_step_np`` the environment's
-background traffic) use the same floating-point operation for each term:
+environment's background traffic on floats), its inline copy in
+``_rollout_loop`` (rollouts and the rollout objective) and the batch law
+``_accel_series_np`` (the one-step RMSE, the environment's background
+traffic on arrays) use the same floating-point operation for each term:
 the ``(v/v_des)**delta`` term is libm ``pow`` (scalar ``**``, and
 ``np.float_power`` for arrays, which is never dispatched to a SIMD
 ``pow``), and the squared gap ratio is a single multiply. Every other
@@ -24,7 +24,7 @@ The batch law runs in place and takes the product ``v * dv`` from its
 callers instead of ``dv``: the scalar law's ``v * dv / b2`` multiplies
 first, so a product formed once (``TargetDensity`` and the lockstep batch
 form it when they are built, from data alone) has the bits the law would
-compute, and ``_follower_step_np`` forms ``v * (v - v_lead)`` itself. Its
+compute, and the environment forms ``v * (v - v_lead)`` each step. Its
 terms go, in the scalar law's order, into the lockstep batch's two
 ``(K, n)`` buffers or into two arrays of its own; an IEEE operation gives
 the same bits whichever array it writes to.
@@ -51,14 +51,6 @@ spawn speed), and the ego policy passes ``max(v, 0.0)``.
 proposal, and a call per step costs about as much as the arithmetic. On
 the rare step where Python floats raise, the loop calls ``_idm_accel``
 with that step's arguments, so the numpy fallback lives in one place.
-
-The environment's background vehicles take one law or the other, by
-count. Up to ``_SCALAR_ROWS`` of them, ``TrafficEnv._move_bvs`` runs its
-whole update on Python floats (leaders, ``_idm_accel`` and the Euler step
-per vehicle, lane ends, the gaps of the next step): a numpy call costs
-about as much as the scalar law on one vehicle, and the array update
-makes about thirty. Above that it calls ``_follower_step_np`` once. Since
-the two laws agree bit for bit, the crossover moves time, never a result.
 """
 
 import math
@@ -162,33 +154,6 @@ def _accel_series_np(law, v, vdv, gap, out=None, tmp=None):
     np.subtract(1.0, tmp, out=tmp)
     np.subtract(tmp, out, out=out)
     return np.multiply(a_max, out, out=out)
-
-
-def _follower_step_np(law, v, v_lead, gap, dt):
-    """One forward-Euler step per row, as ``_rollout_loop`` takes it.
-
-    ``law`` is as in ``_accel_series_np``. Same arithmetic as a rollout
-    step, so every row equals that step on that row bit for bit.
-    Returns arrays (accel at the pre-step state, next speed, next gap).
-    """
-    a = _accel_series_np(law, v, v * (v - v_lead), gap)
-    v_next = v + a * dt
-    v_next[v_next < 0.0] = 0.0
-    gap_next = gap + (v_lead - v) * dt
-    return a, v_next, gap_next
-
-
-#: Live BV count up to which ``TrafficEnv._move_bvs`` runs on Python floats.
-#: Timed per whole update (BVs spaced on a 3-lane straight road, 200
-#: updates from one state, fastest of 9 interleaved repeats; numpy 2.4,
-#: 2-vCPU x86-64 host): the array update costs 24-28 us from 1 to 40 BVs,
-#: the float pass 4.7 us at 1 BV, 7.7 at 4, 16 at 12, 20 at 16, 24 at 20,
-#: 28 at 24 and 36 at 32. The two meet at about 22 BVs, and at about 24 in
-#: a slow phase of the host, where both took about 1.8 times as long. The
-#: crossover stays at 16, where floats save 5 us a step and more below:
-#: 17 to 22 BVs would save at most 4 us, and the reference-stepper cases
-#: that check the array update reach only 20 live BVs.
-_SCALAR_ROWS = 16
 
 
 def _rmse_np(err):

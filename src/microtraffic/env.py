@@ -21,11 +21,11 @@ and "who is near whom" is a neighbouring column or a ``searchsorted``
 into that slice. Each BV follows the first column of the next larger
 ``s`` on its lane, the ego merged in and winning ties, with the arithmetic
 of a step of ``_rollout_loop``, bit for bit. How the update runs depends
-on the live BV count, never its result. Up to ``_kernels._SCALAR_ROWS``
-BVs (the bundled scenarios hold at most 12) it is one pass over the
-Python floats of the state array, with the scalar law per BV, and the
-moved rows are written back at the end: a numpy call costs about as much
-as the scalar law on one BV, and the array update makes about thirty.
+on the live BV count, never its result. Up to ``_SCALAR_ROWS`` BVs (the
+bundled scenarios hold at most 12) it is one pass over the Python floats
+of the state array, with the scalar law per BV, and the moved rows are
+written back at the end: a numpy call costs about as much as the scalar
+law on one BV, and the array update makes about thirty.
 Above it (hundreds of BVs) leaders are resolved for all BVs at once and
 the batch law runs once over all of them; Python loops then run only
 over the few BVs that cross a lane end or share an ``s`` and the BV
@@ -75,6 +75,18 @@ _GAP_EPS = 1e-6
 # rounding in the window bounds can never drop a vehicle that the exact
 # test would catch; the exact test still decides.
 _WINDOW_SLACK = 1.0
+#: Live BV count up to which ``TrafficEnv._move_bvs`` runs on Python floats.
+#: Timed per whole update (BVs spaced on a 3-lane straight road, 200
+#: updates from one state, fastest of 9 interleaved repeats; numpy 2.4,
+#: 2-vCPU x86-64 host): the array update costs 24-28 us from 1 to 40 BVs,
+#: the float pass 4.7 us at 1 BV, 7.7 at 4, 16 at 12, 20 at 16, 24 at 20,
+#: 28 at 24 and 36 at 32. The two meet at about 22 BVs, and at about 24 in
+#: a slow phase of the host, where both took about 1.8 times as long. The
+#: crossover stays at 16, where floats save 5 us a step and more below:
+#: 17 to 22 BVs would save at most 4 us, and the three ``highway_curve``
+#: reference-stepper cases, which peak at 18 to 21 live BVs, assert that
+#: they reach the array update.
+_SCALAR_ROWS = 16
 
 # Rows of the BV state array, one column per live BV. Lane, id rank,
 # leader key and spawn sequence are small integers held exactly as floats,
@@ -336,7 +348,7 @@ class TrafficEnv:
         the columns with a gap <= 0: the logged contacts, and the only
         columns that can be level with or behind the next one. After a
         step on floats, ``_move_few`` leaves ``_ds`` and ``_pair_gap`` as
-        lists instead: ``_leaders`` reads either, and ``_sort`` makes
+        lists instead: ``_move_many`` reads either, and ``_sort`` makes
         arrays again."""
         s = self._F[_S]
         self._s = s.tolist()  # for bisect within a lane's slice
@@ -349,17 +361,40 @@ class TrafficEnv:
         c = self._code[lane_id]
         return self._bounds[c], self._bounds[c + 1]
 
-    def _leaders(self, mem_lane, mem_s):
-        """Leader key, leader speed and car-following gap of every column.
+    def _move_bvs(self, dt):
+        """One car-following step for every BV, then lane ends and re-sort.
 
-        The leader is the nearest same-lane vehicle strictly ahead, the ego
-        (at ``mem_s`` on ``mem_lane``) included: the first column of the
-        next equal-s group on the lane, unless the ego sits at or before
-        it. Leader lookups do not cross lane boundaries, so a vehicle sees
-        an empty road until its leader-to-be is on the same lane. The gap
-        is the incrementally updated one while the leader is unchanged, the
-        bumper gap to a new leader, +inf without one.
-        """
+        Up to ``_SCALAR_ROWS`` BVs the step runs on Python floats
+        (``_move_few``), above it on arrays (``_move_many``). Both take the
+        same leaders and the same operations, so they agree bit for bit.
+        Each returns the columns that crossed a lane end and, when none
+        did, leaves the gaps refreshed."""
+        if self._F.shape[1] <= _SCALAR_ROWS:
+            crossing = self._move_few(dt)
+        else:
+            crossing = self._move_many(dt)
+        # With lanes unchanged, while every same-lane neighbour is still
+        # strictly ahead, the order and everything derived from it hold,
+        # so the lexsort and the gather of every row are skipped.
+        if crossing:
+            self._advance_routes(crossing)
+            self._sort()
+        elif any(self._ds[k] <= 0.0 for k in self._touching):
+            self._sort()
+
+    def _move_many(self, dt):
+        """``_move_bvs``' step on arrays, once over all columns.
+
+        A column's leader is the nearest same-lane vehicle strictly ahead,
+        the ego (at ``mem_s`` on ``mem_lane``) included: the first column
+        of the next equal-s group on the lane, unless the ego sits at or
+        before it. Leader lookups do not cross lane boundaries, so a
+        vehicle sees an empty road until its leader-to-be is on the same
+        lane. The gap is the incrementally updated one while the leader is
+        unchanged, the bumper gap to a new leader, +inf without one. The
+        batch law ``_accel_series_np`` then runs once, and a step of
+        ``_rollout_loop`` goes into ``F``'s rows: position and gap from the
+        pre-step speed, so the speed is written last."""
         F = self._F
         s, v = F[_S], F[_V]
         # Column k's leader is its next column, none for a lane's tail
@@ -380,6 +415,7 @@ class TrafficEnv:
             else:
                 gap[k] = max((s[j] - s[k]) - (F[_LEN, j] + F[_LEN, k]) / 2.0, _GAP_EPS)
 
+        mem_lane, mem_s, _ = self._mem
         lo, hi = self._run(mem_lane)
         ss = self._s
         k = bisect_left(ss, mem_s, lo, hi)
@@ -391,44 +427,16 @@ class TrafficEnv:
             for i in range(g, k):
                 gap[i] = max((mem_s - ss[i]) - (self.ego_length + self._len[i]) / 2.0,
                              _GAP_EPS)
-
         np.copyto(gap, F[_GAP], where=key == F[_KEY])
-        return key, v_lead, gap
 
-    def _move_bvs(self, dt):
-        """One car-following step for every BV, then lane ends and re-sort.
-
-        Up to ``_kernels._SCALAR_ROWS`` BVs the step runs on Python floats
-        (``_move_few``), above it on arrays (``_move_many``). Both take the
-        same leaders and the same operations, so they agree bit for bit.
-        Each returns the columns that crossed a lane end and, when none
-        did, leaves the gaps refreshed."""
-        if self._F.shape[1] <= _kernels._SCALAR_ROWS:
-            crossing = self._move_few(dt)
-        else:
-            crossing = self._move_many(dt)
-        # With lanes unchanged, while every same-lane neighbour is still
-        # strictly ahead, the order and everything derived from it hold,
-        # so the lexsort and the gather of every row are skipped.
-        if crossing:
-            self._advance_routes(crossing)
-            self._sort()
-        elif any(self._ds[k] <= 0.0 for k in self._touching):
-            self._sort()
-
-    def _move_many(self, dt):
-        """``_move_bvs``' step on arrays: ``_leaders``, then the batch law
-        and Euler step of ``_follower_step_np`` once over all columns."""
-        mem_lane, mem_s, _ = self._mem
-        key, v_lead, gap = self._leaders(mem_lane, mem_s)
-        F = self._F
-        v = F[_V]
-        _, v_next, gap_next = _kernels._follower_step_np(F[_THETA], v, v_lead, gap, dt)
-        F[_S] += v * dt
-        F[_V] = v_next
-        F[_GAP] = np.where(gap_next > 0.0, gap_next, _GAP_EPS)
+        a = _kernels._accel_series_np(F[_THETA], v, v * (v - v_lead), gap)
+        s += v * dt
+        gap += (v_lead - v) * dt
+        v += a * dt
+        v[v < 0.0] = 0.0
+        F[_GAP] = np.where(gap > 0.0, gap, _GAP_EPS)
         F[_KEY] = key
-        crossing = (F[_S] > F[_END]).nonzero()[0].tolist()
+        crossing = (s > F[_END]).nonzero()[0].tolist()
         if not crossing:
             self._refresh_gaps()
         return crossing
@@ -437,8 +445,8 @@ class TrafficEnv:
         """``_move_bvs``' step in one pass over the columns, back to front,
         on the Python floats of ``F.T.tolist()``.
 
-        A column gets ``_leaders``' leader, key and gap, the scalar law
-        ``_idm_accel`` and ``_follower_step_np``'s Euler step. Its moved
+        A column gets ``_move_many``'s leader, key and gap, the scalar law
+        ``_idm_accel`` and ``_move_many``'s Euler step. Its moved
         position, with the column ahead's, gives ``_refresh_gaps``'
         distance, pair gap and contact test as list entries. The moved rows
         go back into ``F`` at the end."""

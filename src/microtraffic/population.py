@@ -197,9 +197,10 @@ def build_demand(net: RoadNetwork, histograms, n_vehicles: int,
     """
     n_vehicles = checked(int, n_vehicles, "n_vehicles", low=0)
     mean_headway = checked(float, mean_headway, "mean_headway", low=0.0, strict=True)
+    n_routes = checked(int, n_routes, "n_routes", low=1)
     if n_vehicles == 0:
         return DemandSpec((), ())
-    trips = generate_random_trips(net, max(1, int(n_routes)), rng)
+    trips = generate_random_trips(net, n_routes, rng)
     routes = tuple(Route(f"route_{i}", lanes) for i, lanes in enumerate(trips))
     vehicles = []
     t = 0.0

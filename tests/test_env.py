@@ -14,8 +14,8 @@ from microtraffic import (Action, DemandSpec, EnvUsageError, InputDomainError,
                           Lane, ParamSet, RoadNetwork, Route, Scenario,
                           TrafficEnv, VehicleSpec, _kernels)
 from microtraffic.calibration import DEFAULT_PRIOR_HI, DEFAULT_PRIOR_LO
-from microtraffic.env import (_END, _GAP, _GAP_EPS, _KEY, _LANE, _LEN, _RANK, _S, _SEQ,
-                              _THETA, _V, _ego_key)
+from microtraffic.env import (_END, _GAP, _GAP_EPS, _KEY, _LANE, _LEN, _RANK, _S,
+                              _SCALAR_ROWS, _SEQ, _THETA, _V, _ego_key)
 from microtraffic.network import _bundled_library, global_to_road, is_off_road, load_scenario
 
 PARKED = ParamSet(a_max=1e-9, a_comf=5.0, v_des=1e-9, d_min=10.0, T=2.0,
@@ -792,7 +792,7 @@ def test_off_road_decision_from_membership_lane_then_network(case):
 
 # -- the BV update on floats and on arrays --------------------------------------
 #
-# ``_move_bvs`` runs on Python floats up to ``_kernels._SCALAR_ROWS`` live
+# ``_move_bvs`` runs on Python floats up to ``_SCALAR_ROWS`` live
 # BVs and on arrays above. Forcing the crossover to 10**9 or to 0 puts every
 # step on one branch; the two must leave the same bits.
 
@@ -809,7 +809,7 @@ def _after_each_step(make, steps, monkeypatch):
     envs = [make(), make()]
     runs = []
     for env, rows in zip(envs, (10**9, 0)):
-        monkeypatch.setattr(_kernels, "_SCALAR_ROWS", rows)
+        monkeypatch.setattr("microtraffic.env._SCALAR_ROWS", rows)
         seen = []
         with np.errstate(all="ignore"):
             for _ in range(steps):
@@ -871,7 +871,29 @@ EDGES = (("law", EXTREME_LAWS[0]), ("law", EXTREME_LAWS[1]), ("v", 0.0), ("v", -
 
 
 def test_bv_update_branches_agree_bit_for_bit(monkeypatch):
-    cross = _kernels._SCALAR_ROWS
+    # Each array step's law inputs and result, and what the step leaves in
+    # F: the cases must reach a speed floored to 0, a gap clamped to
+    # _GAP_EPS and a column without a leader.
+    batch_law, move_many = _kernels._accel_series_np, TrafficEnv._move_many
+    law_calls, reached = [], np.zeros(3, dtype=int)
+
+    def spy_law(law, v, vdv, gap):
+        a = batch_law(law, v, vdv, gap)
+        law_calls.append((v.copy(), gap.copy(), a.copy()))
+        return a
+
+    def spy_move(env, dt):
+        crossing = move_many(env, dt)
+        v, gap, a = law_calls.pop()
+        F = env._F
+        reached[:] += (np.count_nonzero((F[_V] == 0.0) & (v + a * dt < 0.0)),
+                       np.count_nonzero((F[_GAP] == _GAP_EPS) & (gap > _GAP_EPS)),
+                       np.count_nonzero(np.isinf(gap)))
+        return crossing
+
+    monkeypatch.setattr(_kernels, "_accel_series_np", spy_law)
+    monkeypatch.setattr(TrafficEnv, "_move_many", spy_move)
+    cross = _SCALAR_ROWS
     seed = 4127
     for n in (1, 2, cross - 1, cross, cross + 1, 3 * cross):
         for field, value in EDGES:
@@ -879,14 +901,16 @@ def test_bv_update_branches_agree_bit_for_bit(monkeypatch):
             floats, arrays = _after_each_step(
                 lambda: _edge_env(n, field, value, seed), 3, monkeypatch)
             assert floats == arrays, f"{field}={value!r}, n={n}"
+    floored, collapsed, leaderless = reached.tolist()
+    assert floored and collapsed and leaderless
 
 
 def test_bv_update_takes_the_float_pass_up_to_the_crossover(monkeypatch):
     calls = []
-    batch_step = _kernels._follower_step_np
-    monkeypatch.setattr(_kernels, "_follower_step_np",
-                        lambda *args: calls.append(len(args[1])) or batch_step(*args))
-    cross = _kernels._SCALAR_ROWS
+    batch_law = _kernels._accel_series_np
+    monkeypatch.setattr(_kernels, "_accel_series_np",
+                        lambda *args: calls.append(len(args[1])) or batch_law(*args))
+    cross = _SCALAR_ROWS
     for n in (1, cross, cross + 1):
         specs = tuple(bv(f"v{k:02d}", f"r{k % 3}", 10.0 + 12.0 * (k // 3)) for k in range(n))
         env = TrafficEnv(straight_scenario(specs, n_lanes=3))

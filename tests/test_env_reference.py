@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import follower_step
-from microtraffic import Action, DemandSpec, TrafficEnv, VehicleSpec, _kernels
-from microtraffic.env import DEFAULT_VEHICLE_WIDTH, OBS_FEATURES
+from microtraffic import Action, DemandSpec, TrafficEnv, VehicleSpec
+from microtraffic.env import DEFAULT_VEHICLE_WIDTH, OBS_FEATURES, _SCALAR_ROWS
 from microtraffic.network import _bundled_library, global_to_road, load_scenario
 from microtraffic.population import (DEFAULT_VEHICLE_LENGTH, default_histograms,
                                      sample_param_set)
@@ -257,5 +257,5 @@ def test_episode_above_the_law_crossover_matches_reference_stepper(name, seed, n
     # The urban cases peak at 41 and 47 live BVs, more than twice the
     # present crossover, so they reach the batch law if it is raised.
     most_live, exited = assert_episode_matches_reference(name, seed, n_vehicles, 300, 0.0)
-    assert most_live > _kernels._SCALAR_ROWS
+    assert most_live > _SCALAR_ROWS
     assert exited > 0

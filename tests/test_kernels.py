@@ -51,31 +51,23 @@ def _prior_batch(n_theta=16, n_states=500, seed=2109):
     return thetas, v, dv, gap, a_obs
 
 
-def _per_sample_thetas(thetas, n):
-    """A (6, n) block giving sample i the parameters ``thetas[i % len]``."""
-    return thetas[np.arange(n) % len(thetas)].T.copy()
-
-
 #: Leader speeds of the rollout cases: cruise, brake, speed up, stop.
 LEAD = np.repeat([22.0, 9.0, 27.0, 0.0], 50)
 
 
 def _batch_results(thetas, v, dv, gap, a_obs):
-    """Numpy batch accelerations (one row per theta), each row's RMSE, one
-    batched follower step (accel, speed, gap) with a different theta per
-    sample, and one rollout (v, gap, a) per theta, nan after a collapse."""
+    """Numpy batch accelerations (one row per theta), each row's RMSE and
+    one rollout (v, gap, a) per theta, nan after a collapse."""
     accel = np.empty((len(thetas), v.size))
     rmse = np.empty(len(thetas))
     for i, theta in enumerate(thetas):
         accel[i] = _kernels._accel_series_np(_law_cols(theta), v, v * dv, gap)
         rmse[i] = _kernels._rmse_one_step_np(theta, v, v * dv, gap, a_obs)
-    steps = np.stack(_kernels._follower_step_np(
-        _law_cols(_per_sample_thetas(thetas, v.size)), v, v - dv, gap, 0.1))
     rollouts = np.full((len(thetas), 3, LEAD.size), np.nan)
     for theta, out in zip(thetas, rollouts):
         rows = np.array(_float_rollout(theta, LEAD, 25.0, 40.0))
         out[:, :rows.shape[1]] = rows
-    return accel, rmse, steps, rollouts
+    return accel, rmse, rollouts
 
 
 def _assert_bits_equal(got, want):
@@ -118,34 +110,6 @@ def test_batch_accel_bit_identical_to_scalar_on_prior_draws():
         want = [_kernels._idm_accel(*_kernels._law(theta.tolist()), *state)
                 for state in states]
         _assert_bits_equal(row, want)
-
-
-def _scalar_steps(theta_cols, v, v_lead, gap, dt):
-    """Scalar ``follower_step`` on every column: one (accel, speed, gap) each."""
-    return [follower_step(*theta_cols[:, i], v[i], v_lead[i], gap[i], dt)
-            for i in range(v.size)]
-
-
-def test_batched_follower_step_bit_identical_to_scalar():
-    dt = 0.1
-    v, dv, gap = (np.array(col) for col in zip(*STATE_GRID))
-    cases = [(np.repeat(p.to_array()[:, None], v.size, axis=1), v, v - dv, gap)
-             for p in PARAM_GRID]
-    # Mixed per-sample parameters; leaders may be slower or faster.
-    thetas, pv, pdv, pgap, _ = _prior_batch()
-    cases.append((_per_sample_thetas(thetas, pv.size), pv, pv - pdv, pgap))
-    floored = collapsed = leaderless = 0
-    for theta_cols, v, v_lead, gap in cases:
-        got = _kernels._follower_step_np(_law_cols(theta_cols), v, v_lead, gap, dt)
-        want = _scalar_steps(theta_cols, v, v_lead, gap, dt)
-        for got_row, want_row in zip(got, zip(*want)):
-            _assert_bits_equal(got_row, want_row)
-        a, v_next, gap_next = got
-        floored += np.count_nonzero((v_next == 0.0) & (v + a * dt < 0.0))
-        collapsed += np.count_nonzero(gap_next <= 0.0)
-        leaderless += np.count_nonzero(np.isinf(gap))
-    # The grid reaches the zero-speed floor, a collapsing gap and +inf gaps.
-    assert floored and collapsed and leaderless
 
 
 #: Parameters the law on Python floats cannot evaluate: the free-road term
@@ -258,10 +222,10 @@ _BATCH_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from test_kernels import _avx512_dispatch_targets, _batch_results, _prior_batch
-accel, rmse, steps, rollouts = _batch_results(*_prior_batch())
+accel, rmse, rollouts = _batch_results(*_prior_batch())
 print(json.dumps({"still_enabled": _avx512_dispatch_targets(),
                   "accel": accel.tobytes().hex(), "rmse": rmse.tobytes().hex(),
-                  "steps": steps.tobytes().hex(), "rollouts": rollouts.tobytes().hex()}))
+                  "rollouts": rollouts.tobytes().hex()}))
 """
 
 
@@ -274,8 +238,7 @@ def test_batch_results_identical_with_avx512_dispatch_disabled():
         capture_output=True, text=True, check=True)
     other = json.loads(out.stdout)
     assert other["still_enabled"] == []
-    accel, rmse, steps, rollouts = _batch_results(*_prior_batch())
+    accel, rmse, rollouts = _batch_results(*_prior_batch())
     assert bytes.fromhex(other["accel"]) == accel.tobytes()
     assert bytes.fromhex(other["rmse"]) == rmse.tobytes()
-    assert bytes.fromhex(other["steps"]) == steps.tobytes()
     assert bytes.fromhex(other["rollouts"]) == rollouts.tobytes()

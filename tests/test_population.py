@@ -343,6 +343,16 @@ def test_build_demand_validation():
                      mean_headway=0.0)
 
 
+@pytest.mark.parametrize("n_routes", [0, -3, 2.5])
+def test_build_demand_rejects_a_route_count_below_one_or_not_whole(n_routes):
+    # Checked with the other arguments, also when no vehicle is asked for.
+    net = straight_network()
+    for n_vehicles in (0, 1):
+        with pytest.raises(InputDomainError, match="n_routes"):
+            build_demand(net, TABLE_HISTOGRAMS, n_vehicles, np.random.default_rng(0),
+                         n_routes=n_routes)
+
+
 def test_demand_json_round_trip(tmp_path):
     demand = DemandSpec(
         (Route("r0", ("lane_0",)),),
